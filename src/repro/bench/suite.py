@@ -9,8 +9,10 @@ timing is trusted:
 * ``replay/<kernel>`` — per-record ``feed_many`` replay vs the chunked
   ``feed_array`` fast path; equivalence is the full ``ReplayStats``
   (hit/miss counters included) matching exactly.
-* ``thermal-steady`` — cold assembly + factorization vs the cached
-  operator/LU path; temperatures must be bit-identical.
+* ``thermal-steady`` — a cold direct SuperLU solve vs the cold
+  Jacobi-preconditioned CG solve the steady path uses; fields must agree
+  within 1e-9 C (CG stops at a 1e-12 relative residual, so they are not
+  bit-identical).
 * ``thermal-transient`` — cold backward-Euler setup vs the cached
   (geometry, dt) factorization; peak curves must be bit-identical.
 * ``coupled-loop`` — the closed-loop thermal/DVFS engine with cold
@@ -33,6 +35,7 @@ from dataclasses import replace as dc_replace
 from typing import Any, Dict, List, Optional
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from repro.bench.harness import BenchResult, time_best
 from repro.coupled import (
@@ -47,6 +50,7 @@ from repro.memsim.replay import ReplayStats, replay_trace
 from repro.oracles.config import oracle_mode
 from repro.thermal.solver import (
     SolverConfig,
+    assemble_system,
     clear_operator_cache,
     solve_steady_state,
 )
@@ -162,32 +166,40 @@ def bench_replay(
     )
 
 
+#: Largest field difference, C, at which a CG steady solve still counts
+#: as equivalent to the direct SuperLU reference.
+_STEADY_TOL_C = 1e-9
+
+
 def bench_thermal_steady(nx: int, repeats: int) -> BenchResult:
-    """Cold assemble+factorize+solve vs the cached-operator solve."""
+    """Cold SuperLU factorize+solve vs the cold CG steady solve.
+
+    Both sides assemble from scratch.  The reference is the direct solve
+    the steady path used before CG, kept inline here as the reference
+    implementation; the fields must agree within :data:`_STEADY_TOL_C`.
+    """
     stack = build_planar_stack(core2duo_floorplan())
     config = SolverConfig(nx=nx, ny=nx)
 
-    def run_cold():
-        clear_operator_cache()
-        return solve_steady_state(stack, config)
+    def run_reference() -> np.ndarray:
+        system = assemble_system(stack, config, reuse_operator=False)
+        lu = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A")
+        return lu.solve(system.rhs)
 
-    cold_solution = run_cold()
-    reference_s = time_best(run_cold, repeats)
-    # Prime the cache, then time the warm path.
-    warm_solution = solve_steady_state(stack, config)
-    equivalent = bool(
-        np.array_equal(cold_solution.temperature, warm_solution.temperature)
-    )
-    optimized_s = time_best(
-        lambda: solve_steady_state(stack, config), repeats
-    )
+    def run_cg() -> np.ndarray:
+        clear_operator_cache()
+        return solve_steady_state(stack, config).temperature.ravel()
+
+    max_diff = float(np.max(np.abs(run_reference() - run_cg())))
+    reference_s = time_best(run_reference, repeats)
+    optimized_s = time_best(run_cg, repeats)
     return BenchResult(
         name="thermal-steady",
         reference_s=reference_s,
         optimized_s=optimized_s,
-        equivalent=equivalent,
+        equivalent=max_diff <= _STEADY_TOL_C,
         repeats=repeats,
-        meta={"nx": nx},
+        meta={"nx": nx, "max_abs_diff_c": max_diff},
     )
 
 

@@ -7,8 +7,6 @@ finite-volume thermal solver (Section 2.3) — with:
 * a structured exception taxonomy (:mod:`repro.resilience.errors`),
 * run guards over solver outputs and trace streams with strict/lenient
   modes (:mod:`repro.resilience.guards`),
-* a retry/degradation ladder for the thermal solvers
-  (:mod:`repro.resilience.policy`),
 * checkpoint/resume for interruptible runs
   (:mod:`repro.resilience.checkpoint`), and
 * a seeded fault-injection harness proving every degradation path
@@ -19,9 +17,9 @@ import importlib
 
 #: Every re-export is resolved lazily (PEP 562).  The subsystem sits
 #: *below* the engines it hardens (``traces.record`` raises our errors,
-#: the thermal/memsim engines call our guards) while ``policy`` sits
-#: *above* them (it drives the thermal solvers) — an eager import here
-#: would therefore close an import cycle.
+#: the thermal/memsim engines call our guards), yet ``guards`` and
+#: ``faults`` import ``traces.record`` — an eager import here would
+#: therefore close an import cycle.
 _EXPORTS = {
     "ReproError": "errors",
     "SolverDivergenceError": "errors",
@@ -39,9 +37,6 @@ _EXPORTS = {
     "RESIDUAL_TOL": "guards",
     "TEMP_MIN_C": "guards",
     "TEMP_MAX_C": "guards",
-    "LadderReport": "policy",
-    "solve_steady_state_resilient": "policy",
-    "solve_transient_resilient": "policy",
     "save_checkpoint": "checkpoint",
     "load_checkpoint": "checkpoint",
     "verify_checkpoint": "checkpoint",

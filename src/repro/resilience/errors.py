@@ -70,7 +70,7 @@ class SolverDivergenceError(ReproError):
     Attributes:
         residual: Relative residual ``||Ax - b|| / ||b||`` at failure,
             or ``float("nan")`` if the solve produced no usable vector.
-        method: Which ladder rung failed (``"lu"``, ``"cg"``, ...).
+        method: Which solver failed (``"cg"``, ``"transient"``, ...).
     """
 
     def __init__(

@@ -16,9 +16,6 @@ to survive, so tests can prove every degradation path actually engages:
   arrays to model storage/memory corruption of checkpoints, journal
   lines, and cached operators; the integrity layer must detect every
   one.
-* **Forced solver failures** — a stage budget consulted by the fallback
-  ladder in :mod:`repro.resilience.policy`, so "LU failed" can be
-  simulated without manufacturing a singular matrix.
 * **Worker faults** — chaos directives for the campaign runner
   (:mod:`repro.runner`): crash a worker process, hang it past its
   wall-clock budget, stall its heartbeat, or corrupt its result file,
@@ -129,8 +126,7 @@ class FaultInjector:
             in :meth:`drop_producers`.
         power_fault_rate: Probability of perturbing each element in
             :meth:`perturb_power`.
-        forced_failures: Map of ladder stage name (``"lu"``, ``"cg"``,
-            ``"coarse"``, ``"transient"``) to how many times that stage
+        forced_failures: Map of stage name to how many times that stage
             must fail; -1 means fail every time.  Worker faults use
             stage names ``"worker-<mode>"`` (any task) or
             ``"worker-<mode>:<task_id>"`` (one task), with mode from

@@ -215,15 +215,17 @@ def solver_meta_counts(node: Any) -> Tuple[int, int]:
 
     The thermal experiments attach ``{"residual", "method", "degraded"}``
     dicts (see :meth:`ThermalSolution.solver_info`); surfacing them here
-    is what keeps a fallback-ladder run visible in campaign reports
-    instead of silently blending with exact solves.
+    keeps a degraded or non-standard solve visible in campaign reports
+    instead of silently blending with exact solves.  ``"cg"`` (steady)
+    and ``"lu"`` (transient, and journals written before steady solves
+    moved to CG) are the exact full-grid methods.
     """
     degraded = fallback = 0
     if isinstance(node, dict):
         if {"residual", "method", "degraded"} <= set(node):
             if node.get("degraded"):
                 degraded += 1
-            if str(node.get("method", "lu")) != "lu":
+            if str(node.get("method", "cg")) not in ("cg", "lu"):
                 fallback += 1
         for value in node.values():
             d, f = solver_meta_counts(value)

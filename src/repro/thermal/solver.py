@@ -11,15 +11,20 @@ package extent; each :class:`~repro.thermal.stack.Layer` contributes one or
 more grid planes with its own (two-region) conductivity, and power maps are
 injected into the layers that carry floorplans.
 
-The discrete system is symmetric positive definite and is solved directly
-with a sparse LU factorization.
+The discrete system is symmetric positive definite, and a steady solve
+runs Jacobi-preconditioned conjugate gradients on it, starting from the
+ambient field.  Most steady solves are one-shot: every point of a
+conductivity sweep is a new geometry, and a sparse LU factor would be
+built for one back-substitution.
 
-Assembly and factorization depend only on the stack *geometry* (layers,
-materials, grid, boundary coefficients) — never on the power maps, which
-enter through the right-hand side alone.  Both are therefore cached per
-geometry key (see :func:`geometry_key`): sweeping power maps over a fixed
-stack, the dominant use in the paper's studies, re-solves with a cached
-factorization and only rebuilds the cheap power vector.
+Assembly depends only on the stack *geometry* (layers, materials, grid,
+boundary coefficients) — never on the power maps, which enter through
+the right-hand side alone.  The assembled operator is therefore cached
+per geometry key (see :func:`geometry_key`): sweeping power maps over a
+fixed stack reuses the matrix and only rebuilds the cheap power vector.
+The transient solver attaches its backward-Euler LU factors (one per
+time step) to the same cached operator, because a transient reuses one
+factor over hundreds of steps.
 """
 
 from __future__ import annotations
@@ -86,10 +91,10 @@ class ThermalSolution:
         die_region: ``(j0, j1, i0, i1)`` cell bounds of the die footprint.
         residual: Relative residual ``||Ax - b|| / ||b||`` of the linear
             solve that produced this field.
-        method: Solver that produced it (``"lu"``, ``"cg"``, or a
-            ``*-coarse`` fallback rung).
-        degraded: True if a fallback rung solved a coarser grid than was
-            requested (see :mod:`repro.resilience.policy`).
+        method: Solver that produced it: ``"cg"`` for a steady solve,
+            ``"lu"`` for a transient's backward-Euler field.
+        degraded: True if an online oracle flagged this field (see
+            :func:`_steady_solution_oracles`).
     """
 
     temperature: np.ndarray
@@ -107,9 +112,9 @@ class ThermalSolution:
     def solver_info(self) -> Dict[str, Any]:
         """How this field was produced: residual, method, degraded flag.
 
-        Experiment results embed this dict so a fallback-ladder solve
-        (see :mod:`repro.resilience.policy`) stays visible in campaign
-        reports instead of silently blending with exact solves.
+        Experiment results embed this dict so a degraded solve stays
+        visible in campaign reports instead of silently blending with
+        clean ones.
         """
         return {
             "residual": float(self.residual),
@@ -260,9 +265,10 @@ class ThermalOperator:
     """The geometry-dependent (power-independent) part of one system.
 
     Everything here is a pure function of :func:`geometry_key`, so one
-    operator is shared by every solve over the same stack geometry.  The
-    steady LU factorization and backward-Euler factorizations (one per
-    time step) are attached lazily the first time a solver needs them.
+    operator is shared by every solve over the same stack geometry.
+    Steady solves run CG on ``matrix`` and keep no factor; the transient
+    solver attaches its backward-Euler LU factors (one per time step)
+    lazily, the first time it needs them.
 
     Cached operators are shared: callers must treat ``matrix``, ``mass``,
     and ``boundary_rhs`` as read-only.
@@ -276,7 +282,6 @@ class ThermalOperator:
     layer_planes: Dict[str, Tuple[int, int]]
     die_region: Tuple[int, int, int, int]
     die_layers: List[str]
-    steady_lu: Optional[Any] = None
     transient_lus: Dict[float, Any] = field(default_factory=dict)
     #: crc32 over the geometry arrays at cache-insertion time; the
     #: operator-integrity oracle rechecks it on reuse (every reuse in
@@ -292,13 +297,22 @@ class ThermalOperator:
 #: Geometry-keyed operator cache, LRU over :data:`_OPERATOR_CACHE_MAX`
 #: distinct geometries.  Entries are immutable w.r.t. power sweeps; the
 #: cache must only be cleared when memory pressure matters (each fine-grid
-#: LU holds tens of MB).
+#: transient LU holds tens of MB).
 _OPERATOR_CACHE: "OrderedDict[Tuple[Any, ...], ThermalOperator]" = OrderedDict()
 _OPERATOR_CACHE_MAX = 8
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
 #: Backward-Euler factorizations kept per operator (one per distinct dt).
 _TRANSIENT_LU_MAX = 4
+
+#: Relative-residual target of the steady CG solve (``atol`` is 0).  At
+#: this target fields match a direct LU solve to ~1e-10 C, and energy
+#: conservation closes far inside its oracle tolerance.
+CG_RTOL = 1e-12
+
+#: CG iteration cap.  Jacobi-preconditioned CG takes a few hundred
+#: iterations on the paper's grids; hitting the cap raises.
+_CG_MAXITER = 20_000
 
 
 def operator_cache_stats() -> Dict[str, int]:
@@ -695,39 +709,55 @@ def solve_steady_state(
         populated.
 
     Raises:
-        SolverDivergenceError: the factorization failed or the solve
-            produced non-finite temperatures (previously these escaped
-            as silent garbage fields).
+        SolverDivergenceError: CG could not run (non-positive diagonal),
+            did not converge, or produced non-finite temperatures.
     """
     system = assemble_system(stack, config)
-    operator = system.operator
-    lu = operator.steady_lu if operator is not None else None
-    if lu is None:
-        # The system is SPD; SuperLU with a symmetric minimum-degree
-        # ordering is ~4x faster here than the default COLAMD ordering.
-        try:
-            lu = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SolverDivergenceError(
-                f"LU factorization failed: {exc}", method="lu"
-            ) from exc
-        if operator is not None:
-            operator.steady_lu = lu
-    flat = lu.solve(system.rhs)
-    if not np.all(np.isfinite(flat)):
-        raise SolverDivergenceError(
-            "LU solve produced non-finite temperatures", method="lu"
-        )
+    flat = _solve_cg(system)
     solution = system.solution_from(flat)
     solution.residual = relative_residual(system.matrix, flat, system.rhs)
+    solution.method = "cg"
     _steady_solution_oracles(system, solution)
     return solution
+
+
+def _solve_cg(system: DiscreteSystem) -> np.ndarray:
+    """Jacobi-preconditioned CG on the SPD steady system, from ambient.
+
+    The start is the ambient field, not a neighbouring solution, so a
+    result never depends on what was solved before it.
+    """
+    diagonal = system.matrix.diagonal()
+    if not (np.all(diagonal > 0) and np.all(np.isfinite(diagonal))):
+        raise SolverDivergenceError(
+            "system diagonal is not positive; CG preconditioner undefined",
+            method="cg",
+        )
+    start = np.full(system.rhs.shape, system.config.ambient_c)
+    flat, info = spla.cg(
+        system.matrix,
+        system.rhs,
+        x0=start,
+        rtol=CG_RTOL,
+        atol=0.0,
+        maxiter=_CG_MAXITER,
+        M=sp.diags(1.0 / diagonal),
+    )
+    if info != 0:
+        raise SolverDivergenceError(
+            f"CG did not converge (info={info})", method="cg"
+        )
+    if not np.all(np.isfinite(flat)):
+        raise SolverDivergenceError(
+            "CG produced non-finite temperatures", method="cg"
+        )
+    return flat
 
 
 def _steady_solution_oracles(
     system: DiscreteSystem, solution: "ThermalSolution"
 ) -> None:
-    """Online invariant oracles over a direct steady solve (never raise).
+    """Online invariant oracles over a steady solve (never raise).
 
     Three cheap checks (Section 2.3 physics): the linear residual is
     within tolerance, every watt injected leaves through the boundary

@@ -112,7 +112,6 @@ class TestRepoTree:
         assert paths <= {
             "resilience/faults.py",
             "resilience/guards.py",
-            "resilience/policy.py",
             "resilience/__init__.py",
         }, sorted(d.render() for d in diags)
 

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.floorplan import core2duo_floorplan, stacked_cache_die
 from repro.floorplan.blocks import uniform_floorplan
+from repro.floorplan.pentium4 import pentium4_3d_floorplans
+from repro.resilience.errors import GuardViolation, SolverDivergenceError
+from repro.thermal import solver as solver_module
 from repro.thermal.materials import get_material
 from repro.thermal.solver import (
     SolverConfig,
@@ -180,8 +185,7 @@ class TestSolverPhysics:
 
 
 class TestOperatorCache:
-    """The assembled operator + LU factorisation depend only on geometry,
-    so solves that share a stack geometry must share one cached operator
+    """The assembled operator depends only on geometry, so solves that share a stack geometry must share one cached operator
     — with bit-identical results to a cold assembly."""
 
     @pytest.fixture(autouse=True)
@@ -271,9 +275,89 @@ class TestOperatorCache:
         first = solve_transient(stack, tiny, duration_s=0.5, dt_s=0.05)
         again = solve_transient(stack, tiny, duration_s=0.5, dt_s=0.05)
         assert first.peak_c == again.peak_c
-        # One assembly; the steady + transient LUs hang off that operator.
+        # One assembly; the transient LU hangs off that operator.
         stats = operator_cache_stats()
         assert stats["misses"] == 1 and stats["hits"] >= 1
+
+
+def _figure3_stack(curve, k):
+    """The figure-3 Logic+Logic stack with one layer family swept to k."""
+    bottom, top = pentium4_3d_floorplans()
+    base = build_3d_stack(bottom, top, die2_metal="cu")
+    names = ("metal-1", "metal-2") if curve == "cu" else ("bond",)
+    for name in names:
+        base = base.replace_layer(base.layer(name).with_conductivity(k))
+    return base
+
+
+class TestSteadyCg:
+    """Steady solves run Jacobi-preconditioned CG; a direct SuperLU solve
+    of the same assembled system is the reference."""
+
+    @pytest.mark.parametrize("curve", ["cu", "bond"])
+    @pytest.mark.parametrize("k", [3.0, 60.0])
+    def test_peaks_match_superlu_on_figure3_stacks(self, curve, k):
+        stack = _figure3_stack(curve, k)
+        config = SolverConfig(nx=20, ny=20)
+        solution = solve_steady_state(stack, config)
+        system = assemble_system(stack, config)
+        lu = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A")
+        reference = system.solution_from(lu.solve(system.rhs))
+        assert solution.method == "cg"
+        assert solution.residual <= 1e-10
+        assert abs(
+            solution.peak_temperature() - reference.peak_temperature()
+        ) <= 1e-9
+
+    def test_nonconvergent_cg_raises(self, monkeypatch):
+        def stalled_cg(matrix, rhs, **kwargs):
+            return kwargs["x0"], 500  # info > 0: iteration cap reached
+
+        monkeypatch.setattr(solver_module.spla, "cg", stalled_cg)
+        die = uniform_floorplan("u", 10.0, 10.0, 60.0)
+        with pytest.raises(SolverDivergenceError) as info:
+            solve_steady_state(build_planar_stack(die), FAST)
+        assert info.value.method == "cg"
+
+    def test_nonfinite_cg_output_raises(self, monkeypatch):
+        def garbage_cg(matrix, rhs, **kwargs):
+            return np.full_like(rhs, np.nan), 0
+
+        monkeypatch.setattr(solver_module.spla, "cg", garbage_cg)
+        die = uniform_floorplan("u", 10.0, 10.0, 60.0)
+        with pytest.raises(SolverDivergenceError, match="non-finite") as info:
+            solve_steady_state(build_planar_stack(die), FAST)
+        assert info.value.method == "cg"
+
+    def test_nonpositive_diagonal_raises(self):
+        die = uniform_floorplan("u", 10.0, 10.0, 60.0)
+        system = assemble_system(
+            build_planar_stack(die), FAST, reuse_operator=False
+        )
+        system.matrix = system.matrix - sp.diags(system.matrix.diagonal())
+        with pytest.raises(SolverDivergenceError, match="diagonal") as info:
+            solver_module._solve_cg(system)
+        assert info.value.method == "cg"
+
+
+class TestSolverGuardsWired:
+    def test_steady_state_records_residual(self):
+        solution = solve_steady_state(
+            build_planar_stack(core2duo_floorplan()), SolverConfig(nx=12, ny=12)
+        )
+        assert 0.0 <= solution.residual < 1e-8
+        assert solution.method == "cg"
+        assert solution.degraded is False
+
+    def test_nan_power_is_rejected_not_repaired(self):
+        # A NaN power injection is bad input, not a solver failure.
+        # (Before the guard, NaN power silently became *zero* power.)
+        bad_plan = core2duo_floorplan().scaled_power(float("nan"))
+        with pytest.raises(GuardViolation) as info:
+            solve_steady_state(
+                build_planar_stack(bad_plan), SolverConfig(nx=12, ny=12)
+            )
+        assert info.value.guard == "power-map"
 
 
 class TestSolverConfigValidation:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.floorplan import core2duo_floorplan, pentium4_planar_floorplan
-from repro.resilience.errors import CheckpointError
+from repro.resilience.errors import CheckpointError, SolverDivergenceError
 from repro.thermal import SolverConfig, solve_transient
 from repro.thermal.solver import (
     _TRANSIENT_LU_MAX,
@@ -194,3 +194,13 @@ class TestTransientLuCache:
             stack, FAST, duration_s=1.0, dt_s=0.25, reuse_operator=False
         )
         assert warm.peak_c == cold.peak_c
+
+
+class TestTransientResilience:
+    def test_nonfinite_initial_raises(self, stack):
+        n = assemble_system(stack, FAST).matrix.shape[0]
+        with pytest.raises(SolverDivergenceError, match="non-finite"):
+            solve_transient(
+                stack, FAST, duration_s=0.2, dt_s=0.1,
+                initial=np.full(n, np.nan),
+            )
