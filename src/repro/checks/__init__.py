@@ -13,12 +13,10 @@ The subsystem is deliberately self-contained: it imports nothing from
 the simulator layers (everything is derived from source text and ASTs),
 so the linter can never be broken by the code it checks.
 
-Run it via ``repro lint`` (see :mod:`repro.checks.engine`); a committed
-baseline file grandfathers pre-existing violations so only *new* ones
-fail CI.
+Run it via ``repro lint`` (see :mod:`repro.checks.engine`); any finding
+fails CI.
 """
 
-from repro.checks.baseline import apply_baseline, load_baseline, save_baseline
 from repro.checks.diagnostics import CODES, Diagnostic
 from repro.checks.engine import LintReport, run_lint
 
@@ -26,8 +24,5 @@ __all__ = [
     "CODES",
     "Diagnostic",
     "LintReport",
-    "apply_baseline",
-    "load_baseline",
     "run_lint",
-    "save_baseline",
 ]

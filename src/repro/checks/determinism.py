@@ -28,7 +28,6 @@ from repro.checks.diagnostics import Diagnostic, Explanation, PyFile
 
 #: Files (package-root-relative) allowed to read the wall clock.
 DEFAULT_CLOCK_ALLOWLIST = frozenset({
-    "runner/supervisor.py",
     "runner/worker.py",
     # The scheduler/pool/node split of the runner: supervision *is*
     # timing (lease TTLs, heartbeat watchdogs, wall-clock budgets), but

@@ -1,9 +1,8 @@
 """Diagnostic records and the RPL code registry.
 
 Every pass emits :class:`Diagnostic` values.  A diagnostic's *context*
-is the stripped source line it points at; the baseline keys on
-``code|path|context`` rather than on line numbers, so unrelated edits
-above a grandfathered violation do not un-suppress it.
+is the stripped source line it points at (or a synthetic tag such as
+``cycle:a|b`` for findings with no single line).
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ class Diagnostic:
         col: 0-based column.
         code: ``RPLxxx`` code (see :data:`CODES`).
         message: Human-readable description of this instance.
-        context: The stripped source line (baseline anchor).
+        context: The stripped source line the finding points at.
     """
 
     path: str
@@ -104,11 +103,6 @@ class Diagnostic:
     @property
     def pass_name(self) -> str:
         return CODES.get(self.code, ("unknown", ""))[0]
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-number-independent identity used by the baseline."""
-        return f"{self.code}|{self.path}|{self.context}"
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.code} {self.message}"

@@ -2,8 +2,8 @@
 
 Exit codes (mirroring the sweep command's "usage vs. outcome" split):
 
-* ``0`` — no new violations (baselined and stale findings allowed);
-* ``2`` — new violations, or a scanned file that does not parse;
+* ``0`` — no findings;
+* ``2`` — any finding, including a scanned file that does not parse;
 * argparse itself exits 2 on bad usage.
 
 The engine never imports the code it scans; everything is AST-level, so
@@ -20,15 +20,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.checks import contracts, determinism, layering, physics
-from repro.checks.baseline import apply_baseline, load_baseline, save_baseline
 from repro.checks.diagnostics import CODES, Diagnostic, Explanation, PyFile
 from repro.checks.flow import asyncsafety, concurrency
-
-#: Name of the committed baseline file, looked up at the repo root.
-BASELINE_NAME = "repro-lint-baseline.json"
-
-#: Sentinel: "use the committed baseline if one exists".
-AUTO_BASELINE = "auto"
 
 PASSES = (
     "determinism", "layering", "contracts", "physics",
@@ -44,12 +37,6 @@ def package_root() -> Path:
 def repo_root() -> Path:
     """Best-effort repository root (``src/repro`` layout -> two up)."""
     return package_root().parents[1]
-
-
-def default_baseline_path() -> Optional[Path]:
-    """The committed baseline, if present at the repo root."""
-    candidate = repo_root() / BASELINE_NAME
-    return candidate if candidate.is_file() else None
 
 
 def load_files(
@@ -92,24 +79,15 @@ class LintReport:
 
     Attributes:
         root: Scanned package root.
-        diagnostics: Every finding, sorted.
-        new: Findings not covered by the baseline (these fail the run).
-        suppressed: Findings the baseline grandfathers.
-        stale_baseline: Baseline keys with leftover budget (fixed
-            violations whose entries should be pruned).
-        parse_failures: Files that did not parse (subset of ``new``).
+        diagnostics: Every finding, sorted; any one fails the run.
     """
 
     root: str
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    new: List[Diagnostic] = field(default_factory=list)
-    suppressed: List[Diagnostic] = field(default_factory=list)
-    stale_baseline: Dict[str, int] = field(default_factory=dict)
-    baseline_path: Optional[str] = None
 
     @property
     def ok(self) -> bool:
-        return not self.new
+        return not self.diagnostics
 
     def counts(self) -> Dict[str, int]:
         per_pass: Dict[str, int] = {name: 0 for name in PASSES}
@@ -117,9 +95,6 @@ class LintReport:
             per_pass[diag.pass_name] = per_pass.get(diag.pass_name, 0) + 1
         return {
             "total": len(self.diagnostics),
-            "new": len(self.new),
-            "baselined": len(self.suppressed),
-            "stale_baseline": len(self.stale_baseline),
             **{f"pass:{name}": count for name, count in sorted(per_pass.items())},
         }
 
@@ -158,10 +133,9 @@ def run_passes(
 def run_lint(
     root: Optional[Path] = None,
     tests_dir: Optional[Path] = None,
-    baseline_path=AUTO_BASELINE,
     select: Optional[Sequence[str]] = None,
 ) -> LintReport:
-    """Run every pass and apply the baseline; the CLI's workhorse.
+    """Run every pass; the CLI's workhorse.
 
     Args:
         root: Package directory to scan (default: the installed
@@ -169,72 +143,38 @@ def run_lint(
         tests_dir: Tests directory for the contract pass's
             "referenced by a test" check (default: ``tests/`` at the
             repo root, skipped if absent).
-        baseline_path: Baseline file.  The default
-            (:data:`AUTO_BASELINE`) uses the committed one at the repo
-            root if present; ``None`` lints without grandfathering.
         select: Code prefixes to keep (e.g. ``["RPL1", "RPL203"]``).
     """
     root = Path(root) if root is not None else package_root()
-    if baseline_path == AUTO_BASELINE:
-        baseline_path = default_baseline_path()
     if tests_dir is None:
         candidate = repo_root() / "tests"
         tests_dir = candidate if candidate.is_dir() else None
     files = load_files(root)
     diagnostics = _select_filter(run_passes(files, tests_dir), select)
-
-    report = LintReport(root=str(root), diagnostics=diagnostics)
-    baseline: Dict[str, int] = {}
-    if baseline_path is not None and Path(baseline_path).is_file():
-        baseline = load_baseline(Path(baseline_path))
-        report.baseline_path = str(baseline_path)
-    report.new, report.suppressed, report.stale_baseline = apply_baseline(
-        diagnostics, baseline
-    )
-    return report
+    return LintReport(root=str(root), diagnostics=diagnostics)
 
 
-def render_text(report: LintReport, verbose: bool = False) -> str:
-    """Human rendering: new findings, then baseline accounting."""
-    lines: List[str] = []
-    for diag in report.new:
-        lines.append(diag.render())
-    if verbose:
-        for diag in report.suppressed:
-            lines.append(f"{diag.render()} [baselined]")
-    for key, left in report.stale_baseline.items():
-        lines.append(
-            f"warning: stale baseline entry ({left} unmatched): {key} "
-            f"-- run `repro lint --write-baseline` to prune"
-        )
-    counts = report.counts()
+def render_text(report: LintReport) -> str:
+    """Human rendering: every finding, then the tally and verdict."""
+    lines = [diag.render() for diag in report.diagnostics]
     lines.append(
-        f"repro lint: {counts['total']} finding(s) "
-        f"({counts['new']} new, {counts['baselined']} baselined, "
-        f"{counts['stale_baseline']} stale baseline entr"
-        f"{'y' if counts['stale_baseline'] == 1 else 'ies'}) "
+        f"repro lint: {len(report.diagnostics)} finding(s) "
         f"across {len(PASSES)} passes"
     )
-    lines.append("verdict: " + ("OK" if report.ok else "NEW VIOLATIONS"))
+    lines.append("verdict: " + ("OK" if report.ok else "VIOLATIONS"))
     return "\n".join(lines)
 
 
 def to_json(report: LintReport) -> Dict[str, object]:
     """JSON rendering (the ``--format json`` schema, CI artifact)."""
-    suppressed = set(id(d) for d in report.suppressed)
     return {
         "version": 1,
         "root": report.root,
-        "baseline": report.baseline_path,
         "passes": list(PASSES),
         "codes": {code: desc for code, (_, desc) in sorted(CODES.items())},
         "counts": report.counts(),
         "ok": report.ok,
-        "diagnostics": [
-            {**diag.to_dict(), "baselined": id(diag) in suppressed}
-            for diag in report.diagnostics
-        ],
-        "stale_baseline": dict(report.stale_baseline),
+        "diagnostics": [diag.to_dict() for diag in report.diagnostics],
     }
 
 
@@ -287,12 +227,6 @@ def main(args) -> int:
         return 0
 
     root = Path(args.root) if getattr(args, "root", None) else package_root()
-    if getattr(args, "no_baseline", False):
-        baseline_path = None
-    elif getattr(args, "baseline", None):
-        baseline_path = Path(args.baseline)
-    else:
-        baseline_path = default_baseline_path()
 
     select: Optional[List[str]] = None
     if getattr(args, "select", None):
@@ -303,19 +237,9 @@ def main(args) -> int:
             if code.strip()
         ]
 
-    if getattr(args, "write_baseline", False):
-        target = baseline_path or (repo_root() / BASELINE_NAME)
-        report = run_lint(root=root, baseline_path=None, select=select)
-        entries = save_baseline(target, report.diagnostics)
-        print(
-            f"wrote {target}: {sum(entries.values())} finding(s) across "
-            f"{len(entries)} baseline entr{'y' if len(entries) == 1 else 'ies'}"
-        )
-        return 0
-
-    report = run_lint(root=root, baseline_path=baseline_path, select=select)
+    report = run_lint(root=root, select=select)
     if getattr(args, "format", "text") == "json":
         print(json.dumps(to_json(report), indent=2))
     else:
-        print(render_text(report, verbose=getattr(args, "verbose", False)))
+        print(render_text(report))
     return 0 if report.ok else 2

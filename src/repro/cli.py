@@ -21,7 +21,7 @@ Commands:
 * ``lint`` — run the static invariant passes (determinism, layering,
   experiment contracts, physics hygiene, plus the flow-sensitive
   concurrency and async-safety families) over the source tree; exits
-  2 on violations not grandfathered by the baseline.
+  2 on any finding.
 * ``bench`` — time the simulator hot paths against their reference
   implementations, write a ``BENCH_repro.json`` report, and optionally
   gate against a committed baseline (exit 1 on a speedup regression).
@@ -151,11 +151,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.analysis import render_campaign_report
     from repro.resilience.faults import FaultInjector
-    from repro.runner.supervisor import (
-        CampaignConfig,
-        RetryPolicy,
-        run_campaign,
-    )
+    from repro.runner.scheduler import run_campaign
+    from repro.runner.supervisor import CampaignConfig, RetryPolicy
     from repro.runner.tasks import select_tasks
 
     kwargs = {}
@@ -730,7 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--nx", type=int, help="thermal grid resolution")
     run.add_argument("--scale", type=int, help="capacity/footprint scale")
     run.add_argument("--seed", type=int,
-                     help="RNG seed for a bit-for-bit reproducible run")
+                     help="seed recorded with the run and hashed into its "
+                          "fingerprint")
     run.add_argument("--json", action="store_true",
                      help="print the structured outcome (ok/result/error/"
                           "fingerprint) as JSON")
@@ -766,7 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip tasks with an ok entry in the journal; "
                             "re-run only failures")
     sweep.add_argument("--seed", type=int,
-                       help="base RNG seed (task i runs with seed+i)")
+                       help="base seed recorded per task (task i gets "
+                            "seed+i)")
     sweep.add_argument("--nx", type=int, help="thermal grid resolution")
     sweep.add_argument("--scale", type=int, help="capacity/footprint scale")
     sweep.add_argument("--backend", default="local",
@@ -910,20 +909,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=("text", "json"), default="text",
                       help="output format (json includes every diagnostic "
                            "plus the code table)")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="baseline file grandfathering known violations "
-                           "(default: repro-lint-baseline.json at the repo "
-                           "root, if present)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline; report every finding as new")
     lint.add_argument("--select", action="append", metavar="RPLxxx",
                       help="only run codes with these prefixes "
                            "(comma-separated or repeated)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="write the current findings as the new baseline "
-                           "and exit 0")
-    lint.add_argument("--verbose", action="store_true",
-                      help="also print baselined (suppressed) findings")
     lint.add_argument("--explain", metavar="RPL###",
                       help="print the rule's rationale, an example "
                            "violation and the fix pattern, then exit")

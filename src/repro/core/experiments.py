@@ -9,11 +9,8 @@ them next to the published values.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import random
-import time
 import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -71,8 +68,7 @@ class ExperimentOutcome:
         error_type: Exception class name, or None.
         partial: Intermediate results the failing engine surfaced via
             :class:`~repro.resilience.errors.ReproError.partial`.
-        elapsed_s: Wall-clock run time.
-        seed: RNG seed applied before the run (None if unseeded).
+        seed: Seed recorded with the run (part of the fingerprint).
         kwargs: Keyword arguments the experiment ran with.
         fingerprint: :func:`task_fingerprint` of (id, kwargs, seed) — a
             journaled failure plus this triple reproduces the run
@@ -89,7 +85,6 @@ class ExperimentOutcome:
     error: Optional[str] = None
     error_type: Optional[str] = None
     partial: Dict[str, Any] = field(default_factory=dict)
-    elapsed_s: float = 0.0
     seed: Optional[int] = None
     kwargs: Dict[str, Any] = field(default_factory=dict)
     fingerprint: str = ""
@@ -565,23 +560,17 @@ def run_experiment(
             (lookup errors for unknown ids always raise).
         registry: Registry to resolve the id against (the module-level
             :data:`REGISTRY` by default).
-        seed: If given, seeds the ``random`` and ``numpy.random`` global
-            generators before the run, and is recorded on the outcome so
-            the run can be reproduced exactly.
+        seed: Recorded on the outcome and hashed into its fingerprint,
+            so distinct seeds are distinct tasks.  Experiments draw
+            only from generators seeded by their own arguments, so the
+            seed does not change the result.
         **kwargs: Forwarded to the experiment's ``run`` callable.
     """
     experiment = (registry or REGISTRY).get(experiment_id)
     fingerprint = task_fingerprint(experiment_id, kwargs, seed)
-    if seed is not None:
-        random.seed(seed)
-        with contextlib.suppress(ImportError):  # numpy is a hard dep
-            import numpy as np
-
-            np.random.seed(seed % 2**32)
     # Oracle scoreboard is per-run: reset here so the outcome's report
     # covers exactly this experiment, success or failure.
     reset_oracles()
-    start = time.perf_counter()
     try:
         result = experiment.run(**kwargs)
     except Exception as exc:
@@ -593,7 +582,6 @@ def run_experiment(
             error=f"{exc}" or traceback.format_exc(limit=1).strip(),
             error_type=type(exc).__name__,
             partial=dict(exc.partial) if isinstance(exc, ReproError) else {},
-            elapsed_s=time.perf_counter() - start,
             seed=seed,
             kwargs=dict(kwargs),
             fingerprint=fingerprint,
@@ -603,7 +591,6 @@ def run_experiment(
         experiment_id=experiment_id,
         ok=True,
         result=result,
-        elapsed_s=time.perf_counter() - start,
         seed=seed,
         kwargs=dict(kwargs),
         fingerprint=fingerprint,

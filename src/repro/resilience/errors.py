@@ -29,9 +29,8 @@ The taxonomy:
     an incompatible run.
 
 ``GuardViolation``
-    A run guard rejected an engine's output (implausible temperatures,
-    negative power, residual above tolerance).  Also a
-    :class:`ValueError` for backward compatibility.
+    A run guard rejected an engine's input (a non-finite or negative
+    power map).  Also a :class:`ValueError` for backward compatibility.
 
 ``StateIntegrityError``
     Persisted state (a checkpoint envelope, a journal line) failed its

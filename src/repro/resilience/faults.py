@@ -3,19 +3,9 @@
 The injector produces the failure modes the resilience subsystem claims
 to survive, so tests can prove every degradation path actually engages:
 
-* **Trace corruption** — rewrite a fraction of records with invalid
-  fields (negative addresses, forward/self dependencies, bad cpu ids,
-  uid regressions), bypassing :class:`TraceRecord` construction-time
-  validation the way a truncated or bit-flipped trace file would.
-* **Dropped dependencies** — silently remove producer records from the
-  stream, leaving consumers pointing at uids that never complete.
-* **Power-map perturbation** — inject NaN spikes or power dropouts into
-  power arrays to trip the power-map guard (densities are clamped at
-  zero: a faulty sensor reads nothing, never negative watts).
-* **Bit flips** — flip individual bits in byte buffers, files, or numpy
-  arrays to model storage/memory corruption of checkpoints, journal
-  lines, and cached operators; the integrity layer must detect every
-  one.
+* **Bit flips** — flip individual bits in files or numpy arrays to
+  model storage/memory corruption of checkpoints, journal lines, and
+  cached operators; the integrity layer must detect every one.
 * **Worker faults** — chaos directives for the campaign runner
   (:mod:`repro.runner`): crash a worker process, hang it past its
   wall-clock budget, stall its heartbeat, or corrupt its result file,
@@ -44,20 +34,9 @@ from a fault schedule does not reshuffle the faults that remain.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Optional
 
 import numpy as np
-
-from repro.traces.record import AccessType, NO_DEP, TraceRecord
-
-#: Corruption modes :meth:`FaultInjector.corrupt_record` cycles through.
-CORRUPTION_MODES = (
-    "negative-address",
-    "forward-dep",
-    "self-dep",
-    "bad-cpu",
-    "uid-regression",
-)
 
 #: Worker misbehaviors :meth:`FaultInjector.worker_fault` can direct
 #: (interpreted by ``repro.runner.worker``).  ``flip-operator`` arms a
@@ -92,40 +71,11 @@ SERVICE_FAULT_MODES = (
 )
 
 
-def make_raw_record(
-    uid: int,
-    cpu: int,
-    kind: AccessType,
-    address: int,
-    ip: int,
-    dep_uid: int = NO_DEP,
-) -> TraceRecord:
-    """Build a TraceRecord bypassing ``__post_init__`` validation.
-
-    Only for fault injection and tests: this is how invalid records
-    "from disk" are modeled now that construction validates eagerly.
-    """
-    record = object.__new__(TraceRecord)
-    object.__setattr__(record, "uid", uid)
-    object.__setattr__(record, "cpu", cpu)
-    object.__setattr__(record, "kind", kind)
-    object.__setattr__(record, "address", address)
-    object.__setattr__(record, "ip", ip)
-    object.__setattr__(record, "dep_uid", dep_uid)
-    return record
-
-
 class FaultInjector:
     """Seeded source of deterministic simulator faults.
 
     Args:
         seed: RNG seed; identical seeds inject identical faults.
-        record_corruption_rate: Probability of corrupting each record in
-            :meth:`corrupt_trace`.
-        dependency_drop_rate: Probability of dropping each *load* record
-            in :meth:`drop_producers`.
-        power_fault_rate: Probability of perturbing each element in
-            :meth:`perturb_power`.
         forced_failures: Map of stage name to how many times that stage
             must fail; -1 means fail every time.  Worker faults use
             stage names ``"worker-<mode>"`` (any task) or
@@ -140,19 +90,9 @@ class FaultInjector:
     def __init__(
         self,
         seed: int = 0,
-        record_corruption_rate: float = 0.0,
-        dependency_drop_rate: float = 0.0,
-        power_fault_rate: float = 0.0,
         forced_failures: Optional[Dict[str, int]] = None,
         worker_fault_rates: Optional[Dict[str, float]] = None,
     ) -> None:
-        for name, rate in (
-            ("record_corruption_rate", record_corruption_rate),
-            ("dependency_drop_rate", dependency_drop_rate),
-            ("power_fault_rate", power_fault_rate),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
         for mode, rate in (worker_fault_rates or {}).items():
             if mode not in WORKER_FAULT_MODES:
                 raise ValueError(
@@ -167,9 +107,6 @@ class FaultInjector:
         self.seed = seed
         #: Per-site occurrence counters backing :meth:`_site_rng`.
         self._site_counts: Dict[str, int] = {}
-        self.record_corruption_rate = record_corruption_rate
-        self.dependency_drop_rate = dependency_drop_rate
-        self.power_fault_rate = power_fault_rate
         self.forced_failures = dict(forced_failures or {})
         self.worker_fault_rates = dict(worker_fault_rates or {})
         self.injected: Dict[str, int] = {}
@@ -287,89 +224,7 @@ class FaultInjector:
             or self.should_fail("duplicate-delivery")
         )
 
-    # -- trace faults --------------------------------------------------------
-
-    def corrupt_record(self, record: TraceRecord) -> TraceRecord:
-        """Return a corrupted copy of *record* (random corruption mode)."""
-        rng = self._site_rng("corrupt-record")
-        mode = rng.choice(CORRUPTION_MODES)
-        self._note(f"corrupt:{mode}")
-        uid, cpu, addr, dep = record.uid, record.cpu, record.address, record.dep_uid
-        if mode == "negative-address":
-            addr = -abs(record.address) - 1
-        elif mode == "forward-dep":
-            dep = record.uid + rng.randint(1, 1000)
-        elif mode == "self-dep":
-            dep = record.uid
-        elif mode == "bad-cpu":
-            cpu = -1 if rng.random() < 0.5 else cpu + 4096
-        elif mode == "uid-regression":
-            uid = -record.uid - 1
-        return make_raw_record(uid, cpu, record.kind, addr, record.ip, dep)
-
-    def corrupt_trace(
-        self, records: Iterable[TraceRecord]
-    ) -> Iterator[TraceRecord]:
-        """Yield *records* with a fraction corrupted in place."""
-        rate = self.record_corruption_rate
-        for record in records:
-            if rate and self._site_rng("corrupt-trace").random() < rate:
-                yield self.corrupt_record(record)
-            else:
-                yield record
-
-    def drop_producers(
-        self, records: Iterable[TraceRecord]
-    ) -> Iterator[TraceRecord]:
-        """Yield *records* minus a fraction of loads (dangling deps remain)."""
-        rate = self.dependency_drop_rate
-        for record in records:
-            if (
-                rate and record.is_load
-                and self._site_rng("drop-producer").random() < rate
-            ):
-                self._note("dropped-producer")
-                continue
-            yield record
-
-    # -- thermal faults ------------------------------------------------------
-
-    def perturb_power(self, power: np.ndarray) -> np.ndarray:
-        """Copy of *power* with NaN spikes / dropouts injected.
-
-        Faulty power telemetry reads NaN or zero; densities are clamped
-        at 0.0 W so the injector never fabricates negative power (which
-        would violate the very thermal oracle it exercises).
-        """
-        out = np.array(power, dtype=float, copy=True)
-        flat = out.ravel()
-        rate = self.power_fault_rate
-        for i in range(flat.size):
-            if rate:
-                rng = self._site_rng("perturb-power")
-                if rng.random() < rate:
-                    if rng.random() < 0.5:
-                        flat[i] = float("nan")
-                        self._note("power:nan")
-                    else:
-                        flat[i] = max(0.0, flat[i] - abs(flat[i]) - 1.0)
-                        self._note("power:dropout")
-        return out
-
     # -- bit flips (storage / memory corruption) -----------------------------
-
-    def flip_bits(self, data: bytes, n_flips: int = 1) -> bytes:
-        """Copy of *data* with *n_flips* random single-bit flips."""
-        if not data:
-            return data
-        buf = bytearray(data)
-        for _ in range(max(1, n_flips)):
-            rng = self._site_rng("flip-bits")
-            pos = rng.randrange(len(buf))
-            bit = rng.randrange(8)
-            buf[pos] ^= 1 << bit
-            self._note("bitflip:bytes")
-        return bytes(buf)
 
     def flip_file_bits(
         self,

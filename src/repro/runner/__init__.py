@@ -36,9 +36,8 @@ _EXPORTS = {
     "JOURNAL_VERSION": "journal",
     "CampaignConfig": "supervisor",
     "CampaignReport": "supervisor",
-    "CampaignRunner": "supervisor",
     "RetryPolicy": "supervisor",
-    "run_campaign": "supervisor",
+    "run_campaign": "scheduler",
     "Scheduler": "scheduler",
     "Lease": "leases",
     "LeaseTable": "leases",

@@ -142,7 +142,6 @@ def run_spec(spec: Dict[str, Any]) -> int:
             "error": outcome.error,
             "error_type": outcome.error_type,
             "partial": outcome.partial,
-            "elapsed_s": outcome.elapsed_s,
             "seed": outcome.seed,
             "fingerprint": outcome.fingerprint,
             "oracles": outcome.oracles,

@@ -45,7 +45,6 @@ from repro.oracles.invariants import (
 )
 from repro.oracles.report import record_check, record_violation
 from repro.resilience.errors import GuardViolation, SolverDivergenceError
-from repro.resilience.guards import relative_residual
 from repro.thermal.materials import AMBIENT_C, HEATSINK_H_EFF, MOTHERBOARD_H
 from repro.thermal.stack import ThermalStack
 
@@ -719,6 +718,18 @@ def solve_steady_state(
     solution.method = "cg"
     _steady_solution_oracles(system, solution)
     return solution
+
+
+def relative_residual(matrix, x: np.ndarray, rhs: np.ndarray) -> float:
+    """Relative residual ``||Ax - b|| / ||b||`` of a candidate solution."""
+    x = np.asarray(x, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    norm_b = float(np.linalg.norm(rhs))
+    if norm_b == 0.0:
+        return float(np.linalg.norm(matrix @ x))
+    if not np.all(np.isfinite(x)):
+        return float("inf")
+    return float(np.linalg.norm(matrix @ x - rhs) / norm_b)
 
 
 def _solve_cg(system: DiscreteSystem) -> np.ndarray:

@@ -8,6 +8,7 @@ real interpreter per attempt.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from typing import Any, Dict
@@ -19,7 +20,10 @@ FAST_REGISTRY_SPEC = "tests.campaign_fixtures:FAST_REGISTRY"
 
 
 def _run_quick(**kwargs: Any) -> Dict[str, Any]:
-    return {"value": kwargs.get("value", 42), "rand": random.random()}
+    # A draw keyed on the task's own kwargs: deterministic across
+    # processes and retries, so resume results are bit-identical.
+    rng = random.Random(json.dumps(kwargs, sort_keys=True))
+    return {"value": kwargs.get("value", 42), "rand": rng.random()}
 
 
 def _run_boom(**kwargs: Any) -> Dict[str, Any]:

@@ -285,7 +285,7 @@ class TestMutationOnRealServer:
 
 class TestRealTreeAndExplanations:
     def test_shipped_service_is_clean(self):
-        report = run_lint(select=["RPL6"], baseline_path=None)
+        report = run_lint(select=["RPL6"])
         assert [d.render() for d in report.diagnostics] == []
 
     def test_explanations_cover_all_rpl6_codes(self):

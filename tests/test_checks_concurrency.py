@@ -328,7 +328,7 @@ class TestMutationsOnRealSources:
 
 class TestRealTreeAndExplanations:
     def test_shipped_runner_is_clean(self):
-        report = run_lint(select=["RPL5"], baseline_path=None)
+        report = run_lint(select=["RPL5"])
         assert [d.render() for d in report.diagnostics] == []
 
     def test_explanations_cover_all_rpl5_codes(self):

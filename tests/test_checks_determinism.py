@@ -136,14 +136,14 @@ class TestWallClock:
         pf = make_file("""
             import time
             now = time.monotonic()
-        """, rel="runner/supervisor.py", module="repro.runner.supervisor")
+        """, rel="runner/worker.py", module="repro.runner.worker")
         assert determinism.check_file(pf) == []
 
     def test_allowlist_does_not_cover_rng(self):
         pf = make_file("""
             import random
             x = random.random()
-        """, rel="runner/supervisor.py", module="repro.runner.supervisor")
+        """, rel="runner/worker.py", module="repro.runner.worker")
         assert codes(determinism.check_file(pf)) == ["RPL102"]
 
 

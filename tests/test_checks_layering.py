@@ -3,7 +3,7 @@
 The synthetic-package tests build a fake layered package in memory
 (upward import, cross-layer import, a cycle, an unassigned package) and
 assert the pass sees exactly those; the repo test asserts the real tree
-produces no layering findings beyond the committed baseline set.
+produces no layering findings.
 """
 
 import ast
@@ -105,15 +105,9 @@ class TestRepoTree:
     def test_real_tree_layering_matches_known_rot(self):
         files = load_files(package_root())
         diags = layering.run(files)
-        # Everything the pass flags today is the grandfathered
-        # resilience knot (see DESIGN.md and the committed baseline);
-        # any new path/package here is a regression.
-        paths = {d.path for d in diags}
-        assert paths <= {
-            "resilience/faults.py",
-            "resilience/guards.py",
-            "resilience/__init__.py",
-        }, sorted(d.render() for d in diags)
+        # The shipped tree has no layering findings at all; any one
+        # here is a regression.
+        assert [d.render() for d in diags] == []
 
     def test_every_package_has_a_layer(self):
         files = load_files(package_root())

@@ -12,7 +12,7 @@ from repro.core.experiments import (
     list_experiments,
     run_experiment,
 )
-from repro.resilience import SolverDivergenceError
+from repro.resilience.errors import SolverDivergenceError
 
 
 class TestRegistryApi:
@@ -58,7 +58,6 @@ class TestGuardedRunner:
         assert outcome.ok
         assert outcome.error is None
         assert outcome.result["peak_c"] > 50.0
-        assert outcome.elapsed_s > 0.0
 
     def test_unknown_id_always_raises(self):
         with pytest.raises(KeyError):

@@ -13,21 +13,17 @@ import pytest
 
 from repro.oracles.config import get_oracle_config, set_oracle_mode
 from repro.oracles.report import reset_oracles
-from repro.resilience import (
-    CheckpointError,
-    FaultInjector,
-    StateIntegrityError,
+from repro.resilience.checkpoint import (
     load_checkpoint,
     quarantine_file,
     save_checkpoint,
     verify_checkpoint,
 )
+from repro.resilience.errors import CheckpointError, StateIntegrityError
+from repro.resilience.faults import FaultInjector
 from repro.runner.journal import Journal, make_entry, scan_journal
-from repro.runner.supervisor import (
-    CampaignConfig,
-    RetryPolicy,
-    run_campaign,
-)
+from repro.runner.scheduler import run_campaign
+from repro.runner.supervisor import CampaignConfig, RetryPolicy
 from repro.runner.tasks import CampaignTask
 
 from tests.campaign_fixtures import FAST_REGISTRY_SPEC

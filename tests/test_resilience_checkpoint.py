@@ -6,7 +6,7 @@ from repro.floorplan.core2duo import core2duo_floorplan
 from repro.memsim import baseline_config
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.replay import TraceReplayer, replay_trace
-from repro.resilience import CheckpointError
+from repro.resilience.errors import CheckpointError
 from repro.thermal.solver import SolverConfig
 from repro.thermal.stack import build_planar_stack
 from repro.thermal.transient import solve_transient
@@ -76,7 +76,7 @@ class TestReplayCheckpointResume:
             replayer.feed_many(trace, checkpoint_every=100)
 
     def test_resume_from_wrong_kind_raises(self, trace, tmp_path):
-        from repro.resilience import save_checkpoint
+        from repro.resilience.checkpoint import save_checkpoint
 
         path = tmp_path / "wrong.ckpt"
         save_checkpoint("transient", {"step": 1}, path)

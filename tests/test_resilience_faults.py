@@ -5,9 +5,12 @@ import pytest
 
 from repro.memsim import baseline_config
 from repro.memsim.replay import replay_trace
-from repro.resilience import FaultInjector, TraceCorruptionError
+from repro.resilience.errors import TraceCorruptionError
+from repro.resilience.faults import FaultInjector
 from repro.traces.generator import generate_trace
 from repro.traces.record import AccessType, TraceRecord
+
+from tests.trace_faults import TraceFaults, make_raw_record
 
 
 @pytest.fixture(scope="module")
@@ -17,38 +20,40 @@ def trace():
 
 class TestInjectorDeterminism:
     def test_same_seed_same_faults(self, trace):
-        a = list(FaultInjector(seed=3, record_corruption_rate=0.02)
+        a = list(TraceFaults(seed=3, record_corruption_rate=0.02)
                  .corrupt_trace(trace))
-        b = list(FaultInjector(seed=3, record_corruption_rate=0.02)
+        b = list(TraceFaults(seed=3, record_corruption_rate=0.02)
                  .corrupt_trace(trace))
         assert a == b
 
     def test_different_seed_different_faults(self, trace):
-        a = list(FaultInjector(seed=3, record_corruption_rate=0.02)
+        a = list(TraceFaults(seed=3, record_corruption_rate=0.02)
                  .corrupt_trace(trace))
-        b = list(FaultInjector(seed=4, record_corruption_rate=0.02)
+        b = list(TraceFaults(seed=4, record_corruption_rate=0.02)
                  .corrupt_trace(trace))
         assert a != b
 
     def test_rate_validation(self):
         with pytest.raises(ValueError, match="record_corruption_rate"):
-            FaultInjector(record_corruption_rate=1.5)
+            TraceFaults(record_corruption_rate=1.5)
 
-    def test_draws_are_site_addressed_not_a_shared_stream(self, trace):
-        # Consuming draws at one site (bit flips) must not perturb the
-        # draws at another (trace corruption): every decision is keyed
+    def test_draws_are_site_addressed_not_a_shared_stream(self, tmp_path):
+        # Consuming draws at one site (array bit flips) must not perturb
+        # the draws at another (file bit flips): every decision is keyed
         # on (seed, site, occurrence).  This stability is what lets a
         # DST fault schedule shrink without reshuffling survivors.
-        plain = FaultInjector(seed=3, record_corruption_rate=0.02)
-        perturbed = FaultInjector(seed=3, record_corruption_rate=0.02)
+        plain, perturbed = tmp_path / "plain.bin", tmp_path / "perturbed.bin"
+        plain.write_bytes(bytes(256))
+        perturbed.write_bytes(bytes(256))
+        noisy = FaultInjector(seed=3)
         for _ in range(17):
-            perturbed.flip_bits(b"spend draws elsewhere", n_flips=3)
-        a = list(plain.corrupt_trace(trace))
-        b = list(perturbed.corrupt_trace(trace))
-        assert a == b
+            noisy.flip_array_bits(np.zeros(8), n_flips=3)
+        FaultInjector(seed=3).flip_file_bits(plain, n_flips=5)
+        noisy.flip_file_bits(perturbed, n_flips=5)
+        assert plain.read_bytes() == perturbed.read_bytes() != bytes(256)
 
     def test_injection_accounting(self, trace):
-        injector = FaultInjector(seed=1, record_corruption_rate=0.05)
+        injector = TraceFaults(seed=1, record_corruption_rate=0.05)
         corrupted = list(injector.corrupt_trace(trace))
         n_corrupt = sum(injector.injected.values())
         assert 0 < n_corrupt < len(trace)
@@ -59,7 +64,7 @@ class TestCorruptedTraceReplay:
     def test_lenient_mode_finishes_with_quarantine_count(self, trace):
         # Acceptance criterion: a corrupted trace in lenient mode
         # finishes with a nonzero quarantine count...
-        injector = FaultInjector(seed=7, record_corruption_rate=0.01)
+        injector = TraceFaults(seed=7, record_corruption_rate=0.01)
         bad = list(injector.corrupt_trace(trace))
         stats = replay_trace(
             bad, baseline_config(), warmup_fraction=0.0, mode="lenient"
@@ -71,7 +76,7 @@ class TestCorruptedTraceReplay:
 
     def test_strict_mode_raises(self, trace):
         # ...and in strict mode raises TraceCorruptionError.
-        injector = FaultInjector(seed=7, record_corruption_rate=0.01)
+        injector = TraceFaults(seed=7, record_corruption_rate=0.01)
         bad = list(injector.corrupt_trace(trace))
         with pytest.raises(TraceCorruptionError):
             replay_trace(
@@ -89,7 +94,7 @@ class TestCorruptedTraceReplay:
     def test_dropped_producers_do_not_hang_replay(self, trace):
         # Dangling dep_uids (producer records removed from the stream)
         # must degrade to "no wait", never deadlock.
-        injector = FaultInjector(seed=5, dependency_drop_rate=0.05)
+        injector = TraceFaults(seed=5, dependency_drop_rate=0.05)
         thinned = list(injector.drop_producers(trace))
         assert len(thinned) < len(trace)
         stats = replay_trace(
@@ -98,48 +103,7 @@ class TestCorruptedTraceReplay:
         assert stats.n_accesses == len(thinned)
 
 
-class TestPowerPerturbation:
-    def test_perturbation_trips_power_guard(self):
-        from repro.resilience import GuardViolation, check_power_map
-
-        injector = FaultInjector(seed=2, power_fault_rate=0.3)
-        perturbed = injector.perturb_power(np.ones((6, 6)))
-        assert injector.injected  # something was injected at 30% rate
-        with pytest.raises(GuardViolation):
-            check_power_map(perturbed)
-
-    def test_zero_rate_is_identity(self):
-        injector = FaultInjector(seed=2)
-        power = np.linspace(0, 5, 10)
-        np.testing.assert_array_equal(injector.perturb_power(power), power)
-
-    def test_dropouts_clamp_at_zero_watts(self):
-        # Regression: dropouts used to subtract past zero, fabricating
-        # negative power — which violates the very thermal oracle the
-        # injector exists to exercise.  A faulty sensor reads nothing,
-        # never negative watts.
-        for seed in range(8):
-            injector = FaultInjector(seed=seed, power_fault_rate=0.5)
-            perturbed = injector.perturb_power(np.full((5, 5), 0.25))
-            finite = perturbed[np.isfinite(perturbed)]
-            assert (finite >= 0.0).all(), f"seed {seed}: {finite.min()}"
-
-    def test_dropouts_are_noted(self):
-        injector = FaultInjector(seed=4, power_fault_rate=0.9)
-        injector.perturb_power(np.full(64, 2.0))
-        assert injector.injected.get("power:dropout", 0) > 0
-
-
 class TestBitFlips:
-    def test_flip_bits_deterministic_and_minimal(self):
-        data = bytes(range(64))
-        a = FaultInjector(seed=6).flip_bits(data, n_flips=2)
-        b = FaultInjector(seed=6).flip_bits(data, n_flips=2)
-        assert a == b != data
-        assert sum(
-            bin(x ^ y).count("1") for x, y in zip(a, data)
-        ) == 2
-
     def test_flip_array_bits_in_place(self):
         array = np.arange(32, dtype=np.float64)
         pristine = array.copy()
@@ -167,8 +131,6 @@ class TestBitFlips:
 
 class TestRawRecordBypass:
     def test_make_raw_record_skips_validation(self):
-        from repro.resilience import make_raw_record
-
         bad = make_raw_record(5, -3, AccessType.LOAD, -1, 0, dep_uid=99)
         assert bad.cpu == -3 and bad.dep_uid == 99
         with pytest.raises(TraceCorruptionError):

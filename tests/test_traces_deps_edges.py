@@ -9,9 +9,11 @@ import pytest
 
 from repro.memsim import baseline_config
 from repro.memsim.replay import replay_trace
-from repro.resilience import TraceCorruptionError, make_raw_record
+from repro.resilience.errors import TraceCorruptionError
 from repro.traces.deps import DependencyTracker
 from repro.traces.record import AccessType, NO_DEP, TraceRecord, validate_trace
+
+from tests.trace_faults import make_raw_record
 
 
 def load(uid, cpu=0, address=None, dep=NO_DEP):
