@@ -24,19 +24,19 @@ SEED = 1234
 
 
 def test_trace_generation_pair():
-    result = bench_trace_generation("svd", 60_000, SEED, repeats=2)
+    result = bench_trace_generation("svd", 60_000, SEED, pairs=2)
     assert result.equivalent
     assert result.speedup > 1.2
 
 
 def test_replay_pair_high_hit():
-    result = bench_replay("svd", 80_000, 0.5, SEED, repeats=2)
+    result = bench_replay("svd", 80_000, 0.5, SEED, pairs=2)
     assert result.equivalent
     assert result.speedup > 1.5
 
 
 def test_replay_pair_miss_heavy():
-    result = bench_replay("pcg", 80_000, 0.35, SEED, repeats=2)
+    result = bench_replay("pcg", 80_000, 0.35, SEED, pairs=2)
     assert result.equivalent
     # Miss-heavy workloads are Amdahl-limited by the genuine memory
     # simulation; the fast path must still not lose.
@@ -44,18 +44,18 @@ def test_replay_pair_miss_heavy():
 
 
 def test_thermal_steady_pair():
-    result = bench_thermal_steady(32, repeats=2)
+    result = bench_thermal_steady(32, pairs=2)
     assert result.equivalent
     assert result.speedup > 3.0
 
 
 def test_thermal_transient_pair():
-    result = bench_thermal_transient(24, steps=6, repeats=2)
+    result = bench_thermal_transient(24, steps=6, pairs=2)
     assert result.equivalent
     assert result.speedup > 2.0
 
 
 @pytest.mark.parametrize("kernel", ["gauss", "smvm"])
 def test_replay_equivalence_other_kernels(kernel):
-    result = bench_replay(kernel, 60_000, 0.35, SEED, repeats=1)
+    result = bench_replay(kernel, 60_000, 0.35, SEED, pairs=1)
     assert result.equivalent

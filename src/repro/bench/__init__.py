@@ -3,7 +3,7 @@
 ``repro bench`` times each optimized hot path against its reference
 implementation (per-record replay vs the chunked array fast path, cold
 thermal assembly vs the cached operator, ...), verifies the two produce
-equivalent results, and writes a ``repro-bench/1`` JSON report.  CI runs
+equivalent results, and writes a ``repro-bench/2`` JSON report.  CI runs
 the quick tier against the committed baseline and fails on a >25%
 *speedup-ratio* regression — ratios, not absolute times, so the gate is
 stable across machines.
@@ -15,7 +15,7 @@ from repro.bench.harness import (
     BenchResult,
     compare_to_baseline,
     load_report,
-    time_best,
+    time_pairs,
     write_report,
 )
 from repro.bench.suite import (
@@ -33,6 +33,6 @@ __all__ = [
     "load_report",
     "oracle_overhead_failures",
     "run_suite",
-    "time_best",
+    "time_pairs",
     "write_report",
 ]

@@ -2,20 +2,27 @@
 
 This is the only module in the package allowed to read the wall clock
 (see the RPL1xx determinism pass): benchmark *suites* hand callables to
-:func:`time_best` and never time anything themselves, which keeps every
+:func:`time_pairs` and never time anything themselves, which keeps every
 simulation path deterministic by construction.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 #: Report schema identifier; bump on incompatible layout changes.
-BENCH_SCHEMA = "repro-bench/1"
+#: Version 2: times are medians over interleaved pairs (``pairs``), not
+#: best-of sequential repeats, so version-1 baselines do not compare.
+BENCH_SCHEMA = "repro-bench/2"
+
+#: Interleaved reference/optimized pairs per benchmark: enough that the
+#: median ignores a noise burst landing on one or two of them.
+DEFAULT_PAIRS = 5
 
 #: A benchmark regresses when its speedup ratio drops more than this
 #: fraction below the baseline's.  Gating on the ratio of two timings
@@ -26,22 +33,29 @@ REGRESSION_THRESHOLD = 0.25
 PathLike = Union[str, Path]
 
 
-def time_best(fn: Callable[[], Any], repeats: int = 3) -> float:
-    """Best-of-*repeats* wall time of ``fn()``, in seconds.
+def time_pairs(
+    reference: Callable[[], Any],
+    optimized: Callable[[], Any],
+    pairs: int = DEFAULT_PAIRS,
+) -> Tuple[float, float]:
+    """Median wall times, in seconds, of ``reference()`` and
+    ``optimized()`` over *pairs* interleaved pairs.
 
-    Best-of (not mean) because scheduling noise is strictly additive;
-    the minimum is the closest observable to the true cost.
+    The two sides of a pair run back to back, so a slow spell on a
+    shared host lands on both; which side runs first alternates, so
+    neither always inherits the other's cache state; and the median
+    drops the pairs a noise burst hits.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best
+    if pairs < 1:
+        raise ValueError("pairs must be >= 1")
+    sides = (reference, optimized)
+    times: Tuple[List[float], List[float]] = ([], [])
+    for pair in range(pairs):
+        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            sides[side]()
+            times[side].append(time.perf_counter() - start)
+    return statistics.median(times[0]), statistics.median(times[1])
 
 
 @dataclass
@@ -50,11 +64,11 @@ class BenchResult:
 
     Attributes:
         name: Stable benchmark identifier (baseline matching key).
-        reference_s: Best-of time of the reference implementation.
-        optimized_s: Best-of time of the optimized path.
+        reference_s: Median time of the reference implementation.
+        optimized_s: Median time of the optimized path.
         equivalent: True if the two paths produced equivalent results
             (each suite defines and checks its own equivalence).
-        repeats: Repeats per side.
+        pairs: Interleaved pairs the medians were taken over.
         meta: Free-form detail (workload, grid size, record counts...).
     """
 
@@ -62,7 +76,7 @@ class BenchResult:
     reference_s: float
     optimized_s: float
     equivalent: bool = True
-    repeats: int = 3
+    pairs: int = DEFAULT_PAIRS
     meta: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -79,7 +93,7 @@ class BenchResult:
             "optimized_s": self.optimized_s,
             "speedup": self.speedup,
             "equivalent": self.equivalent,
-            "repeats": self.repeats,
+            "pairs": self.pairs,
             "meta": dict(self.meta),
         }
 
@@ -89,7 +103,7 @@ def write_report(
     path: PathLike,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Write a ``repro-bench/1`` JSON report; returns the report dict."""
+    """Write a :data:`BENCH_SCHEMA` JSON report; returns the report dict."""
     report: Dict[str, Any] = {
         "schema": BENCH_SCHEMA,
         "results": [result.to_dict() for result in results],

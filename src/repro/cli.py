@@ -438,6 +438,7 @@ def _cmd_dtm(args: argparse.Namespace) -> int:
         PredictiveDtm,
         ThresholdDtm,
         bursty_load_spikes,
+        calibrate,
         constant_load,
         run_coupled_loop,
     )
@@ -466,8 +467,10 @@ def _cmd_dtm(args: argparse.Namespace) -> int:
         "predictive": lambda: PredictiveDtm(),
     }
     names = list(available) if args.policy == "all" else [args.policy]
+    calibration = calibrate(config)
     results = [
-        run_coupled_loop(available[name](), load, config) for name in names
+        run_coupled_loop(available[name](), load, config, calibration)
+        for name in names
     ]
     if args.json:
         print(json_module.dumps(
@@ -499,7 +502,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     results = run_suite(
         quick=quick,
         seed=args.seed,
-        repeats=args.repeats,
+        pairs=args.pairs,
         progress=lambda message: print(message, file=sys.stderr),
     )
     report = write_report(
@@ -928,7 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
     tier.add_argument("--full", action="store_true",
                       help="large traces and finer grids (a few minutes)")
     bench.add_argument("--out", default="BENCH_repro.json",
-                       help="report destination (repro-bench/1 JSON)")
+                       help="report destination (repro-bench/2 JSON)")
     bench.add_argument("--baseline", metavar="FILE",
                        help="gate speedups against this earlier report; "
                             "exit 1 on a regression")
@@ -936,8 +939,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="allowed fractional speedup drop vs baseline")
     bench.add_argument("--seed", type=int, default=1234,
                        help="trace-generation seed")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="best-of repeats per timing")
+    bench.add_argument("--pairs", type=int, default=5,
+                       help="interleaved reference/optimized pairs per "
+                            "benchmark; times are their medians")
 
     dtm = sub.add_parser(
         "dtm",

@@ -310,6 +310,7 @@ def _run_dtm_load_spike(**kwargs: Any) -> Dict[str, Any]:
         PredictiveDtm,
         ThresholdDtm,
         bursty_load_spikes,
+        calibrate,
         run_coupled_loop,
     )
 
@@ -330,7 +331,11 @@ def _run_dtm_load_spike(**kwargs: Any) -> Dict[str, Any]:
         PidDtm(guard_c=6.0),
         PredictiveDtm(),
     ]
-    runs = {p.name: run_coupled_loop(p, load, config) for p in policies}
+    calibration = calibrate(config)
+    runs = {
+        p.name: run_coupled_loop(p, load, config, calibration)
+        for p in policies
+    }
     return {
         "ceiling_c": runs["none"].ceiling_c,
         "policies": {name: r.summary() for name, r in runs.items()},
@@ -357,6 +362,7 @@ def _run_dtm_policy_compare(**kwargs: Any) -> Dict[str, Any]:
         PidDtm,
         PredictiveDtm,
         ThresholdDtm,
+        calibrate,
         constant_load,
         run_coupled_loop,
     )
@@ -369,8 +375,9 @@ def _run_dtm_policy_compare(**kwargs: Any) -> Dict[str, Any]:
         start="steady",
     )
     load = constant_load(1.0)
+    calibration = calibrate(config)
     summaries = [
-        run_coupled_loop(policy, load, config).summary()
+        run_coupled_loop(policy, load, config, calibration).summary()
         for policy in (NoDtm(), ThresholdDtm(), PidDtm(), PredictiveDtm())
     ]
     return {"policies": summaries}

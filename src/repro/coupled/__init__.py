@@ -23,10 +23,12 @@ from repro.coupled.dtm import (
     make_policy,
 )
 from repro.coupled.engine import (
+    Calibration,
     CoupledConfig,
     CoupledResult,
     EpochTrace,
     build_coupled_stack,
+    calibrate,
     planar_baseline_peak_c,
     run_coupled_loop,
 )
@@ -43,10 +45,12 @@ __all__ = [
     "PredictiveDtm",
     "ThresholdDtm",
     "make_policy",
+    "Calibration",
     "CoupledConfig",
     "CoupledResult",
     "EpochTrace",
     "build_coupled_stack",
+    "calibrate",
     "planar_baseline_peak_c",
     "run_coupled_loop",
 ]

@@ -18,6 +18,8 @@ One steady solve calibrates the linear power→peak-temperature map (the
 discrete conduction operator is linear, so the full-power solution
 scales to any power), and one warm-up transient measures the thermal
 time constant for the predictive policy via ``time_to_fraction``.
+Neither depends on the policy: :func:`calibrate` computes them once per
+config, and every policy run of that config shares the result.
 """
 
 from __future__ import annotations
@@ -209,8 +211,8 @@ class CoupledResult:
 
 
 class _IntervalPerfModel:
-    """Planar-relative performance from the interval model, cached by
-    frequency (the only epoch-to-epoch variable it depends on)."""
+    """Planar-relative performance from the interval model as a function
+    of frequency (the only epoch-to-epoch variable it depends on)."""
 
     def __init__(self, seed: int) -> None:
         self.suite = [
@@ -221,7 +223,6 @@ class _IntervalPerfModel:
         self.planar_pipe = planar_pipeline()
         self.stacked_pipe = stacked_pipeline(self.planar_pipe)
         self.planar_ipc = geomean_ipc(self.suite, self.planar_pipe)
-        self._cache: Dict[float, float] = {}
 
     def perf_pct(self, freq: float) -> float:
         """3D performance at relative frequency *freq*, % of planar.
@@ -230,18 +231,12 @@ class _IntervalPerfModel:
         f it costs f times as many cycles; wall-clock performance is
         f * IPC(f), normalized to the planar machine at f = 1.
         """
-        key = round(freq, _FREQ_KEY_DIGITS)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         scaled = [
             replace(w, memory_latency=w.memory_latency * freq)
             for w in self.suite
         ]
         ipc = geomean_ipc(scaled, self.stacked_pipe)
-        perf = 100.0 * freq * ipc / self.planar_ipc
-        self._cache[key] = perf
-        return perf
+        return 100.0 * freq * ipc / self.planar_ipc
 
 
 def _power_at(
@@ -279,36 +274,65 @@ def planar_baseline_peak_c(config: SolverConfig) -> float:
     ).peak_temperature()
 
 
-def run_coupled_loop(
-    policy: Optional[DtmPolicy] = None,
-    load: Optional[LoadSchedule] = None,
-    config: Optional[CoupledConfig] = None,
-) -> CoupledResult:
-    """Run one closed-loop thermal/DVFS co-simulation.
+@dataclass(frozen=True)
+class Calibration:
+    """The policy-independent half of a closed-loop run.
 
-    Args:
-        policy: DTM policy (default: :class:`NoDtm`, the control run).
-        load: Workload driver (default: constant design-point activity).
-        config: Engine knobs.
+    Every policy of a run steers the same stack under the same config,
+    so one calibration serves them all; :func:`calibrate` computes it
+    and :func:`run_coupled_loop` takes it.
 
-    Returns:
-        The per-epoch traces plus the calibration (ceiling, tau).
+    Attributes:
+        inputs: The :class:`CoupledConfig` fields it was computed from
+            (see :func:`_calibration_inputs`).
+        stack: The Logic+Logic thermal stack.
+        nominal_w: Stack power at vcc = 1, activity = 1.
+        nominal_breakdown_w: Per-component watts at that point.
+        steady_field: Full-power steady field, flat and read-only.
+        rise_per_watt: Steady peak rise over ambient per watt.
+        ceiling_c: Thermal ceiling the policies steer against.
+        tau_s: First-order thermal time constant, seconds.
+        epoch_response: Fraction of the steady rise one epoch of full
+            power covers from a cold start.
+        perf_model: Interval-model performance by frequency.
     """
-    policy = policy or NoDtm()
-    load = load or constant_load()
+
+    inputs: Tuple[Any, ...]
+    stack: ThermalStack
+    nominal_w: float
+    nominal_breakdown_w: Dict[str, float]
+    steady_field: np.ndarray
+    rise_per_watt: float
+    ceiling_c: float
+    tau_s: float
+    epoch_response: float
+    perf_model: _IntervalPerfModel
+
+
+def _calibration_inputs(cfg: CoupledConfig) -> Tuple[Any, ...]:
+    """The config fields a :class:`Calibration` depends on."""
+    return (cfg.nx, cfg.epoch_s, cfg.ceiling_c, cfg.calibration_s,
+            cfg.calibration_dt_s, cfg.seed)
+
+
+def calibrate(config: Optional[CoupledConfig] = None) -> Calibration:
+    """Solve the steady field, the ceiling and the warm-up transient.
+
+    One steady solve calibrates the linear power→peak map; the planar
+    baseline's steady solve gives the default ceiling; one warm-up
+    transient measures tau and the one-epoch step response.
+    """
     cfg = config or CoupledConfig()
     solver = SolverConfig(nx=cfg.nx, ny=cfg.nx)
     ambient = solver.ambient_c
-
     stack, nominal_w = build_coupled_stack()
-    perf_model = _IntervalPerfModel(cfg.seed)
-    nominal_breakdown = _nominal_breakdown(nominal_w)
 
     # Calibration 1: the linear steady map.  The conduction operator is
     # linear, so the full-power steady field scales to any power level.
     steady = solve_steady_state(stack, solver)
     steady_field = steady.temperature.reshape(-1)
-    rise_per_watt = (steady.peak_temperature() - ambient) / nominal_w
+    steady_field.setflags(write=False)
+    steady_peak = steady.peak_temperature()
 
     ceiling = cfg.ceiling_c
     if ceiling is None:
@@ -326,13 +350,63 @@ def run_coupled_loop(
         dt_s=cfg.calibration_dt_s,
         reuse_operator=cfg.reuse_operator,
     )
-    tau_s = warmup.time_to_fraction(TAU_FRACTION)
-    total_rise = steady.peak_temperature() - warmup.peak_c[0]
+    total_rise = steady_peak - warmup.peak_c[0]
     idx = min(
         len(warmup.peak_c) - 1,
         max(1, int(round(cfg.epoch_s / cfg.calibration_dt_s))),
     )
-    epoch_response = (warmup.peak_c[idx] - warmup.peak_c[0]) / total_rise
+    return Calibration(
+        inputs=_calibration_inputs(cfg),
+        stack=stack,
+        nominal_w=nominal_w,
+        nominal_breakdown_w=_nominal_breakdown(nominal_w),
+        steady_field=steady_field,
+        rise_per_watt=(steady_peak - ambient) / nominal_w,
+        ceiling_c=float(ceiling),
+        tau_s=warmup.time_to_fraction(TAU_FRACTION),
+        epoch_response=(warmup.peak_c[idx] - warmup.peak_c[0]) / total_rise,
+        perf_model=_IntervalPerfModel(cfg.seed),
+    )
+
+
+def run_coupled_loop(
+    policy: Optional[DtmPolicy] = None,
+    load: Optional[LoadSchedule] = None,
+    config: Optional[CoupledConfig] = None,
+    calibration: Optional[Calibration] = None,
+) -> CoupledResult:
+    """Run one closed-loop thermal/DVFS co-simulation.
+
+    Args:
+        policy: DTM policy (default: :class:`NoDtm`, the control run).
+        load: Workload driver (default: constant design-point activity).
+        config: Engine knobs.
+        calibration: ``calibrate(config)``, shared by the runs of one
+            config; computed here when None.
+
+    Returns:
+        The per-epoch traces plus the calibration (ceiling, tau).
+
+    Raises:
+        ValueError: *calibration* was computed for another config.
+    """
+    policy = policy or NoDtm()
+    load = load or constant_load()
+    cfg = config or CoupledConfig()
+    if calibration is None:
+        calibration = calibrate(cfg)
+    elif calibration.inputs != _calibration_inputs(cfg):
+        raise ValueError(
+            f"calibration was computed for {calibration.inputs}, "
+            f"this config needs {_calibration_inputs(cfg)}"
+        )
+    solver = SolverConfig(nx=cfg.nx, ny=cfg.nx)
+    ambient = solver.ambient_c
+    nominal_w = calibration.nominal_w
+    nominal_breakdown = calibration.nominal_breakdown_w
+    steady_field = calibration.steady_field
+    ceiling = calibration.ceiling_c
+    tau_s = calibration.tau_s
 
     # Initial field: cold power-on, or the steady field of the first
     # epoch's power level (linear scaling of the full-power solve).
@@ -344,10 +418,14 @@ def run_coupled_loop(
     else:
         temperature = np.full(steady_field.shape, ambient)
 
+    # The first vcc seen in a key's bucket sets the bucket's value, so
+    # the cache is per run: shared, one policy's trajectory would move
+    # another's perf numbers.
+    perf_by_key: Dict[float, float] = {}
     policy.reset()
     result = CoupledResult(
         policy=policy.name,
-        ceiling_c=float(ceiling),
+        ceiling_c=ceiling,
         tau_s=tau_s,
         nominal_power_w=nominal_w,
     )
@@ -358,11 +436,14 @@ def run_coupled_loop(
         if activity < 0:
             raise ValueError("load schedule produced a negative activity")
         power_w, breakdown = _power_at(vcc, activity, nominal_breakdown)
-        perf = perf_model.perf_pct(vcc)
+        key = round(vcc, _FREQ_KEY_DIGITS)
+        if key not in perf_by_key:
+            perf_by_key[key] = calibration.perf_model.perf_pct(vcc)
+        perf = perf_by_key[key]
 
         factor = power_w / nominal_w
         run = solve_transient(
-            stack,
+            calibration.stack,
             solver,
             duration_s=cfg.epoch_s,
             dt_s=cfg.dt_s,
@@ -377,15 +458,15 @@ def run_coupled_loop(
             epoch=epoch,
             t_s=t_start + cfg.epoch_s,
             peak_c=peak,
-            ceiling_c=float(ceiling),
+            ceiling_c=ceiling,
             vcc=vcc,
             power_w=power_w,
             activity=activity,
             epoch_s=cfg.epoch_s,
             tau_s=tau_s,
-            epoch_response=epoch_response,
+            epoch_response=calibration.epoch_response,
             ambient_c=ambient,
-            rise_per_watt=rise_per_watt,
+            rise_per_watt=calibration.rise_per_watt,
             vcc_min=cfg.vcc_min,
             vcc_max=cfg.vcc_max,
         )

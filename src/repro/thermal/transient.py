@@ -166,13 +166,21 @@ def solve_transient(
 
     # One backward-Euler factorization per (geometry, dt) pair; reruns
     # over the same stack (parameter sweeps, resumed runs) skip straight
-    # to the time loop.
+    # to the time loop.  K + M/dt is symmetric positive definite, so the
+    # diagonal is a stable pivot sequence: factor in symmetric mode with
+    # no row pivoting, which keeps the fill-reducing column order on the
+    # rows too (perm_r == perm_c).
     operator = system.operator
     lu = operator.transient_lus.get(dt_s) if operator is not None else None
     if lu is None:
         mass_over_dt = sp.diags(system.mass / dt_s)
         lhs = (system.matrix + mass_over_dt).tocsc()
-        lu = spla.splu(lhs, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(
+            lhs,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
         if operator is not None:
             operator.transient_lus[dt_s] = lu
             while len(operator.transient_lus) > _TRANSIENT_LU_MAX:

@@ -8,7 +8,7 @@ from repro.bench.harness import (
     BenchResult,
     compare_to_baseline,
     load_report,
-    time_best,
+    time_pairs,
     write_report,
 )
 
@@ -22,18 +22,34 @@ def _result(name, reference_s, optimized_s, equivalent=True):
     )
 
 
-class TestTimeBest:
-    def test_rejects_zero_repeats(self):
+class TestTimePairs:
+    def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
-            time_best(lambda: None, repeats=0)
+            time_pairs(lambda: None, lambda: None, pairs=0)
 
     def test_returns_nonnegative_seconds(self):
-        assert time_best(lambda: sum(range(100)), repeats=2) >= 0.0
+        ref_s, opt_s = time_pairs(
+            lambda: sum(range(100)), lambda: None, pairs=2
+        )
+        assert ref_s >= 0.0 and opt_s >= 0.0
 
-    def test_calls_fn_exactly_repeats_times(self):
+    def test_interleaves_and_alternates_the_first_side(self):
         calls = []
-        time_best(lambda: calls.append(1), repeats=5)
-        assert len(calls) == 5
+        time_pairs(
+            lambda: calls.append("ref"), lambda: calls.append("opt"),
+            pairs=5,
+        )
+        assert calls == ["ref", "opt", "opt", "ref"] * 2 + ["ref", "opt"]
+
+    def test_median_ignores_one_slow_pair(self, monkeypatch):
+        # Every run takes 1 s on the fake clock except the third
+        # reference run, which takes 1000 s: the medians do not move.
+        import repro.bench.harness as harness
+
+        ticks = iter([0, 1, 1, 2, 2, 3, 3, 4, 4, 1004, 1004, 1005,
+                      1005, 1006, 1006, 1007, 1007, 1008, 1008, 1009])
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: next(ticks))
+        assert time_pairs(lambda: None, lambda: None, pairs=5) == (1, 1)
 
 
 class TestBenchResult:

@@ -1,16 +1,20 @@
 """Tests for the closed-loop thermal/DVFS co-simulation.
 
 Covers the workload drivers, the three DTM policies against hand-built
-observations, the engine's epoch loop on a small grid, the registered
-experiments (``table5_dynamic``, ``dtm_load_spike``,
-``dtm_policy_compare``) against their Table 5 acceptance criteria, the
-analysis reports, the bench pair, and the ``dtm`` CLI subcommand.
+observations, the engine's epoch loop on a small grid, the calibration
+shared by the policies of one run, the registered experiments
+(``table5_dynamic``, ``dtm_load_spike``, ``dtm_policy_compare``) against
+their Table 5 acceptance criteria, the analysis reports, the bench
+pair, and the ``dtm`` CLI subcommand.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+import repro.coupled.engine as engine
+import repro.thermal.model as thermal_model
 from repro.analysis.coupled import (
     format_epoch_trace,
     format_policy_comparison,
@@ -28,6 +32,7 @@ from repro.coupled import (
     PredictiveDtm,
     ThresholdDtm,
     bursty_load_spikes,
+    calibrate,
     constant_load,
     make_policy,
     run_coupled_loop,
@@ -331,6 +336,86 @@ class TestEngine:
         )
 
 
+@pytest.fixture(scope="module")
+def tiny_calibration():
+    return calibrate(TINY)
+
+
+class TestCalibration:
+    @pytest.mark.parametrize(
+        "policy", [NoDtm, ThresholdDtm, PidDtm, PredictiveDtm]
+    )
+    def test_shared_calibration_is_bit_identical(
+        self, policy, tiny_calibration
+    ):
+        # One calibration object serves all four policies in turn, as in
+        # the multi-policy experiments.
+        load = bursty_load_spikes(seed=3, period=4, burst=2, ramp=1)
+        shared = run_coupled_loop(policy(), load, TINY, tiny_calibration)
+        alone = run_coupled_loop(policy(), load, TINY)
+        assert shared.to_dict() == alone.to_dict()
+
+    def test_steady_field_is_read_only(self, tiny_calibration):
+        with pytest.raises(ValueError):
+            tiny_calibration.steady_field[0] = 0.0
+
+    def test_calibration_of_another_config_rejected(self, tiny_calibration):
+        other = CoupledConfig(
+            nx=12, n_epochs=4, epoch_s=1.0, dt_s=0.5,
+            calibration_s=5.0, calibration_dt_s=0.5,
+        )
+        with pytest.raises(ValueError, match="calibration was computed"):
+            run_coupled_loop(NoDtm(), None, other, tiny_calibration)
+
+    def test_policy_only_fields_share_a_calibration(self, tiny_calibration):
+        # n_epochs, dt_s, start and the vcc range do not enter it.
+        other = replace(TINY, n_epochs=2, start="steady", vcc_init=0.9)
+        run = run_coupled_loop(NoDtm(), None, other, tiny_calibration)
+        assert len(run.epochs) == 2
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Count the calibration's steady solves and warm-up transients."""
+        counts = {"steady": 0, "warmup": 0}
+
+        def counted_steady(original):
+            def wrapper(*args, **kwargs):
+                counts["steady"] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        def counted_transient(*args, **kwargs):
+            if kwargs.get("initial") is None:
+                counts["warmup"] += 1
+            return transient(*args, **kwargs)
+
+        transient = engine.solve_transient
+        monkeypatch.setattr(engine, "solve_transient", counted_transient)
+        for module in (engine, thermal_model):
+            monkeypatch.setattr(
+                module, "solve_steady_state",
+                counted_steady(module.solve_steady_state),
+            )
+        return counts
+
+    @pytest.mark.parametrize(
+        "experiment", ["dtm_load_spike", "dtm_policy_compare"]
+    )
+    def test_experiments_calibrate_once(self, counts, experiment):
+        outcome = run_experiment(experiment, nx=10, n_epochs=2)
+        assert outcome.ok, outcome.error
+        assert counts == {"steady": 2, "warmup": 1}
+
+    def test_cli_all_policies_calibrates_once(self, counts, capsys):
+        code = main(
+            ["dtm", "--policy", "all", "--load", "spike", "--nx", "10",
+             "--epochs", "2", "--epoch-s", "1.0", "--dt", "0.5"]
+        )
+        assert code == 0
+        assert "DTM policy comparison" in capsys.readouterr().out
+        assert counts == {"steady": 2, "warmup": 1}
+
+
 class TestRegisteredExperiments:
     def test_registered(self):
         for experiment_id in (
@@ -437,7 +522,7 @@ class TestAnalysisReports:
 
 class TestBenchPair:
     def test_cold_and_warm_agree(self):
-        res = bench_coupled_loop(nx=10, n_epochs=3, repeats=1)
+        res = bench_coupled_loop(nx=10, n_epochs=3, pairs=1)
         assert res.name == "coupled-loop"
         assert res.equivalent
         assert res.reference_s > 0

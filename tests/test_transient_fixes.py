@@ -12,13 +12,17 @@ Four behaviors regressed or were ambiguous before this change:
   step against the documented example.
 
 Plus coverage for the per-(geometry, dt) backward-Euler LU cache:
-hits, FIFO eviction across mixed-dt runs, and the cold
-``reuse_operator=False`` path leaving the cache untouched.
+hits, FIFO eviction across mixed-dt runs, the cold
+``reuse_operator=False`` path leaving the cache untouched, and the
+unpivoted symmetric-mode factor against a partial-pivoting reference.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from repro.coupled import build_coupled_stack
 from repro.floorplan import core2duo_floorplan, pentium4_planar_floorplan
 from repro.resilience.errors import CheckpointError, SolverDivergenceError
 from repro.thermal import SolverConfig, solve_transient
@@ -194,6 +198,41 @@ class TestTransientLuCache:
             stack, FAST, duration_s=1.0, dt_s=0.25, reuse_operator=False
         )
         assert warm.peak_c == cold.peak_c
+
+
+class TestUnpivotedFactor:
+    """K + M/dt is SPD: the cached factor pivots on the diagonal only,
+    and tracks a partial-pivoting factor of the same matrix."""
+
+    STEPS = 120
+    DT_S = 0.5
+
+    @pytest.mark.parametrize("geometry", ["coupled", "core2duo"])
+    def test_matches_partial_pivoting_reference(self, stack, geometry):
+        if geometry == "coupled":
+            stack = build_coupled_stack()[0]
+        clear_operator_cache()
+        run = solve_transient(
+            stack, FAST, duration_s=self.STEPS * self.DT_S, dt_s=self.DT_S
+        )
+        system = assemble_system(stack, FAST)
+        lu = system.operator.transient_lus[self.DT_S]
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+
+        mass_over_dt = system.mass / self.DT_S
+        reference = spla.splu(
+            (system.matrix + sp.diags(mass_over_dt)).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+        )
+        temperature = np.full(system.matrix.shape[0], FAST.ambient_c)
+        peaks = [system.solution_from(temperature).peak_temperature()]
+        for _ in range(self.STEPS):
+            temperature = reference.solve(
+                system.rhs + mass_over_dt * temperature
+            )
+            peaks.append(system.solution_from(temperature).peak_temperature())
+        assert len(run.peak_c) == self.STEPS + 1
+        assert np.max(np.abs(np.subtract(run.peak_c, peaks))) <= 1e-9
 
 
 class TestTransientResilience:
