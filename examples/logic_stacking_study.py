@@ -11,18 +11,11 @@ performance model against the cycle-level core simulator.
 import argparse
 
 from repro.analysis import compare_to_paper, format_table, format_table5
+from repro.core.experiments import get_experiment
 from repro.core.logic_on_logic import run_logic_study
 from repro.uarch.cycle import simulate_cycles
 from repro.uarch.pipeline import planar_pipeline, stacked_pipeline
 from repro.uarch.workloads import make_profile
-
-PAPER_TABLE4 = {
-    "front_end": 0.2, "trace_cache": 0.33, "rename_alloc": 0.66,
-    "fp_wire": 4.0, "int_rf_read": 0.5, "data_cache_read": 1.5,
-    "instruction_loop": 1.0, "retire_dealloc": 1.0, "fp_load": 2.0,
-    "store_lifetime": 3.0,
-}
-
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -34,18 +27,22 @@ def main() -> None:
     args = parser.parse_args()
 
     result = run_logic_study(solve_temp_point=args.solve_temp)
+    table4 = get_experiment("table-4").paper_values
+    headlines = get_experiment("headlines").paper_values
 
     print("Table 4: per-area performance gains (%, geomean over 656 traces)")
-    print(compare_to_paper(PAPER_TABLE4, result.per_row_gains, unit="%"))
+    print(compare_to_paper(table4, result.per_row_gains, unit="%"))
     print(f"\n  stages eliminated: {result.stages_eliminated_pct:5.1f}%  "
-          f"(paper ~25%)")
-    print(f"  total perf gain:   {result.total_gain_pct:5.1f}%  (paper ~15%)")
+          f"(paper ~{table4['stages_eliminated']:.0f}%)")
+    print(f"  total perf gain:   {result.total_gain_pct:5.1f}%  "
+          f"(paper ~{table4['total']:.0f}%)")
     print(f"  power:             {result.planar_power_w:.0f} W -> "
           f"{result.stacked_power_w:.1f} W  "
-          f"(-{result.power_reduction_pct:.1f}%, paper -15%)")
+          f"(-{result.power_reduction_pct:.1f}%, "
+          f"paper -{headlines['logic_power_reduction_pct']:.0f}%)")
 
     print("\nFigure 11: peak temperatures")
-    paper = {"2D Baseline": 98.6, "3D": 112.5, "3D Worstcase": 124.75}
+    paper = get_experiment("figure-11").paper_values
     measured = {
         "2D Baseline": result.peak_temp_2d,
         "3D": result.peak_temp_3d,

@@ -12,6 +12,7 @@ length; pass ``--full`` for all twelve at full length (a few minutes).
 import argparse
 
 from repro.analysis import format_figure5, compare_to_paper
+from repro.core.experiments import get_experiment
 from repro.core.memory_on_logic import run_memory_study
 
 SUBSET = ["conj", "gauss", "ssym", "sus", "svm"]
@@ -38,20 +39,26 @@ def main() -> None:
     print(format_figure5(result.cpma, result.bandwidth))
 
     print("\nFigure 8a: peak temperatures")
-    paper_temps = {
-        "2D 4MB": 88.35, "3D 12MB": 92.85, "3D 32MB": 88.43, "3D 64MB": 90.27,
-    }
+    paper_temps = get_experiment("figure-8").paper_values
     print(compare_to_paper(paper_temps, result.peak_temps, unit="C"))
 
+    figure5 = get_experiment("figure-5").paper_values
+    bus_cut = get_experiment("headlines").paper_values[
+        "memory_bus_power_reduction_pct"]
     print("\nSection 3 headlines")
     print(f"  avg CPMA reduction at 32 MB:  "
-          f"{100 * result.cpma_reduction('3D 32MB'):5.1f}%  (paper: 13%)")
+          f"{100 * result.cpma_reduction('3D 32MB'):5.1f}%  "
+          f"(paper: {100 * figure5['avg_cpma_reduction_32mb']:.0f}%)")
     print(f"  max CPMA reduction at 32 MB:  "
-          f"{100 * result.max_cpma_reduction('3D 32MB'):5.1f}%  (paper: up to 55%)")
+          f"{100 * result.max_cpma_reduction('3D 32MB'):5.1f}%  "
+          f"(paper: up to {100 * figure5['max_cpma_reduction_32mb']:.0f}%)")
     print(f"  bus power/BW reduction:       "
-          f"{100 * result.bus_power_reduction('3D 32MB'):5.1f}%  (paper: 66%)")
+          f"{100 * result.bus_power_reduction('3D 32MB'):5.1f}%  "
+          f"(paper: {bus_cut:.0f}%)")
     delta = result.peak_temps["3D 32MB"] - result.peak_temps["2D 4MB"]
-    print(f"  32 MB stack temperature delta: {delta:+.2f} C  (paper: +0.08 C)")
+    paper_delta = paper_temps["3D 32MB"] - paper_temps["2D 4MB"]
+    print(f"  32 MB stack temperature delta: {delta:+.2f} C  "
+          f"(paper: {paper_delta:+.2f} C)")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ Runs in under a minute:
 3. print the Logic+Logic headline numbers (Table 4 / power roll-up).
 """
 
+from repro.core.experiments import get_experiment
 from repro.core.memory_on_logic import build_memory_configs
 from repro.core.logic_on_logic import run_performance_study
 from repro.core.stack import build_stack
@@ -37,16 +38,17 @@ def memory_demo() -> None:
 
 def thermal_demo() -> None:
     print("\n=== Thermals: stacking a 32 MB DRAM cache ===")
+    paper = get_experiment("figure-8").paper_values
     base_die = core2duo_floorplan()
     planar = simulate_planar(base_die)
     print(f"  2D baseline   peak {planar.peak_temperature():6.2f} C "
-          f"(paper: 88.35 C)")
+          f"(paper: {paper['2D 4MB']:.2f} C)")
 
     cpu_die = core2duo_floorplan(with_l2=False)
     dram_die = stacked_cache_die("dram-32mb", cpu_die)
     stacked = simulate_stack(cpu_die, dram_die, die2_metal="al")
     print(f"  3D 32MB DRAM  peak {stacked.peak_temperature():6.2f} C "
-          f"(paper: 88.43 C)")
+          f"(paper: {paper['3D 32MB']:.2f} C)")
 
     stack = build_stack(cpu_die, dram_die, bumps_kind="dram")
     print(f"  d2d interface bandwidth: "
@@ -58,13 +60,16 @@ def thermal_demo() -> None:
 def logic_demo() -> None:
     print("\n=== Logic+Logic: splitting the P4-class machine across 2 dies ===")
     result = run_performance_study()
+    table4 = get_experiment("table-4").paper_values
+    power_cut = get_experiment("headlines").paper_values[
+        "logic_power_reduction_pct"]
     print(f"  pipe stages eliminated: {result.stages_eliminated_pct:5.1f}% "
-          f"(paper: ~25%)")
+          f"(paper: ~{table4['stages_eliminated']:.0f}%)")
     print(f"  performance gain:       {result.total_gain_pct:5.1f}% "
-          f"(paper: ~15%)")
+          f"(paper: ~{table4['total']:.0f}%)")
     print(f"  power:                  {result.planar_power_w:.0f} W -> "
           f"{result.stacked_power_w:.1f} W "
-          f"(-{result.power_reduction_pct:.1f}%, paper: -15%)")
+          f"(-{result.power_reduction_pct:.1f}%, paper: -{power_cut:.0f}%)")
 
 
 if __name__ == "__main__":

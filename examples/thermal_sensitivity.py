@@ -34,20 +34,24 @@ def figure3(nx: int) -> None:
 
 def thermal_maps(nx: int) -> None:
     config = SolverConfig(nx=nx, ny=nx)
+    fig6 = get_experiment("figure-6").paper_values
+    fig8 = get_experiment("figure-8").paper_values
 
     print("\nFigure 6b: baseline Core 2 Duo thermal map (active layer)")
     base_die = core2duo_floorplan()
     planar = simulate_planar(base_die, config)
     print(ascii_heatmap(planar.die_map("metal-1"), width=56))
-    print(f"  peak {planar.peak_temperature():.2f} C (paper 88.35), "
-          f"coolest {planar.coolest_on_die():.2f} C (paper 59)")
+    print(f"  peak {planar.peak_temperature():.2f} C "
+          f"(paper {fig6['peak_c']:.2f}), coolest "
+          f"{planar.coolest_on_die():.2f} C (paper {fig6['coolest_c']:.0f})")
 
     print("\nFigure 8b: 3D 32MB stack thermal map (CPU active layer)")
     cpu_die = core2duo_floorplan(with_l2=False)
     dram_die = stacked_cache_die("dram-32mb", cpu_die)
     stacked = simulate_stack(cpu_die, dram_die, die2_metal="al", config=config)
     print(ascii_heatmap(stacked.die_map("metal-1"), width=56))
-    print(f"  peak {stacked.peak_temperature():.2f} C (paper 88.43); the "
+    print(f"  peak {stacked.peak_temperature():.2f} C "
+          f"(paper {fig8['3D 32MB']:.2f}); the "
           "hotspot shape matches the planar map because the cache die has "
           "uniform power.")
 

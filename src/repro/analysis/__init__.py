@@ -3,7 +3,7 @@
 from repro.analysis.tables import format_table, format_figure5, format_table5
 from repro.analysis.heatmap import ascii_heatmap
 from repro.analysis.campaign import render_campaign_report
-from repro.analysis.compare import ComparisonRow, compare_to_paper
+from repro.analysis.compare import RENDERERS, ComparisonRow, compare_to_paper
 from repro.analysis.coupled import (
     format_epoch_trace,
     format_policy_comparison,
@@ -26,6 +26,7 @@ __all__ = [
     "format_table5",
     "ascii_heatmap",
     "render_campaign_report",
+    "RENDERERS",
     "ComparisonRow",
     "compare_to_paper",
     "format_epoch_trace",

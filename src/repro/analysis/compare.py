@@ -1,13 +1,21 @@
 """Paper-vs-measured comparison rendering.
 
-Used by the benchmark harness and EXPERIMENTS.md generation to put every
-measured number next to its published counterpart with a deviation.
+Puts every measured number next to its published counterpart with a
+deviation, and maps each registered experiment id to the renderer that
+``repro run`` prints its result through (:data:`RENDERERS`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+
+from repro.analysis.coupled import (
+    format_epoch_trace,
+    format_policy_comparison,
+    format_spike_report,
+)
+from repro.analysis.tables import format_figure5, format_table5
 
 Number = Union[int, float]
 
@@ -68,3 +76,47 @@ def compare_to_paper(
             ).render()
         )
     return "\n".join(rows)
+
+
+Result = Mapping[str, Any]
+Renderer = Callable[[Result, Result], str]
+
+
+def _table4(result: Result, paper: Result) -> str:
+    """Table 4 rows plus the totals, labelled with the result's keys."""
+    renamed = {"total": "total_gain_pct",
+               "stages_eliminated": "stages_eliminated_pct"}
+    measured = dict(result["per_row_gains_pct"])
+    measured.update({key: result[key] for key in renamed.values()})
+    return compare_to_paper(
+        {renamed.get(key, key): value for key, value in paper.items()},
+        measured, unit="%",
+    )
+
+
+def _thermal(result: Result, paper: Result) -> str:
+    return compare_to_paper(paper, result, unit="C")
+
+
+#: Experiment id -> ``renderer(result, paper_values)``.  Ids without an
+#: entry have no renderer; ``repro run`` prints their result as JSON.
+RENDERERS: Dict[str, Renderer] = {
+    "figure-5": lambda result, paper: (
+        format_figure5(result["cpma"], result["bandwidth"])
+        + "\n\n" + compare_to_paper(paper, result)
+    ),
+    "figure-6": _thermal,
+    "figure-8": _thermal,
+    "figure-11": _thermal,
+    "table-4": _table4,
+    "table-5": lambda result, paper: format_table5(result["rows"]),
+    "table5_dynamic": lambda result, paper: (
+        format_epoch_trace(result)
+        + "\n\n" + compare_to_paper(paper, result["converged"])
+    ),
+    "dtm_load_spike": lambda result, paper: format_spike_report(result),
+    "dtm_policy_compare": lambda result, paper: (
+        format_policy_comparison(result["policies"])
+    ),
+    "headlines": lambda result, paper: compare_to_paper(paper, result, unit="%"),
+}

@@ -4,11 +4,8 @@ Commands:
 
 * ``list`` — the registered experiments (every table/figure).
 * ``run <experiment-id>`` — run one experiment and print its results
-  next to the published values.
-* ``memory`` — the Section 3 study (Figure 5 + Figure 8 + headlines).
-* ``logic`` — the Section 4 study (Table 4 + Figure 11 + Table 5).
-* ``thermal-map`` — ASCII thermal maps of the baseline and the 32 MB
-  stack (Figures 6b / 8b).
+  next to the published values, through the experiment's renderer in
+  :data:`repro.analysis.RENDERERS` (JSON for ids without one).
 * ``figures`` — render every regenerable figure to SVG files.
 * ``validate`` — run the acceptance suite: every quantity graded
   pass/shape/fail against the published values.
@@ -39,12 +36,7 @@ import json
 import sys
 from typing import Any, List, Optional
 
-from repro.analysis import (
-    ascii_heatmap,
-    compare_to_paper,
-    format_figure5,
-    format_table5,
-)
+from repro.analysis import RENDERERS
 from repro.core.experiments import get_experiment, list_experiments
 
 
@@ -62,7 +54,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if getattr(args, "oracles", None):
         set_oracle_mode(args.oracles)
-    experiment = get_experiment(args.experiment)
+    try:
+        experiment = get_experiment(args.experiment)
+    except KeyError as exc:
+        print(f"run: {exc.args[0]}", file=sys.stderr)
+        return 2
     kwargs = {}
     if args.nx:
         kwargs["nx"] = args.nx
@@ -81,8 +77,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(outcome.to_dict(), indent=2, default=str))
         return (3 if violations else 0) if outcome.ok else 1
     print(f"{experiment.id}: {experiment.title}")
-    print("\npaper values:")
-    print(json.dumps(experiment.paper_values, indent=2, default=str))
     if not outcome.ok:
         print(f"\nFAILED ({outcome.error_type}): {outcome.error}")
         if outcome.partial:
@@ -91,8 +85,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"\nreproduce: fingerprint {outcome.fingerprint} "
               f"(seed {outcome.seed}, kwargs {outcome.kwargs})")
         return 1
-    print("\nmeasured:")
-    print(json.dumps(outcome.result, indent=2, default=str))
+    renderer = RENDERERS.get(experiment.id)
+    if renderer is None:
+        print("\npaper values:")
+        print(json.dumps(experiment.paper_values, indent=2, default=str))
+        print("\nmeasured:")
+        print(json.dumps(outcome.result, indent=2, default=str))
+    else:
+        print()
+        print(renderer(outcome.result, experiment.paper_values))
     if outcome.oracles:
         checks = outcome.oracles.get("total_checks", 0)
         print(f"\noracles ({outcome.oracles.get('mode')}): "
@@ -254,20 +255,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _verify_file(path: str) -> tuple:
     """``(status, detail)`` for one artifact; status ok|corrupt|skipped.
 
-    The classification batch ``repro verify`` prints per file: a
-    checkpoint (sha256 envelope) or a journal (per-line CRC) that
-    proves itself is ``ok``; one that fails any check is ``corrupt``;
-    an empty file is ``skipped`` (nothing to prove either way).
+    The one classification both ``repro verify`` modes use: a
+    checkpoint (sha256 envelope) or a journal (per-line CRC) that proves
+    itself is ``ok``; one that fails any check, or a journal with no
+    verifiable entry, is ``corrupt``; an empty file is ``skipped``
+    (nothing to prove either way).  Raises ``OSError`` if *path* cannot
+    be read.
     """
     from repro.resilience.checkpoint import MAGIC, verify_checkpoint
     from repro.resilience.errors import CheckpointError
     from repro.runner.journal import scan_journal
 
-    try:
-        with open(path, "rb") as handle:
-            head = handle.read(len(MAGIC))
-    except OSError as exc:
-        return "corrupt", f"cannot read: {exc}"
+    with open(path, "rb") as handle:
+        head = handle.read(len(MAGIC))
     if not head:
         return "skipped", "empty file"
     if head == MAGIC:
@@ -275,24 +275,19 @@ def _verify_file(path: str) -> tuple:
             summary = verify_checkpoint(path)
         except CheckpointError as exc:
             return "corrupt", f"checkpoint: {exc}"
-        return "ok", (
-            f"checkpoint kind={summary.get('kind')} "
+        detail = (
+            f"checkpoint OK kind={summary.get('kind')} "
             f"nbytes={summary.get('nbytes')}"
         )
+        if summary.get("note"):
+            detail += f" ({summary['note']})"
+        return "ok", detail
     entries, torn, crc_failed = scan_journal(path)
-    if crc_failed:
-        return "corrupt", (
-            f"journal: {crc_failed} CRC-failed line(s) "
-            f"({len(entries)} verifiable, {torn} torn)"
-        )
-    if not entries:
-        return "corrupt", (
-            f"journal: no verifiable entries ({torn} torn line(s))"
-        )
-    detail = f"journal: {len(entries)} verifiable entr(ies)"
-    if torn:
-        detail += f", {torn} torn line(s)"
-    return "ok", detail
+    detail = (
+        f"journal with {len(entries)} verifiable entr(ies), {torn} torn "
+        f"line(s), {crc_failed} CRC failure(s)"
+    )
+    return ("corrupt" if crc_failed or not entries else "ok"), detail
 
 
 def _cmd_verify_batch(root: str) -> int:
@@ -315,7 +310,10 @@ def _cmd_verify_batch(root: str) -> int:
         if path.endswith((".quarantined", ".tmp")):
             status, detail = "skipped", "quarantined/temporary artifact"
         else:
-            status, detail = _verify_file(path)
+            try:
+                status, detail = _verify_file(path)
+            except OSError as exc:
+                status, detail = "corrupt", f"cannot read: {exc}"
         checked[status] += 1
         marker = {"ok": "ok     ", "corrupt": "CORRUPT",
                   "skipped": "skipped"}[status]
@@ -335,48 +333,23 @@ def _cmd_verify_batch(root: str) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Offline integrity check of checkpoint/journal artifacts.
 
-    A file argument keeps the original single-artifact report; a
-    directory argument verifies every file under it (batch mode) with a
-    per-file report and exit 1 when anything is corrupt.
+    A file argument gets the same verdict it would get inside a
+    directory; a directory argument verifies every file under it (batch
+    mode) with a per-file report.  Exit 1 when anything is corrupt, 2
+    when the file cannot be read.
     """
     import os
 
-    from repro.resilience.checkpoint import MAGIC, verify_checkpoint
-    from repro.resilience.errors import CheckpointError
-    from repro.runner.journal import scan_journal
-
     if os.path.isdir(args.artifact):
         return _cmd_verify_batch(args.artifact)
-
     try:
-        with open(args.artifact, "rb") as handle:
-            head = handle.read(len(MAGIC))
+        status, detail = _verify_file(args.artifact)
     except OSError as exc:
         print(f"verify: cannot read {args.artifact}: {exc}", file=sys.stderr)
         return 2
-
-    if head == MAGIC:
-        try:
-            summary = verify_checkpoint(args.artifact)
-        except CheckpointError as exc:
-            print(f"verify: CORRUPT checkpoint: {exc}", file=sys.stderr)
-            return 1
-        print(f"{args.artifact}: checkpoint OK")
-        for key in ("version", "kind", "nbytes", "sha256", "note"):
-            if summary.get(key) is not None:
-                print(f"  {key:8} {summary[key]}")
-        return 0
-
-    # Not a checkpoint: treat as a JSONL journal and verify line CRCs.
-    entries, torn, crc_failed = scan_journal(args.artifact)
-    print(f"{args.artifact}: journal with {len(entries)} verifiable "
-          f"entr(ies), {torn} torn line(s), {crc_failed} CRC failure(s)")
-    if crc_failed:
-        print("verify: CORRUPT journal: CRC-failed line(s) will be "
-              "re-run on --resume", file=sys.stderr)
-        return 1
-    if not entries and torn:
-        print("verify: journal holds no verifiable entries", file=sys.stderr)
+    print(f"{args.artifact}: {detail}")
+    if status == "corrupt":
+        print(f"verify: CORRUPT {args.artifact}", file=sys.stderr)
         return 1
     return 0
 
@@ -422,71 +395,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.checks.engine import main as lint_main
 
     return lint_main(args)
-
-
-def _cmd_dtm(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.analysis.coupled import (
-        format_epoch_trace,
-        format_policy_comparison,
-    )
-    from repro.coupled import (
-        CoupledConfig,
-        NoDtm,
-        PidDtm,
-        PredictiveDtm,
-        ThresholdDtm,
-        bursty_load_spikes,
-        calibrate,
-        constant_load,
-        run_coupled_loop,
-    )
-
-    spike = args.load == "spike"
-    config = CoupledConfig(
-        nx=args.nx,
-        n_epochs=args.epochs,
-        epoch_s=args.epoch_s,
-        dt_s=args.dt,
-        start="steady" if spike else "cold",
-    )
-    load = (
-        bursty_load_spikes(seed=args.seed) if spike
-        else constant_load(1.0)
-    )
-    # Spike-scenario tuning matches the dtm_load_spike experiment: the
-    # threshold actuator slews 3%/epoch, the reactive PID gets the
-    # widest guard.
-    available = {
-        "none": lambda: NoDtm(),
-        "threshold": lambda: (
-            ThresholdDtm(vcc_step=0.03) if spike else ThresholdDtm()
-        ),
-        "pid": lambda: PidDtm(guard_c=6.0) if spike else PidDtm(),
-        "predictive": lambda: PredictiveDtm(),
-    }
-    names = list(available) if args.policy == "all" else [args.policy]
-    calibration = calibrate(config)
-    results = [
-        run_coupled_loop(available[name](), load, config, calibration)
-        for name in names
-    ]
-    if args.json:
-        print(json_module.dumps(
-            {r.policy: r.to_dict() for r in results}, indent=2
-        ))
-        return 0
-    if len(results) == 1:
-        print(format_epoch_trace(results[0].to_dict()))
-    else:
-        print(format_policy_comparison([r.summary() for r in results]))
-    over = {
-        r.policy: r.exceeded_epochs for r in results if r.exceeded_epochs
-    }
-    if over:
-        print(f"ceiling exceeded: {over}")
-    return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -550,62 +458,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_memory(args: argparse.Namespace) -> int:
-    from repro.core.memory_on_logic import run_memory_study
-
-    workloads = args.workloads.split(",") if args.workloads else None
-    result = run_memory_study(
-        workloads=workloads,
-        scale=args.scale or 8,
-        length_factor=args.length_factor,
-    )
-    print(format_figure5(result.cpma, result.bandwidth))
-    print()
-    paper = {"2D 4MB": 88.35, "3D 12MB": 92.85, "3D 32MB": 88.43,
-             "3D 64MB": 90.27}
-    print(compare_to_paper(paper, result.peak_temps, unit="C",
-                           title="Figure 8a: peak temperatures"))
-    print(f"\nmax CPMA reduction at 32MB: "
-          f"{100 * result.max_cpma_reduction():.1f}% (paper: up to 55%)")
-    print(f"bus power reduction:        "
-          f"{100 * result.bus_power_reduction():.1f}% (paper: 66%)")
-    return 0
-
-
-def _cmd_logic(args: argparse.Namespace) -> int:
-    from repro.core.logic_on_logic import run_logic_study
-    from repro.thermal.solver import SolverConfig
-
-    solver = SolverConfig(nx=args.nx or 48, ny=args.nx or 48)
-    result = run_logic_study(solver=solver, solve_temp_point=args.solve_temp)
-    paper_rows = {
-        "front_end": 0.2, "trace_cache": 0.33, "rename_alloc": 0.66,
-        "fp_wire": 4.0, "int_rf_read": 0.5, "data_cache_read": 1.5,
-        "instruction_loop": 1.0, "retire_dealloc": 1.0, "fp_load": 2.0,
-        "store_lifetime": 3.0,
-    }
-    print(compare_to_paper(paper_rows, result.per_row_gains, unit="%",
-                           title="Table 4: per-area gains"))
-    print(f"\ntotal gain {result.total_gain_pct:.1f}% (paper ~15%), "
-          f"power -{result.power_reduction_pct:.1f}% (paper -15%)")
-    paper_temps = {"2D Baseline": 98.6, "3D": 112.5, "3D Worstcase": 124.75}
-    measured = {
-        "2D Baseline": result.peak_temp_2d,
-        "3D": result.peak_temp_3d,
-        "3D Worstcase": result.peak_temp_worstcase,
-    }
-    print()
-    print(compare_to_paper(paper_temps, measured, unit="C",
-                           title="Figure 11: peak temperatures"))
-    print()
-    print(format_table5([
-        {"name": p.name, "vcc": p.vcc, "freq": p.freq, "power_w": p.power_w,
-         "power_pct": p.power_pct, "perf_pct": p.perf_pct, "temp_c": p.temp_c}
-        for p in result.table5
-    ]))
-    return 0
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.analysis import render_all_figures
 
@@ -634,32 +486,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     )
     print(report.render())
     return 1 if report.failures else 0
-
-
-def _cmd_thermal_map(args: argparse.Namespace) -> int:
-    from repro.floorplan import core2duo_floorplan, stacked_cache_die
-    from repro.thermal import simulate_planar, simulate_stack
-    from repro.thermal.solver import SolverConfig
-
-    config = SolverConfig(nx=args.nx or 48, ny=args.nx or 48)
-    planar = simulate_planar(core2duo_floorplan(), config)
-    print(ascii_heatmap(
-        planar.die_map("metal-1"), width=args.width,
-        title="Figure 6b: 2D baseline (active layer)",
-    ))
-    print(f"peak {planar.peak_temperature():.2f} C / coolest "
-          f"{planar.coolest_on_die():.2f} C (paper: 88.35 / 59)\n")
-    cpu = core2duo_floorplan(with_l2=False)
-    stacked = simulate_stack(
-        cpu, stacked_cache_die("dram-32mb", cpu), die2_metal="al",
-        config=config,
-    )
-    print(ascii_heatmap(
-        stacked.die_map("metal-1"), width=args.width,
-        title="Figure 8b: 3D 32MB stack (CPU active layer)",
-    ))
-    print(f"peak {stacked.peak_temperature():.2f} C (paper: 88.43)")
-    return 0
 
 
 def _cmd_dst(args: argparse.Namespace) -> int:
@@ -743,8 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="runtime invariant oracles: off, sample "
                           "(default; cheap checks + sampled differential "
                           "re-execution), or strict (check everything)")
-    run.add_argument("--lenient", action="store_true",
-                     help=argparse.SUPPRESS)  # former default; kept for compat
 
     sweep = sub.add_parser(
         "sweep",
@@ -943,46 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="interleaved reference/optimized pairs per "
                             "benchmark; times are their medians")
 
-    dtm = sub.add_parser(
-        "dtm",
-        help="closed-loop thermal/DVFS co-simulation with DTM policies",
-    )
-    dtm.add_argument("--policy", default="all",
-                     choices=["all", "none", "threshold", "pid",
-                              "predictive"],
-                     help="DTM policy to run (all = comparison table)")
-    dtm.add_argument("--load", default="spike",
-                     choices=["spike", "constant"],
-                     help="workload driver: bursty load spikes (warm "
-                          "start) or the constant design point (cold "
-                          "start)")
-    dtm.add_argument("--nx", type=int, default=20,
-                     help="thermal grid resolution")
-    dtm.add_argument("--epochs", type=int, default=64,
-                     help="number of control epochs")
-    dtm.add_argument("--epoch-s", type=float, default=1.0,
-                     help="control epoch length, seconds")
-    dtm.add_argument("--dt", type=float, default=0.5,
-                     help="backward-Euler step inside an epoch")
-    dtm.add_argument("--seed", type=int, default=0,
-                     help="load-spike jitter seed")
-    dtm.add_argument("--json", action="store_true",
-                     help="emit full per-epoch traces as JSON")
-
-    memory = sub.add_parser("memory", help="Section 3 Memory+Logic study")
-    memory.add_argument("--workloads", help="comma-separated kernel names")
-    memory.add_argument("--scale", type=int, default=8)
-    memory.add_argument("--length-factor", type=float, default=0.5)
-
-    logic = sub.add_parser("logic", help="Section 4 Logic+Logic study")
-    logic.add_argument("--nx", type=int, help="thermal grid resolution")
-    logic.add_argument("--solve-temp", action="store_true",
-                       help="solve the Same Temp Vcc with our thermals")
-
-    tmap = sub.add_parser("thermal-map", help="ASCII thermal maps")
-    tmap.add_argument("--nx", type=int, help="thermal grid resolution")
-    tmap.add_argument("--width", type=int, default=56, help="map width")
-
     figures = sub.add_parser(
         "figures", help="render every figure to SVG files"
     )
@@ -1034,9 +818,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,
-        "memory": _cmd_memory,
-        "logic": _cmd_logic,
-        "thermal-map": _cmd_thermal_map,
         "figures": _cmd_figures,
         "validate": _cmd_validate,
         "replay": _cmd_replay,
@@ -1045,7 +826,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "lint": _cmd_lint,
         "bench": _cmd_bench,
-        "dtm": _cmd_dtm,
         "dst": _cmd_dst,
     }
     return handlers[args.command](args)

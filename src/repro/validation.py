@@ -5,7 +5,8 @@ Produces the machine-readable counterpart of EXPERIMENTS.md: one
 tolerance), ``shape`` (ordering/direction reproduced but the absolute
 value deviates — acceptable per DESIGN.md's reproduction contract), or
 ``fail``.  Driven by ``python -m repro validate`` and by the integration
-test suite.
+test suite.  Published numbers come from the experiment registry's
+``paper_values``; the tolerances live here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.experiments import get_experiment
 from repro.thermal.solver import SolverConfig
 
 PASS = "pass"
@@ -112,14 +114,14 @@ def validate_thermals(
     from repro.thermal import simulate_planar
 
     baseline = simulate_planar(core2duo_floorplan(), grid)
-    _grade(report, "figure-6", "peak temperature (C)", 88.35,
+    fig6 = get_experiment("figure-6").paper_values
+    _grade(report, "figure-6", "peak temperature (C)", fig6["peak_c"],
            baseline.peak_temperature(), abs_tol=2.0)
-    _grade(report, "figure-6", "coolest on-die (C)", 59.0,
+    _grade(report, "figure-6", "coolest on-die (C)", fig6["coolest_c"],
            baseline.coolest_on_die(), abs_tol=2.0)
 
     temps = memory_thermals(grid)
-    for name, paper in (("2D 4MB", 88.35), ("3D 12MB", 92.85),
-                        ("3D 32MB", 88.43), ("3D 64MB", 90.27)):
+    for name, paper in get_experiment("figure-8").paper_values.items():
         _grade(report, "figure-8", f"{name} peak (C)", paper,
                temps[name], abs_tol=2.5)
     ordering_ok = temps["3D 12MB"] == max(temps.values())
@@ -130,12 +132,13 @@ def validate_thermals(
     ))
 
     logic = logic_thermals(grid)
-    _grade(report, "figure-11", "2D baseline (C)", 98.6,
+    fig11 = get_experiment("figure-11").paper_values
+    _grade(report, "figure-11", "2D baseline (C)", fig11["2D Baseline"],
            logic["2D Baseline"], abs_tol=2.0)
-    _grade(report, "figure-11", "3D floorplan (C)", 112.5,
+    _grade(report, "figure-11", "3D floorplan (C)", fig11["3D"],
            logic["3D"], abs_tol=3.0,
            note="repaired floorplan runs cooler; see EXPERIMENTS.md")
-    _grade(report, "figure-11", "3D worst case (C)", 124.75,
+    _grade(report, "figure-11", "3D worst case (C)", fig11["3D Worstcase"],
            logic["3D Worstcase"], abs_tol=3.5)
     monotone = logic["2D Baseline"] < logic["3D"] < logic["3D Worstcase"]
     report.add(Check(
@@ -149,21 +152,19 @@ def validate_logic_performance(report: ValidationReport) -> None:
     from repro.core.logic_on_logic import run_performance_study
 
     result = run_performance_study()
-    targets = {
-        "front_end": 0.2, "trace_cache": 0.33, "rename_alloc": 0.66,
-        "fp_wire": 4.0, "int_rf_read": 0.5, "data_cache_read": 1.5,
-        "instruction_loop": 1.0, "retire_dealloc": 1.0, "fp_load": 2.0,
-        "store_lifetime": 3.0,
-    }
-    for area, paper in targets.items():
-        _grade(report, "table-4", f"{area} gain (%)", paper,
-               result.per_row_gains[area],
+    table4 = get_experiment("table-4").paper_values
+    for area, measured in result.per_row_gains.items():
+        paper = table4[area]
+        _grade(report, "table-4", f"{area} gain (%)", paper, measured,
                abs_tol=max(0.35, paper * 0.2))
-    _grade(report, "table-4", "total gain (%)", 15.0,
+    _grade(report, "table-4", "total gain (%)", table4["total"],
            result.total_gain_pct, abs_tol=1.0, shape_ok=False)
-    _grade(report, "table-4", "stages eliminated (%)", 25.0,
-           result.stages_eliminated_pct, abs_tol=3.0)
-    _grade(report, "headlines", "logic power reduction (%)", 15.0,
+    _grade(report, "table-4", "stages eliminated (%)",
+           table4["stages_eliminated"], result.stages_eliminated_pct,
+           abs_tol=3.0)
+    headlines = get_experiment("headlines").paper_values
+    _grade(report, "headlines", "logic power reduction (%)",
+           headlines["logic_power_reduction_pct"],
            result.power_reduction_pct, abs_tol=1.0, shape_ok=False)
 
 
@@ -173,16 +174,12 @@ def validate_dvfs(report: ValidationReport, grid: SolverConfig) -> None:
     from repro.uarch.dvfs import table5_points
 
     rows = {p.name: p for p in table5_points(thermal_map_3d_power(grid))}
-    expectations = {
-        "Same Pwr": (147.0, 129.0),
-        "Same Freq.": (125.0, 115.0),
-        "Same Temp": (97.28, 108.0),
-        "Same Perf.": (68.2, 100.0),
-    }
-    for name, (power, perf) in expectations.items():
-        _grade(report, "table-5", f"{name} power (W)", power,
+    for name, paper in get_experiment("table-5").paper_values.items():
+        if name == "Baseline":  # the reference row, 100% by definition
+            continue
+        _grade(report, "table-5", f"{name} power (W)", paper["power_w"],
                rows[name].power_w, abs_tol=1.5, shape_ok=False)
-        _grade(report, "table-5", f"{name} perf (%)", perf,
+        _grade(report, "table-5", f"{name} perf (%)", paper["perf_pct"],
                rows[name].perf_pct, abs_tol=1.0, shape_ok=False)
 
 
@@ -199,7 +196,9 @@ def validate_memory(
         scale=scale,
         length_factor=length_factor,
     )
-    _grade(report, "figure-5", "max CPMA reduction at 32MB (%)", 55.0,
+    figure5 = get_experiment("figure-5").paper_values
+    _grade(report, "figure-5", "max CPMA reduction at 32MB (%)",
+           100.0 * figure5["max_cpma_reduction_32mb"],
            100.0 * result.max_cpma_reduction(), abs_tol=12.0)
     for winner in ("gauss", "sus"):
         row = result.cpma[winner]
@@ -216,7 +215,9 @@ def validate_memory(
             PASS if gain_12 < 5.0 else FAIL, "fits the 4MB baseline",
         ))
     bw_reduction = 100.0 * result.bus_power_reduction()
-    _grade(report, "figure-5", "bus power reduction (%)", 66.0,
+    _grade(report, "figure-5", "bus power reduction (%)",
+           get_experiment("headlines").paper_values[
+               "memory_bus_power_reduction_pct"],
            bw_reduction, abs_tol=20.0)
 
 

@@ -83,8 +83,11 @@ class TestRun:
         assert "Traceback" in proc.stderr
 
     def test_unknown_experiment_exits_nonzero(self):
+        # A usage error, like `repro sweep figure-42`: exit 2, no trace.
         proc = run_cli("run", "figure-42")
-        assert proc.returncode != 0
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "known:" in proc.stderr
 
 
 class TestReplay:

@@ -4,11 +4,10 @@ Covers the workload drivers, the three DTM policies against hand-built
 observations, the engine's epoch loop on a small grid, the calibration
 shared by the policies of one run, the registered experiments
 (``table5_dynamic``, ``dtm_load_spike``, ``dtm_policy_compare``) against
-their Table 5 acceptance criteria, the analysis reports, the bench
-pair, and the ``dtm`` CLI subcommand.
+their Table 5 acceptance criteria, the analysis reports and the bench
+pair.
 """
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -22,7 +21,6 @@ from repro.analysis.coupled import (
     pareto_front,
 )
 from repro.bench.suite import bench_coupled_loop
-from repro.cli import main
 from repro.core.experiments import REGISTRY, run_experiment
 from repro.coupled import (
     CoupledConfig,
@@ -406,15 +404,6 @@ class TestCalibration:
         assert outcome.ok, outcome.error
         assert counts == {"steady": 2, "warmup": 1}
 
-    def test_cli_all_policies_calibrates_once(self, counts, capsys):
-        code = main(
-            ["dtm", "--policy", "all", "--load", "spike", "--nx", "10",
-             "--epochs", "2", "--epoch-s", "1.0", "--dt", "0.5"]
-        )
-        assert code == 0
-        assert "DTM policy comparison" in capsys.readouterr().out
-        assert counts == {"steady": 2, "warmup": 1}
-
 
 class TestRegisteredExperiments:
     def test_registered(self):
@@ -528,34 +517,3 @@ class TestBenchPair:
         assert res.reference_s > 0
         assert res.optimized_s > 0
 
-
-class TestDtmCli:
-    ARGS = [
-        "--nx", "10", "--epochs", "3", "--epoch-s", "1.0", "--dt", "0.5",
-    ]
-
-    def test_single_policy_trace(self, capsys):
-        code = main(
-            ["dtm", "--policy", "predictive", "--load", "constant"]
-            + self.ARGS
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "policy=predictive" in out
-
-    def test_all_policies_comparison(self, capsys):
-        code = main(["dtm", "--load", "constant"] + self.ARGS)
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "DTM policy comparison" in out
-        assert "pareto" in out
-
-    def test_json_output(self, capsys):
-        code = main(
-            ["dtm", "--policy", "threshold", "--load", "constant",
-             "--json"] + self.ARGS
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "threshold" in payload
-        assert len(payload["threshold"]["epochs"]) == 3

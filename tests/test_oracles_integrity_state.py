@@ -225,6 +225,17 @@ class TestVerifyCli:
     def test_missing_artifact_is_usage_error(self, tmp_path):
         assert self._main("verify", str(tmp_path / "nope.bin")) == 2
 
+    def test_blank_journal_same_verdict_as_file_and_in_directory(
+        self, tmp_path, capsys
+    ):
+        # Whitespace only: no verifiable entry, so corrupt either way.
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text("\n\n  \n")
+        assert self._main("verify", str(blank)) == 1
+        assert "journal with 0 verifiable" in capsys.readouterr().out
+        assert self._main("verify", str(tmp_path)) == 1
+        assert "1 corrupt" in capsys.readouterr().out
+
 
 class TestRunOraclesExit:
     def test_detected_corruption_exits_three(self, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.experiments import get_experiment
 from repro.memsim import baseline_config, replay_trace
 from repro.memsim.hierarchy import L1, L2, MemoryHierarchy
 from repro.thermal.solver import SolverConfig
@@ -59,6 +60,38 @@ class TestValidationSections:
         assert not report.failures
         # Thermals + table 4 + table 5 + headline power.
         assert len(report.checks) >= 30
+
+    def test_paper_values_come_from_the_registry(self):
+        report = run_validation(
+            grid=SolverConfig(nx=12, ny=12), include_memory=False
+        )
+        paper = {
+            experiment_id: get_experiment(experiment_id).paper_values
+            for experiment_id in ("figure-6", "figure-8", "figure-11",
+                                  "table-4", "table-5", "headlines")
+        }
+        expected = {
+            "peak temperature (C)": paper["figure-6"]["peak_c"],
+            "coolest on-die (C)": paper["figure-6"]["coolest_c"],
+            "2D baseline (C)": paper["figure-11"]["2D Baseline"],
+            "3D floorplan (C)": paper["figure-11"]["3D"],
+            "3D worst case (C)": paper["figure-11"]["3D Worstcase"],
+            "total gain (%)": paper["table-4"]["total"],
+            "stages eliminated (%)": paper["table-4"]["stages_eliminated"],
+            "logic power reduction (%)":
+                paper["headlines"]["logic_power_reduction_pct"],
+        }
+        for name, value in paper["figure-8"].items():
+            expected[f"{name} peak (C)"] = value
+        for name, value in paper["table-4"].items():
+            expected[f"{name} gain (%)"] = value
+        for name, row in paper["table-5"].items():
+            expected[f"{name} power (W)"] = row["power_w"]
+            expected[f"{name} perf (%)"] = row["perf_pct"]
+        graded = [c for c in report.checks if c.paper is not None]
+        assert len(graded) >= 30
+        for check in graded:
+            assert check.paper == expected[check.name], check
 
 
 class TestInstructionFetch:
