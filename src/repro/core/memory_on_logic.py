@@ -14,8 +14,13 @@ bus power, Figure 5) and in the thermal model (Figure 8).
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.stack import DieStack, build_stack
 from repro.floorplan.blocks import Floorplan
@@ -27,9 +32,19 @@ from repro.memsim.config import (
     stacked_sram_config,
 )
 from repro.memsim.replay import ReplayStats, replay_trace
-from repro.oracles.config import get_oracle_config
+from repro.oracles.config import (
+    OracleConfig,
+    get_oracle_config,
+    set_oracle_mode,
+)
 from repro.oracles.invariants import check_cpma_band
-from repro.oracles.report import record_check, record_violation
+from repro.oracles.report import (
+    OracleReport,
+    oracle_report,
+    record_check,
+    record_violation,
+    reset_oracles,
+)
 from repro.thermal.model import simulate_planar, simulate_stack
 from repro.thermal.solver import SolverConfig
 from repro.traces.generator import TraceGenerator, WorkloadSpec
@@ -182,6 +197,54 @@ class MemoryOnLogicResult:
         return 1.0 - new / base if base else 0.0
 
 
+#: The trace a replay worker process was started with (see
+#: :func:`_start_cell_worker`); None outside worker processes.
+_CELL_TRACE: Optional[np.ndarray] = None
+
+#: How often a replay worker checks that its caller is still alive, s.
+_ORPHAN_POLL_S = 0.2
+
+
+def _start_cell_worker(caller_pid: int, records: np.ndarray) -> None:
+    """Pool initializer: keep the trace, and die with the caller.
+
+    Under ``fork`` the initializer's arguments are inherited, not
+    pickled, so every worker shares the caller's trace pages.  A
+    SIGKILLed caller cannot shut its pool down, and the sibling workers
+    keep the call queue's write end open, so no worker would ever see
+    EOF; the watchdog exits once the worker is reparented instead.
+    """
+    global _CELL_TRACE
+    _CELL_TRACE = records
+    threading.Thread(
+        target=_exit_when_orphaned, args=(caller_pid,), daemon=True
+    ).start()
+
+
+def _exit_when_orphaned(caller_pid: int) -> None:
+    while os.getppid() == caller_pid:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
+
+
+def _replay_cell(
+    hierarchy: HierarchyConfig, warmup: float, oracles: OracleConfig
+) -> Tuple[ReplayStats, OracleReport]:
+    """One (workload, config) cell, run in a replay worker process."""
+    set_oracle_mode(oracles)
+    reset_oracles()
+    stats = replay_trace(_CELL_TRACE, hierarchy, warmup_fraction=warmup)
+    return stats, oracle_report()
+
+
+def _merge_oracle_report(report: OracleReport) -> None:
+    """Replay a worker's scoreboard into this process's scoreboard."""
+    for oracle, n in report.checks.items():
+        record_check(oracle, n)
+    for v in report.violations:
+        record_violation(v.oracle, v.engine, v.detail, v.action)
+
+
 def run_performance_study(
     workloads: Optional[List[str]] = None,
     scale: int = 8,
@@ -189,6 +252,11 @@ def run_performance_study(
     seed: int = 1234,
 ) -> MemoryOnLogicResult:
     """Run the Figure 5 sweep: every workload on every configuration.
+
+    Each workload's trace is generated here, then its four
+    configurations replay in parallel worker processes (forked, so they
+    share the trace); their results and oracle scoreboards are taken in
+    configuration order before the next trace is generated.
 
     Args:
         workloads: Subset of RMS kernels (default: all twelve).
@@ -202,8 +270,16 @@ def run_performance_study(
         A :class:`MemoryOnLogicResult` without thermals (see
         :func:`run_thermal_study`).
     """
+    # Imported here: this module is imported by every ``repro.core``
+    # user, and only this function needs a process pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     workloads = workloads or kernel_names()
     configs = build_memory_configs(scale)
+    oracles = get_oracle_config()
+    context = multiprocessing.get_context("fork")
+    n_workers = min(len(os.sched_getaffinity(0)), len(configs))
     cpma: Dict[str, Dict[str, float]] = {}
     bandwidth: Dict[str, Dict[str, float]] = {}
     bus_power: Dict[str, Dict[str, float]] = {}
@@ -213,19 +289,31 @@ def run_performance_study(
         n_records = max(10_000, int(n_records * length_factor))
         spec = WorkloadSpec(name=name, n_records=n_records, seed=seed)
         records = TraceGenerator(spec, scale=scale).arrays()
+        pool = ProcessPoolExecutor(
+            n_workers,
+            mp_context=context,
+            initializer=_start_cell_worker,
+            initargs=(os.getpid(), records),
+        )
+        try:
+            futures = [
+                pool.submit(_replay_cell, config.hierarchy, warmup, oracles)
+                for config in configs
+            ]
+            cells = [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
         cpma[name] = {}
         bandwidth[name] = {}
         bus_power[name] = {}
         replay[name] = {}
-        for config in configs:
-            stats = replay_trace(
-                records, config.hierarchy, warmup_fraction=warmup
-            )
+        for config, (stats, report) in zip(configs, cells):
+            _merge_oracle_report(report)
             cpma[name][config.name] = stats.cpma
             bandwidth[name][config.name] = stats.bandwidth_gbps
             bus_power[name][config.name] = stats.bus_power_w
             replay[name][config.name] = stats
-            if get_oracle_config().enabled:
+            if oracles.enabled:
                 # CPMA sanity band per Table 1 kernel: a value far
                 # outside the published behaviour means bookkeeping
                 # corruption, not a modelling change.

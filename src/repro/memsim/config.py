@@ -90,7 +90,6 @@ class DramCacheConfig:
     tag_latency: int = 16
     d2d_latency: int = 4
     page_policy: str = "open"
-    in_dram_tags: bool = False
 
     def __post_init__(self) -> None:
         if self.size_bytes % (self.page_bytes * self.ways) != 0:
@@ -206,16 +205,6 @@ class HierarchyConfig:
             raise ValueError("need at least one MSHR per cpu")
         if self.reorder_window < 1:
             raise ValueError("reorder window must be >= 1")
-
-    @property
-    def last_level_capacity(self) -> int:
-        """Total on-stack cache capacity (for labeling experiments)."""
-        capacity = self.l2.size_bytes if self.l2 else 0
-        if self.stacked_sram is not None:
-            capacity += self.stacked_sram.size_bytes
-        if self.stacked_dram is not None:
-            capacity += self.stacked_dram.size_bytes
-        return capacity
 
 
 def _scaled(size: int, scale: int) -> int:

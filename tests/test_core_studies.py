@@ -1,5 +1,14 @@
 """Integration tests for the Section 3/4 study drivers and experiments."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.core.experiments import EXPERIMENTS, get_experiment, list_experiments
@@ -10,12 +19,17 @@ from repro.core.logic_on_logic import (
 )
 from repro.core.memory_on_logic import (
     MEMORY_CONFIG_NAMES,
+    TRACE_PLAN,
     build_memory_configs,
     run_performance_study,
     run_thermal_study,
     stack_for_config,
 )
+from repro.memsim.replay import replay_trace
+from repro.oracles.config import get_oracle_config, oracle_mode, set_oracle_mode
+from repro.oracles.report import oracle_report, reset_oracles
 from repro.thermal.solver import SolverConfig
+from repro.traces.generator import TraceGenerator, WorkloadSpec
 
 FAST = SolverConfig(nx=24, ny=24)
 
@@ -90,6 +104,180 @@ class TestMemoryStudy:
         avg_32 = quick_result.average_cpma("3D 32MB")
         assert avg_32 < avg_base
         assert 0.0 < quick_result.max_cpma_reduction("3D 32MB") <= 1.0
+
+
+#: Small fan-out study: two kernels at the 10k-record trace floor.
+FANOUT_KERNELS = ["svd", "savif"]
+FANOUT_SCALE = 16
+FANOUT_LENGTH = 0.01
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+class CellFailure(Exception):
+    """Raised inside a replay worker by TestReplayFanOut."""
+
+
+def _direct_cells():
+    """The Figure 5 cells replayed one after another in this process."""
+    configs = build_memory_configs(FANOUT_SCALE)
+    cells = {}
+    for name in FANOUT_KERNELS:
+        n_records, warmup = TRACE_PLAN[name]
+        n_records = max(10_000, int(n_records * FANOUT_LENGTH))
+        spec = WorkloadSpec(name=name, n_records=n_records, seed=1234)
+        records = TraceGenerator(spec, scale=FANOUT_SCALE).arrays()
+        cells[name] = {
+            config.name: replay_trace(
+                records, config.hierarchy, warmup_fraction=warmup
+            )
+            for config in configs
+        }
+    return cells
+
+
+def _fanout_study():
+    return run_performance_study(
+        FANOUT_KERNELS, scale=FANOUT_SCALE, length_factor=FANOUT_LENGTH
+    )
+
+
+def _live(pid):
+    """True while *pid* exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
+def _children(pid):
+    kids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == pid:
+            kids.append(int(entry.name))
+    return kids
+
+
+class TestReplayFanOut:
+    """run_performance_study replays each kernel's configs in workers."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_oracles(self):
+        previous = get_oracle_config()
+        reset_oracles()
+        yield
+        set_oracle_mode(previous)
+        reset_oracles()
+
+    def test_matches_direct_replay_loop(self):
+        direct = _direct_cells()
+        direct_checks = oracle_report().checks
+        reset_oracles()
+        result = _fanout_study()
+        assert result.replay == direct
+        checks = oracle_report().checks
+        assert checks.pop("uarch.cpma-band") == len(FANOUT_KERNELS) * len(
+            MEMORY_CONFIG_NAMES
+        )
+        assert checks == direct_checks
+
+    def test_worker_violation_reaches_the_caller(self, monkeypatch):
+        import repro.memsim.replay as replay_module
+
+        real = replay_module.check_cache_sets
+
+        def forced(sets, ways, label):
+            if label == "stacked-sram":
+                return [f"{label}: forced corruption"]
+            return real(sets, ways, label)
+
+        monkeypatch.setattr(replay_module, "check_cache_sets", forced)
+        result = _fanout_study()
+        for row in result.replay.values():
+            assert {c: s.degraded for c, s in row.items()} == {
+                "2D 4MB": False,
+                "3D 12MB": True,
+                "3D 32MB": False,
+                "3D 64MB": False,
+            }
+        details = [v.detail for v in oracle_report().violations]
+        assert details
+        assert set(details) == {"stacked-sram: forced corruption"}
+
+    def test_oracle_mode_carries_into_workers(self):
+        with oracle_mode("off"):
+            _fanout_study()
+        assert not any(k.startswith("memsim.") for k in oracle_report().checks)
+        reset_oracles()
+        with oracle_mode("strict"):
+            run_performance_study(
+                ["svd"], scale=FANOUT_SCALE, length_factor=FANOUT_LENGTH
+            )
+        assert oracle_report().checks["memsim.replay-differential"] > 0
+
+    def test_runs_from_a_non_main_thread(self):
+        idle = threading.Event()
+        bystander = threading.Thread(target=idle.wait)
+        bystander.start()
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(_fanout_study())
+        )
+        try:
+            caller.start()
+            caller.join(timeout=120)
+            assert not caller.is_alive()
+        finally:
+            idle.set()
+            bystander.join(timeout=10)
+        assert not bystander.is_alive()
+        assert set(results[0].cpma) == set(FANOUT_KERNELS)
+
+    def test_worker_exception_keeps_its_type(self, monkeypatch):
+        import repro.core.memory_on_logic as study
+
+        def boom(*args, **kwargs):
+            raise CellFailure("replay failed in a worker")
+
+        monkeypatch.setattr(study, "replay_trace", boom)
+        with pytest.raises(CellFailure, match="replay failed in a worker"):
+            _fanout_study()
+        assert multiprocessing.active_children() == []
+
+    def test_workers_exit_with_a_killed_caller(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        # Full-length svd: each cell replays for seconds, so the caller
+        # is killed while its workers are busy.
+        code = (
+            "from repro.core.memory_on_logic import run_performance_study\n"
+            "run_performance_study(['svd'], scale=8)\n"
+        )
+        n_workers = min(len(os.sched_getaffinity(0)), len(MEMORY_CONFIG_NAMES))
+        caller = subprocess.Popen([sys.executable, "-c", code], env=env)
+        try:
+            deadline = time.monotonic() + 120
+            workers = []
+            while len(workers) < n_workers and time.monotonic() < deadline:
+                assert caller.poll() is None, "caller finished too early"
+                time.sleep(0.05)
+                workers = _children(caller.pid)
+            assert len(workers) == n_workers
+        finally:
+            caller.send_signal(signal.SIGKILL)
+            caller.wait()
+        deadline = time.monotonic() + 5
+        while any(_live(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_live(pid) for pid in workers)
 
 
 class TestMemoryThermals:

@@ -76,7 +76,7 @@ class TestHierarchyConfigs:
         config = stacked_sram_config()
         assert config.stacked_sram.size_bytes == 8 * MB
         assert config.stacked_sram.latency == 24
-        assert config.last_level_capacity == 12 * MB
+        assert config.l2.size_bytes + config.stacked_sram.size_bytes == 12 * MB
 
     def test_stacked_dram_drops_l2(self):
         config = stacked_dram_config(32)
