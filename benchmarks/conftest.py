@@ -1,28 +1,15 @@
-"""Shared configuration for the benchmark/reproduction harness.
+"""Shared helper for the design-choice ablations in ``test_ablations.py``.
 
-Each file under ``benchmarks/`` regenerates one table or figure of the
-paper and checks its *shape* against the published data (see DESIGN.md's
-experiment index).  Run with::
+Each ablation flips one modeling decision and regenerates the affected
+quantity.  The paper's own tables and figures are graded by
+``python -m repro validate`` instead.  Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/test_ablations.py -q \\
+        --benchmark-disable
 
-Benchmarks use ``benchmark.pedantic(..., rounds=1)`` — the experiments
-are deterministic, and a single round keeps the full harness to a few
-minutes.  Regenerated rows are attached to ``benchmark.extra_info`` and
-printed, so the harness output stands in for the paper's figures.
+Ablations use ``benchmark.pedantic(..., rounds=1)``: the runs are
+deterministic, and a single round keeps the file to about a minute.
 """
-
-import pytest
-
-from repro.thermal.solver import SolverConfig
-
-#: Grid used for benchmark-quality thermal solves (the calibration grid).
-BENCH_GRID = SolverConfig(nx=48, ny=48)
-
-
-@pytest.fixture(scope="session")
-def bench_grid():
-    return BENCH_GRID
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -323,7 +323,6 @@ def render_all_figures(
     ``figure8.svg``, and ``figure11.svg``.
     """
     from repro.core.experiments import get_experiment
-    from repro.core.memory_on_logic import run_performance_study
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -332,12 +331,12 @@ def render_all_figures(
     fig3 = get_experiment("figure-3").run(nx=nx)
     written.append(render_figure3(fig3, out / "figure3.svg"))
 
-    memory = run_performance_study(
+    memory = get_experiment("figure-5").run(
         workloads=workloads, scale=scale, length_factor=length_factor
     )
     written.extend(
         render_figure5(
-            memory.cpma, memory.bandwidth,
+            memory["cpma"], memory["bandwidth"],
             out / "figure5_cpma.svg", out / "figure5_bw.svg",
         )
     )

@@ -7,8 +7,9 @@ Commands:
   next to the published values, through the experiment's renderer in
   :data:`repro.analysis.RENDERERS` (JSON for ids without one).
 * ``figures`` — render every regenerable figure to SVG files.
-* ``validate`` — run the acceptance suite: every quantity graded
-  pass/shape/fail against the published values.
+* ``validate [<experiment-id> ...]`` — run the acceptance suite: each
+  graded experiment runs once, as ``repro run`` runs it, and every
+  quantity is graded pass/shape/fail against the published values.
 * ``replay`` — replay a trace file through the memory hierarchy with
   strict/lenient validation and optional checkpoint/resume.
 * ``sweep`` — run a campaign of experiments in crash-isolated,
@@ -48,6 +49,11 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_kwargs(args: argparse.Namespace) -> dict:
+    """The ``--nx``/``--scale`` flags as experiment kwargs (unset: omitted)."""
+    return {k: getattr(args, k) for k in ("nx", "scale") if getattr(args, k)}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.core.experiments import run_experiment
     from repro.oracles.config import set_oracle_mode
@@ -59,11 +65,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"run: {exc.args[0]}", file=sys.stderr)
         return 2
-    kwargs = {}
-    if args.nx:
-        kwargs["nx"] = args.nx
-    if args.scale:
-        kwargs["scale"] = args.scale
+    kwargs = _run_kwargs(args)
     # Failures are captured (not raised) so the exit status is always
     # meaningful for scripting: 0 on success, 1 on failure, 3 on a
     # completed-but-degraded run (an oracle detected corruption and
@@ -156,13 +158,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.runner.supervisor import CampaignConfig, RetryPolicy
     from repro.runner.tasks import select_tasks
 
-    kwargs = {}
-    if args.nx:
-        kwargs["nx"] = args.nx
-    if args.scale:
-        kwargs["scale"] = args.scale
     try:
-        tasks = select_tasks(args.experiments, kwargs=kwargs, seed=args.seed)
+        tasks = select_tasks(
+            args.experiments, kwargs=_run_kwargs(args), seed=args.seed
+        )
         forced = _parse_chaos_force(args.chaos_force or [])
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
@@ -474,16 +473,13 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.thermal.solver import SolverConfig
     from repro.validation import run_validation
 
-    grid = SolverConfig(nx=args.nx or 48, ny=args.nx or 48)
-    report = run_validation(
-        grid=grid,
-        scale=args.scale,
-        length_factor=args.length_factor,
-        include_memory=not args.skip_memory,
-    )
+    try:
+        report = run_validation(args.experiments, **_run_kwargs(args))
+    except KeyError as exc:
+        print(f"validate: {exc.args[0]}", file=sys.stderr)
+        return 2
     print(report.render())
     return 1 if report.failures else 0
 
@@ -805,11 +801,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit the exploration summary as JSON")
 
     validate = sub.add_parser("validate", help="run the acceptance suite")
+    validate.add_argument("experiments", nargs="*",
+                          help="graded experiment ids (default: all)")
     validate.add_argument("--nx", type=int, help="thermal grid resolution")
-    validate.add_argument("--scale", type=int, default=16)
-    validate.add_argument("--length-factor", type=float, default=0.5)
-    validate.add_argument("--skip-memory", action="store_true",
-                          help="skip the (slow) Figure 5 subset")
+    validate.add_argument("--scale", type=int, help="capacity/footprint scale")
     return parser
 
 

@@ -2,9 +2,9 @@
 
 Every evaluation artifact of the paper maps to one entry here; each
 entry's ``run`` callable executes the experiment (possibly scaled down
-via keyword arguments) and returns a result dictionary.  The benchmark
-harness in ``benchmarks/`` drives these, and ``repro.analysis`` renders
-them next to the published values.
+via keyword arguments) and returns a result dictionary.
+``repro.analysis`` renders them next to the published values, and
+``repro.validation`` grades them against those values.
 """
 
 from __future__ import annotations

@@ -271,9 +271,9 @@ class Scheduler:
         }
         report.degraded = report.counts["failed"] > 0
         for entry in report.tasks:
-            d, f = solver_meta_counts(entry.get("result", {}))
-            report.degraded_solves += d
-            report.fallback_solves += f
+            report.degraded_solves += solver_meta_counts(
+                entry.get("result", {})
+            )
             if entry.get("resumed"):
                 # Oracle tallies belong to the run that produced them: a
                 # resumed-ok task's violations were surfaced (and its

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.experiments import task_fingerprint
 from repro.resilience.faults import FaultInjector
@@ -135,7 +135,6 @@ class CampaignReport:
     wall_clock_s: float = 0.0
     degraded: bool = False
     degraded_solves: int = 0
-    fallback_solves: int = 0
     journal_path: str = ""
     resumed_ok: int = 0
     torn_journal_lines: int = 0
@@ -187,7 +186,6 @@ class CampaignReport:
             "wall_clock_s": self.wall_clock_s,
             "degraded": self.degraded,
             "degraded_solves": self.degraded_solves,
-            "fallback_solves": self.fallback_solves,
             "journal_path": self.journal_path,
             "resumed_ok": self.resumed_ok,
             "torn_journal_lines": self.torn_journal_lines,
@@ -209,33 +207,22 @@ class CampaignReport:
         }
 
 
-def solver_meta_counts(node: Any) -> Tuple[int, int]:
-    """Count (degraded, fallback) solver-info dicts nested in a result.
+def solver_meta_counts(node: Any) -> int:
+    """Count the degraded solver-info dicts nested in a result.
 
     The thermal experiments attach ``{"residual", "method", "degraded"}``
     dicts (see :meth:`ThermalSolution.solver_info`); surfacing them here
-    keeps a degraded or non-standard solve visible in campaign reports
-    instead of silently blending with exact solves.  ``"cg"`` (steady)
-    and ``"lu"`` (transient, and journals written before steady solves
-    moved to CG) are the exact full-grid methods.
+    keeps a solve an oracle flagged visible in campaign reports instead
+    of silently blending with clean solves.
     """
-    degraded = fallback = 0
     if isinstance(node, dict):
-        if {"residual", "method", "degraded"} <= set(node):
-            if node.get("degraded"):
-                degraded += 1
-            if str(node.get("method", "cg")) not in ("cg", "lu"):
-                fallback += 1
-        for value in node.values():
-            d, f = solver_meta_counts(value)
-            degraded += d
-            fallback += f
-    elif isinstance(node, (list, tuple)):
-        for value in node:
-            d, f = solver_meta_counts(value)
-            degraded += d
-            fallback += f
-    return degraded, fallback
+        own = {"residual", "method", "degraded"} <= set(node) and bool(
+            node["degraded"]
+        )
+        return int(own) + sum(solver_meta_counts(v) for v in node.values())
+    if isinstance(node, (list, tuple)):
+        return sum(solver_meta_counts(v) for v in node)
+    return 0
 
 
 def entry_is_stale(entry: Dict[str, Any]) -> bool:

@@ -33,7 +33,7 @@ from repro.uarch.pipeline import PipelineConfig
 from repro.uarch.workloads import WorkloadProfile
 
 #: Calibration coefficients (dimensionless exposure factors).  Tuned once
-#: against Table 4's per-row gains; see benchmarks/test_table4.
+#: against Table 4's per-row gains; ``repro validate table-4`` grades them.
 COEFFS: Dict[str, float] = {
     # Fraction of the refill-loop stages exposed per mispredict.
     "mispredict_exposure": 1.10018,

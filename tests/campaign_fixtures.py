@@ -36,11 +36,11 @@ def _run_slow(**kwargs: Any) -> Dict[str, Any]:
 
 
 def _run_degraded_solve(**kwargs: Any) -> Dict[str, Any]:
-    # Mimics a thermal experiment whose answer came off the fallback
-    # ladder: campaign reports must surface this, not blend it in.
+    # Mimics a thermal experiment whose field an oracle flagged:
+    # campaign reports must surface this, not blend it in.
     return {
         "peak_c": 91.0,
-        "solver": {"residual": 3e-7, "method": "cg-coarse", "degraded": True},
+        "solver": {"residual": 3e-7, "method": "cg", "degraded": True},
     }
 
 
@@ -50,7 +50,7 @@ for _e in [
     Experiment("quick-2", "returns instantly too", {}, _run_quick),
     Experiment("boom", "always raises", {}, _run_boom),
     Experiment("slow", "sleeps forever-ish", {}, _run_slow),
-    Experiment("degraded-solve", "fallback-ladder result", {},
+    Experiment("degraded-solve", "oracle-flagged solve", {},
                _run_degraded_solve),
 ]:
     FAST_REGISTRY.register(_e)

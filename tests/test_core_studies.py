@@ -9,6 +9,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.experiments import EXPERIMENTS, get_experiment, list_experiments
@@ -25,9 +26,11 @@ from repro.core.memory_on_logic import (
     run_thermal_study,
     stack_for_config,
 )
+from repro.floorplan import core2duo_floorplan
 from repro.memsim.replay import replay_trace
 from repro.oracles.config import get_oracle_config, oracle_mode, set_oracle_mode
 from repro.oracles.report import oracle_report, reset_oracles
+from repro.thermal import simulate_planar
 from repro.thermal.solver import SolverConfig
 from repro.traces.generator import TraceGenerator, WorkloadSpec
 
@@ -300,10 +303,36 @@ class TestMemoryThermals:
             assert temps[name] - temps["2D 4MB"] < 3.0
 
 
+class TestFigure6Map:
+    """Where Figure 6's extremes sit, at the figure's own 48-cell grid."""
+
+    @pytest.fixture(scope="class")
+    def die_map(self):
+        solution = simulate_planar(
+            core2duo_floorplan(), SolverConfig(nx=48, ny=48)
+        )
+        return solution.die_map("metal-1")
+
+    def test_hotspot_in_core_region(self, die_map):
+        j, _ = np.unravel_index(np.argmax(die_map), die_map.shape)
+        # Cores are the top half of the die; the L2 is the bottom half.
+        assert j >= die_map.shape[0] // 2
+
+    def test_cache_half_is_coolest(self, die_map):
+        j, _ = np.unravel_index(np.argmin(die_map), die_map.shape)
+        assert j < die_map.shape[0] // 2
+
+
 class TestLogicStudy:
     @pytest.fixture(scope="class")
     def result(self):
         return run_logic_study(solver=FAST)
+
+    def test_stacked_power_near_125(self):
+        # Table 4's 3D floorplan at the same frequency: ~125 W.
+        assert run_logic_perf().stacked_power_w == pytest.approx(
+            125.0, abs=1.0
+        )
 
     def test_performance_headlines(self, result):
         assert result.total_gain_pct == pytest.approx(15.0, abs=1.0)

@@ -111,10 +111,9 @@ class TestAcceptanceScenario:
 
     def test_resumed_run_surfaces_degraded_solves(self, campaign):
         # "hanger" runs the degraded-solve fixture on resume: its result
-        # carries fallback-ladder provenance the report must surface.
+        # carries a degraded solve the report must surface.
         _, _, resumed = campaign
         assert resumed.degraded_solves == 1
-        assert resumed.fallback_solves == 1
 
 
 class TestWatchdog:

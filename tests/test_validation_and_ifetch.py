@@ -1,22 +1,23 @@
 """Tests for the acceptance harness and the instruction-fetch path."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.experiments import get_experiment
+from repro.cli import main
+from repro.core.experiments import REGISTRY, get_experiment, list_experiments
 from repro.memsim import baseline_config, replay_trace
 from repro.memsim.hierarchy import L1, L2, MemoryHierarchy
-from repro.thermal.solver import SolverConfig
 from repro.traces.generator import TraceGenerator, WorkloadSpec
 from repro.traces.record import AccessType, validate_trace
 from repro.validation import (
     Check,
     FAIL,
+    GRADERS,
     PASS,
     SHAPE,
     ValidationReport,
     run_validation,
-    validate_dvfs,
-    validate_logic_performance,
 )
 
 
@@ -40,58 +41,143 @@ class TestValidationPrimitives:
         assert "1 pass" in report.render()
 
 
+#: Every graded experiment except the ~2 minute Figure 5 replay.
+NO_MEMORY = [e for e in GRADERS if e != "figure-5"]
+
+_CONFIGS = ("2D 4MB", "3D 12MB", "3D 32MB", "3D 64MB")
+
+#: A Figure 5 result shaped like its ``run`` output.
+FIGURE5 = {
+    "cpma": {w: dict(zip(_CONFIGS, (4.0, 3.0, 2.0, 2.0)))
+             for w in ("gauss", "sus", "pcg", "ssym", "savdf", "svd")},
+    "bandwidth": {"gauss": dict(zip(_CONFIGS, (8.0, 5.0, 2.0, 2.0)))},
+    "avg_cpma_reduction_32mb": 0.1,
+    "max_cpma_reduction_32mb": 0.5,
+    "bus_power_reduction_32mb": 0.75,
+}
+
+
+@pytest.fixture(scope="module")
+def no_memory_report():
+    """The graded runs ``repro validate`` does, at default kwargs."""
+    return run_validation(NO_MEMORY)
+
+
+def _rows(report, experiment_id):
+    return [c for c in report.checks if c.experiment == experiment_id]
+
+
 class TestValidationSections:
-    def test_logic_performance_all_pass(self):
-        report = ValidationReport()
-        validate_logic_performance(report)
-        assert not report.failures
-        assert report.counts[PASS] >= 12
+    def test_logic_performance_all_pass(self, no_memory_report):
+        rows = (_rows(no_memory_report, "table-4")
+                + _rows(no_memory_report, "headlines"))
+        assert all(c.grade == PASS for c in rows)
+        assert len(rows) >= 16
 
-    def test_dvfs_all_pass(self):
-        report = ValidationReport()
-        validate_dvfs(report, SolverConfig(nx=20, ny=20))
-        assert not report.failures
-        assert report.counts[PASS] == 8
+    def test_dvfs_all_pass(self, no_memory_report):
+        rows = _rows(no_memory_report, "table-5")
+        assert all(c.grade == PASS for c in rows)
+        # Power, perf and temperature per point, plus the two
+        # power-reduction headlines.
+        assert len(rows) == 17
 
-    def test_full_run_without_memory(self):
-        report = run_validation(
-            grid=SolverConfig(nx=24, ny=24), include_memory=False
+    def test_full_run_without_memory(self, no_memory_report):
+        assert not no_memory_report.failures
+        assert {c.experiment for c in no_memory_report.checks} == set(
+            NO_MEMORY
         )
-        assert not report.failures
-        # Thermals + table 4 + table 5 + headline power.
-        assert len(report.checks) >= 30
+        assert len(no_memory_report.checks) >= 45
 
-    def test_paper_values_come_from_the_registry(self):
-        report = run_validation(
-            grid=SolverConfig(nx=12, ny=12), include_memory=False
-        )
+    def test_paper_values_come_from_the_registry(self, no_memory_report):
         paper = {
             experiment_id: get_experiment(experiment_id).paper_values
-            for experiment_id in ("figure-6", "figure-8", "figure-11",
-                                  "table-4", "table-5", "headlines")
+            for experiment_id in GRADERS
         }
+        fig3, fig8, fig11 = (paper[e] for e in ("figure-3", "figure-8",
+                                                 "figure-11"))
+        table5 = paper["table-5"]
         expected = {
+            "Cu span - bond span (C)":
+                (fig3["cu_range_c"][1] - fig3["cu_range_c"][0])
+                - (fig3["bond_range_c"][1] - fig3["bond_range_c"][0]),
+            "max CPMA reduction at 32MB (%)":
+                100.0 * paper["figure-5"]["max_cpma_reduction_32mb"],
+            "bus power reduction (%)":
+                paper["headlines"]["memory_bus_power_reduction_pct"],
+            "average CPMA improves at 32MB (%)":
+                paper["headlines"]["memory_avg_cpma_reduction_pct"],
             "peak temperature (C)": paper["figure-6"]["peak_c"],
             "coolest on-die (C)": paper["figure-6"]["coolest_c"],
-            "2D baseline (C)": paper["figure-11"]["2D Baseline"],
-            "3D floorplan (C)": paper["figure-11"]["3D"],
-            "3D worst case (C)": paper["figure-11"]["3D Worstcase"],
+            "32MB DRAM thermal cost (C)": fig8["3D 32MB"] - fig8["2D 4MB"],
+            "2D baseline (C)": fig11["2D Baseline"],
+            "3D floorplan (C)": fig11["3D"],
+            "3D worst case (C)": fig11["3D Worstcase"],
+            "3D thermal cost (C)": fig11["3D"] - fig11["2D Baseline"],
+            "worst-case rise / 3D rise":
+                (fig11["3D Worstcase"] - fig11["2D Baseline"])
+                / (fig11["3D"] - fig11["2D Baseline"]),
             "total gain (%)": paper["table-4"]["total"],
             "stages eliminated (%)": paper["table-4"]["stages_eliminated"],
             "logic power reduction (%)":
                 paper["headlines"]["logic_power_reduction_pct"],
+            "logic perf gain (%)": paper["headlines"]["logic_perf_gain_pct"],
         }
-        for name, value in paper["figure-8"].items():
+        for name, value in fig8.items():
             expected[f"{name} peak (C)"] = value
         for name, value in paper["table-4"].items():
             expected[f"{name} gain (%)"] = value
-        for name, row in paper["table-5"].items():
+        for name, row in table5.items():
             expected[f"{name} power (W)"] = row["power_w"]
             expected[f"{name} perf (%)"] = row["perf_pct"]
-        graded = [c for c in report.checks if c.paper is not None]
-        assert len(graded) >= 30
+            expected[f"{name} temp (C)"] = row["temp_c"]
+        for name in ("Same Temp", "Same Perf."):
+            expected[f"{name} power reduction (%)"] = 100.0 * (
+                1 - table5[name]["power_w"] / table5["Baseline"]["power_w"]
+            )
+        checks = no_memory_report.checks + GRADERS["figure-5"](
+            FIGURE5, paper["figure-5"]
+        )
+        graded = [c for c in checks if c.paper is not None]
+        assert len(graded) >= 45
         for check in graded:
             assert check.paper == expected[check.name], check
+
+
+class TestGraders:
+    def test_every_grader_is_a_registered_id(self):
+        assert set(GRADERS) <= set(list_experiments())
+
+    def test_failed_run_grades_as_one_fail_row(self, monkeypatch, capsys):
+        calls = []
+
+        def boom(**kwargs):
+            calls.append(kwargs)
+            raise RuntimeError("solver exploded")
+
+        experiment = REGISTRY.get("table-4")
+        monkeypatch.setitem(REGISTRY._experiments, "table-4",
+                            replace(experiment, run=boom))
+        (check,) = run_validation(["table-4", "table-4"], nx=12).checks
+        assert calls == [{"nx": 12}]
+        assert check.grade == FAIL
+        assert check.paper is None
+        assert "RuntimeError: solver exploded" in check.note
+        assert main(["validate", "table-4"]) == 1
+        assert "solver exploded" in capsys.readouterr().out
+
+    def test_cli_grades_only_the_named_id(self, capsys):
+        assert main(["validate", "table-4"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("[")]
+        assert len(rows) >= 12
+        assert all(line.split()[2] == "table-4" for line in rows)
+
+    def test_cli_unknown_id_names_the_graded_ones(self, capsys):
+        assert main(["validate", "figure-42"]) == 2
+        err = capsys.readouterr().err
+        assert "figure-42" in err
+        for experiment_id in GRADERS:
+            assert experiment_id in err
 
 
 class TestInstructionFetch:
