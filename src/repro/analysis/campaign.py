@@ -1,7 +1,7 @@
 """Render a campaign report (``repro sweep``) for humans.
 
 Takes the plain-dict form of
-:class:`repro.runner.supervisor.CampaignReport` (``report.to_dict()``)
+:class:`repro.runner.scheduler.CampaignReport` (``report.to_dict()``)
 so this module stays import-independent of the runner — analysis renders
 data, it does not orchestrate.
 """

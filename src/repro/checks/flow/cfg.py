@@ -132,9 +132,6 @@ class CFG:
     entry: int
     exit: int
 
-    def successors(self, nid: int) -> List[Edge]:
-        return self.nodes[nid].succs
-
     def predecessors_map(self) -> Dict[int, List[Edge]]:
         """``nid -> [(pred_nid, edge_kind), ...]`` for the whole graph."""
         preds: Dict[int, List[Edge]] = {nid: [] for nid in self.nodes}

@@ -33,7 +33,7 @@ from repro.checks.diagnostics import Diagnostic, Explanation, PyFile
 
 #: The repo's layer DAG.  Top-level modules (``repro/cli.py``) are
 #: treated as single-module packages.  Subpackages share their parent's
-#: layer (``repro.runner.backends.*`` is ``runner``, layer 4): the
+#: layer (``repro.runner.backends.*`` is ``runner``, layer 5): the
 #: scheduler/backend split is an *intra*-package seam, invisible to the
 #: DAG on purpose — backends may import runner policy modules and vice
 #: versa without a layering exemption.

@@ -154,8 +154,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.analysis import render_campaign_report
     from repro.resilience.faults import FaultInjector
-    from repro.runner.scheduler import run_campaign
-    from repro.runner.supervisor import CampaignConfig, RetryPolicy
+    from repro.runner.scheduler import (
+        CampaignConfig,
+        RetryPolicy,
+        run_campaign,
+    )
     from repro.runner.tasks import select_tasks
 
     try:

@@ -34,7 +34,7 @@ import hashlib
 import json
 import shutil
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -56,8 +56,7 @@ from repro.oracles.protocol import (
     report_conservation_problems,
 )
 from repro.runner.journal import Journal, scan_journal
-from repro.runner.scheduler import run_campaign
-from repro.runner.supervisor import CampaignConfig, RetryPolicy
+from repro.runner.scheduler import CampaignConfig, RetryPolicy, run_campaign
 
 #: Hard ceiling on fabric polls per scheduler run — exceeding it means
 #: the scheduler livelocked, which is itself a reportable violation.

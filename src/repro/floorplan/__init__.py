@@ -28,7 +28,6 @@ from repro.floorplan.stacking import (
     power_density_map,
     power_density_report,
     repair_hotspots,
-    scale_floorplan_power,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "power_density_map",
     "power_density_report",
     "repair_hotspots",
-    "scale_floorplan_power",
 ]

@@ -69,11 +69,6 @@ _PLANAR_POWERS: Dict[str, float] = {
 }
 
 
-def planar_block_powers() -> Dict[str, float]:
-    """The planar per-block power budget (W), summing to 147 W."""
-    return dict(_PLANAR_POWERS)
-
-
 def pentium4_planar_floorplan() -> Floorplan:
     """The planar (2D) floorplan of Figure 9, totalling 147 W.
 

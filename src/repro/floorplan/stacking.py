@@ -98,11 +98,6 @@ def power_density_report(
     )
 
 
-def scale_floorplan_power(plan: Floorplan, factor: float) -> Floorplan:
-    """Uniformly scale a floorplan's power (e.g. for DVFS operating points)."""
-    return plan.scaled_power(factor)
-
-
 def _placement_candidates(
     plan: Floorplan, block: Block, step: float
 ) -> List[Tuple[float, float]]:

@@ -75,10 +75,6 @@ class BankedDram:
     def accesses(self) -> int:
         return self.page_hits + self.page_empties + self.page_conflicts
 
-    @property
-    def page_hit_rate(self) -> float:
-        return self.page_hits / self.accesses if self.accesses else 0.0
-
     def reset_stats(self) -> None:
         """Zero counters without disturbing bank state (for warmup)."""
         self.page_hits = self.page_empties = self.page_conflicts = 0

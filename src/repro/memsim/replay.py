@@ -39,10 +39,16 @@ import numpy as np
 
 from repro.memsim.config import HierarchyConfig
 from repro.memsim.hierarchy import L1, L2, MemoryHierarchy
-from repro.oracles.config import get_oracle_config
+from repro.oracles.config import (
+    REPLAY_CHUNK,
+    SAMPLE_STRIDE,
+    get_oracle_config,
+)
 from repro.oracles.invariants import (
     check_cache_sets,
+    check_counter_deltas,
     check_directory_consistency,
+    check_rob_occupancy,
 )
 from repro.oracles.report import record_check, record_violation
 from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
@@ -355,7 +361,7 @@ class TraceReplayer:
                     n, (consumed // checkpoint_every + 1) * checkpoint_every
                 )
             if cfg.enabled:
-                stop = min(stop, consumed + cfg.replay_chunk)
+                stop = min(stop, consumed + REPLAY_CHUNK)
             if self._oracle_fallback:
                 # A prior differential diverged: the fast path is not
                 # trusted for the rest of this run.
@@ -370,7 +376,7 @@ class TraceReplayer:
                 )
                 before = self._counter_snapshot()
                 if cfg.strict or (
-                    counter > 0 and counter % cfg.sample_stride == 0
+                    counter > 0 and counter % SAMPLE_STRIDE == 0
                 ):
                     self._differential_chunk(array, consumed, stop)
                     self._structure_invariants()
@@ -756,18 +762,11 @@ class TraceReplayer:
         if not crosses_warmup:
             # reset_stats() at the warmup boundary legitimately rewinds
             # these; any other decrease is corruption.
-            for key, value in before.items():
-                if after[key] < value:
-                    problems.append(
-                        f"monotone counter {key} decreased: "
-                        f"{value} -> {after[key]}"
-                    )
-        window = self.hierarchy.config.reorder_window
-        for cpu, rob in enumerate(self._robs):
-            if len(rob) > window:
-                problems.append(
-                    f"cpu{cpu} ROB holds {len(rob)} > window {window}"
-                )
+            problems += check_counter_deltas(before, after)
+        problems += check_rob_occupancy(
+            [len(rob) for rob in self._robs],
+            self.hierarchy.config.reorder_window,
+        )
         mshrs = self.hierarchy.config.mshrs_per_cpu
         for cpu, misses in enumerate(self._outstanding):
             if len(misses) > mshrs:

@@ -6,9 +6,10 @@ Modes:
     No runtime checks at all; fast paths run exactly as before.
 ``sample``
     The default.  Cheap invariants run on every chunk/solve; the
-    expensive differential re-execution runs on a deterministic sample
-    (every ``sample_stride``-th replay chunk, the first reuse of each
-    cached thermal operator).
+    expensive checks run on a deterministic sample: replay re-executes
+    chunks :data:`SAMPLE_STRIDE`, 2 x :data:`SAMPLE_STRIDE`, ... (never
+    chunk 0), and a cached thermal operator is integrity-checked on its
+    first reuse and on every :data:`SAMPLE_STRIDE`-th.
 ``strict``
     Every chunk is differentially replayed and every operator reuse is
     integrity-checked.  Used by detection tests and the CI chaos job;
@@ -24,49 +25,46 @@ subprocesses inherit the mode from the campaign spec via
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 #: Recognised oracle modes, in increasing order of paranoia.
 MODES = ("off", "sample", "strict")
 
+#: Row-span size the chunked replay fast path is broken into when
+#: oracles are enabled (smaller than the checkpoint interval so
+#: per-chunk invariants see bounded deltas).
+REPLAY_CHUNK = 4096
+
+#: In ``sample`` mode, differentially replay every N-th chunk (and
+#: integrity-recheck every N-th operator reuse).  ~1/64 keeps the
+#: overhead within the bench budget.
+SAMPLE_STRIDE = 64
+
+#: Relative tolerance for the thermal energy-conservation residual
+#: (boundary heat flow vs. total injected power).
+CONSERVATION_RTOL = 1e-5
+
+#: Relative residual ``||Ax - b|| / ||b||`` considered healthy for a
+#: steady solve; the Jacobi-preconditioned CG solve converges to 1e-12.
+RESIDUAL_TOL = 1e-6
+
+#: Slack below ambient tolerated before the temperature-bounds oracle
+#: trips (numerical undershoot).
+TEMP_SLACK_C = 1e-6
+
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Tuning knobs for the runtime oracle subsystem.
-
-    Attributes:
-        mode: One of :data:`MODES`.
-        replay_chunk: Row-span size the chunked replay fast path is
-            broken into when oracles are enabled (smaller than the
-            checkpoint interval so per-chunk invariants see bounded
-            deltas).
-        sample_stride: In ``sample`` mode, differentially replay every
-            N-th chunk (and integrity-recheck every N-th operator
-            reuse).  ~1/64 keeps the overhead within the bench budget.
-        conservation_rtol: Relative tolerance for the thermal
-            energy-conservation residual (boundary heat flow vs. total
-            injected power).
-        residual_tol: Steady-state linear-system residual considered
-            healthy for a direct LU solve.
-        temp_slack_c: Slack below ambient tolerated before the
-            temperature-bounds oracle trips (numerical undershoot).
-    """
+    """The runtime oracle subsystem's mode, one of :data:`MODES`."""
 
     mode: str = "sample"
-    replay_chunk: int = 4096
-    sample_stride: int = 64
-    conservation_rtol: float = 1e-5
-    residual_tol: float = 1e-6
-    temp_slack_c: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(
                 f"unknown oracle mode {self.mode!r}; expected one of {MODES}"
             )
-        if self.replay_chunk <= 0 or self.sample_stride <= 0:
-            raise ValueError("replay_chunk and sample_stride must be positive")
 
     @property
     def enabled(self) -> bool:
@@ -75,19 +73,6 @@ class OracleConfig:
     @property
     def strict(self) -> bool:
         return self.mode == "strict"
-
-    def should_sample(self, index: int) -> bool:
-        """Deterministic decision: differentially check unit *index*?
-
-        Unit 0 is always sampled (the "1 solve per geometry" /
-        first-chunk guarantee), then every ``sample_stride``-th one; in
-        strict mode every unit is sampled.
-        """
-        if not self.enabled:
-            return False
-        if self.strict:
-            return True
-        return index % self.sample_stride == 0
 
 
 _ACTIVE = OracleConfig()
@@ -104,7 +89,7 @@ def set_oracle_mode(mode: Union[str, OracleConfig]) -> OracleConfig:
     if isinstance(mode, OracleConfig):
         _ACTIVE = mode
     else:
-        _ACTIVE = replace(_ACTIVE, mode=mode)
+        _ACTIVE = OracleConfig(mode)
     return _ACTIVE
 
 

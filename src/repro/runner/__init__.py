@@ -10,11 +10,12 @@ of the executors.
 
 * :mod:`repro.runner.tasks` — task model + glob selection/fingerprints.
 * :mod:`repro.runner.journal` — torn-line-tolerant JSONL journal.
-* :mod:`repro.runner.worker` — the subprocess entry point.
+* :mod:`repro.runner.worker` — the subprocess entry point and the
+  registry-spec resolver every executor shares.
 * :mod:`repro.runner.pool` — supervised pool of worker subprocesses.
-* :mod:`repro.runner.supervisor` — campaign config + report model.
-* :mod:`repro.runner.scheduler` — the campaign loop: queue, leases,
-  retries, journal authority, idempotent completion.
+* :mod:`repro.runner.scheduler` — the one policy module: campaign
+  config, retry policy and report, plus the loop (queue, leases,
+  retries, journal authority, idempotent completion).
 * :mod:`repro.runner.leases` — the clock-free lease table.
 * :mod:`repro.runner.backends` — executor backends (mechanism).
 * :mod:`repro.runner.node` — node-process entry point (``nodes:N``).
@@ -24,7 +25,7 @@ import importlib
 
 #: Lazy re-exports (PEP 562): the worker subprocess imports this package
 #: on every launch (``python -m repro.runner.worker``), and must not pay
-#: for the supervisor's imports before its heartbeat starts.
+#: for the scheduler's imports before its heartbeat starts.
 _EXPORTS = {
     "CampaignTask": "tasks",
     "select_tasks": "tasks",
@@ -34,9 +35,9 @@ _EXPORTS = {
     "completed_fingerprints": "journal",
     "make_entry": "journal",
     "JOURNAL_VERSION": "journal",
-    "CampaignConfig": "supervisor",
-    "CampaignReport": "supervisor",
-    "RetryPolicy": "supervisor",
+    "CampaignConfig": "scheduler",
+    "CampaignReport": "scheduler",
+    "RetryPolicy": "scheduler",
     "run_campaign": "scheduler",
     "Scheduler": "scheduler",
     "Lease": "leases",

@@ -158,7 +158,7 @@ def parse_backend_spec(spec: str) -> Dict[str, Any]:
 def make_backend(spec: str, config: Any) -> ExecutorBackend:
     """Build the backend *spec* names, configured from *config*.
 
-    *config* is a :class:`repro.runner.supervisor.CampaignConfig`
+    *config* is a :class:`repro.runner.scheduler.CampaignConfig`
     (duck-typed here to keep this package import-light: backends are
     mechanism, the config dataclass lives with the policy layer).
     """

@@ -32,11 +32,11 @@ subprocess backends cover it.
 
 from __future__ import annotations
 
-import importlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.runner.backends import Assignment, BackendEvent, ExecutorBackend
+from repro.runner.worker import resolve_registry
 
 #: Polls a simulated partition blackholes events for.
 PARTITION_POLLS = 8
@@ -53,12 +53,6 @@ _CHAOS_OUTCOMES = {
                        "unreadable worker result (simulated by inproc "
                        "backend)"),
 }
-
-
-def _resolve_registry(registry_spec: str) -> Any:
-    module_name, _, attribute = registry_spec.partition(":")
-    module = importlib.import_module(module_name)
-    return getattr(module, attribute)
 
 
 def execute_assignment(assignment: Assignment) -> Dict[str, Any]:
@@ -96,7 +90,7 @@ def execute_assignment(assignment: Assignment) -> Dict[str, Any]:
     if spec.get("oracle_mode"):
         set_oracle_mode(spec["oracle_mode"])
     try:
-        registry = _resolve_registry(
+        registry = resolve_registry(
             spec.get("registry_spec", "repro.core.experiments:REGISTRY")
         )
         outcome = run_experiment(
@@ -170,8 +164,8 @@ class InprocBackend(ExecutorBackend):
         events: List[BackendEvent] = []
 
         fault = None
-        injector = getattr(self.config, "injector", None)
-        if injector is not None and hasattr(injector, "executor_fault"):
+        injector = self.config.injector
+        if injector is not None:
             fault = injector.executor_fault(self._executor_id)
         if fault == "executor-crash":
             dead = self._executor_id

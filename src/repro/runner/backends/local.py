@@ -36,7 +36,6 @@ class LocalBackend(ExecutorBackend):
         self._pool = WorkerPool(
             scratch=Path(scratch),
             heartbeat_timeout_s=self.config.heartbeat_timeout_s,
-            kill_grace_s=self.config.kill_grace_s,
         )
 
     def stop(self) -> None:

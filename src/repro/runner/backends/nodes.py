@@ -60,13 +60,6 @@ class NodesBackend(ExecutorBackend):
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def _workers_per_node(self) -> int:
-        return int(
-            getattr(self.config, "workers_per_node", 0)
-            or self.config.workers
-        )
-
     def start(self, scratch: Path) -> None:
         scratch = Path(scratch)
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -82,28 +75,24 @@ class NodesBackend(ExecutorBackend):
         env["PYTHONPATH"] = (
             package_root + (os.pathsep + existing if existing else "")
         )
-        injector = getattr(self.config, "injector", None)
+        injector = self.config.injector
         for i in range(self.n_nodes):
             node_id = f"node-{i}"
             chaos: Dict[str, Any] = {}
-            if injector is not None and hasattr(injector, "executor_fault"):
+            if injector is not None:
                 mode = injector.executor_fault(node_id)
                 if mode is not None:
                     chaos = {"mode": mode}
                     if mode == "partition":
-                        chaos["partition_s"] = 2.5 * float(
-                            getattr(self.config, "lease_ttl_s", 15.0)
-                        )
+                        chaos["partition_s"] = 2.5 * self.config.lease_ttl_s
             node_scratch = scratch / node_id
             node_scratch.mkdir(parents=True, exist_ok=True)
             argv = [
                 sys.executable, "-m", "repro.runner.node",
                 "--connect", str(port),
                 "--node-id", node_id,
-                "--workers", str(self._workers_per_node),
-                "--heartbeat-every", str(self.config.heartbeat_every_s),
+                "--workers", str(self.config.workers),
                 "--heartbeat-timeout", str(self.config.heartbeat_timeout_s),
-                "--kill-grace", str(self.config.kill_grace_s),
                 "--poll-interval", str(self.config.poll_interval_s),
                 "--scratch", str(node_scratch),
             ]
@@ -176,16 +165,6 @@ class NodesBackend(ExecutorBackend):
             self._server.close()
             self._server = None
 
-    # -- introspection (failover tests SIGKILL through this) -----------------
-
-    def node_pids(self) -> Dict[str, int]:
-        """Live node ids -> OS pids."""
-        return {
-            node_id: state.pid or state.proc.pid
-            for node_id, state in self._nodes.items()
-            if not state.dead
-        }
-
     def executors(self) -> List[str]:
         return [
             node_id for node_id, state in self._nodes.items()
@@ -198,7 +177,7 @@ class NodesBackend(ExecutorBackend):
         candidates = [
             state for state in self._nodes.values()
             if not state.dead and state.conn is not None
-            and state.outstanding < self._workers_per_node
+            and state.outstanding < self.config.workers
         ]
         if not candidates:
             return None

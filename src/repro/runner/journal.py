@@ -13,7 +13,7 @@ Every line written carries a crc32 over its canonical JSON encoding
 *inside* a line — which still parses as valid JSON — is detected on
 read instead of silently resuming from a corrupted result.  CRC-failed
 lines are dropped and counted (:func:`scan_journal`), which makes the
-supervisor re-run the affected task.  Lines without a ``crc`` key
+scheduler re-run the affected task.  Lines without a ``crc`` key
 (pre-oracles journals) are accepted unchecked.
 """
 
@@ -32,7 +32,7 @@ JOURNAL_VERSION = 1
 
 #: Attempt outcomes a journal line may carry.  ``ok`` and ``error`` come
 #: from inside the worker (the experiment ran to a verdict); the rest
-#: are supervisor verdicts about the worker itself.
+#: are verdicts the pool or the scheduler reaches about the worker.
 STATUSES = (
     "ok",            # experiment completed, result captured
     "error",         # experiment raised; structured error captured
@@ -112,7 +112,7 @@ def make_entry(
 class Journal:
     """Single-writer append-only JSONL journal.
 
-    Only the supervisor writes the journal (workers hand results back
+    Only the scheduler writes the journal (workers hand results back
     through per-task scratch files), so append-mode writes need no lock.
     """
 

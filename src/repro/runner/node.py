@@ -8,14 +8,15 @@ scheduler's control socket on localhost, announces itself, and then
 * accepts ``task`` messages and runs each spec in a crash-isolated
   worker subprocess (:class:`repro.runner.pool.WorkerPool` — the same
   supervision the local backend uses, one hop away);
-* sends a ``heartbeat`` line every ``--heartbeat-every`` seconds, which
+* sends a ``heartbeat`` line every
+  :data:`~repro.runner.worker.HEARTBEAT_EVERY_S` seconds, which
   the scheduler turns into lease renewals for everything this node has
   claimed;
 * sends an ``outcome`` line per finished attempt.
 
-Module-level imports are stdlib-only (the pool is too), so a node is as
-cheap to start as a worker.  The control protocol is JSON lines, one
-object per line, in both directions:
+Module-level imports are stdlib-only (the pool and the worker module
+are too), so a node is as cheap to start as a worker.  The control
+protocol is JSON lines, one object per line, in both directions:
 
 * scheduler → node: ``{"type": "task", "spec": {...}, "timeout_s": t}``,
   ``{"type": "shutdown"}``
@@ -53,6 +54,8 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.runner.worker import HEARTBEAT_EVERY_S
+
 #: Exit code for an injected executor crash (distinctive in logs).
 EXECUTOR_CRASH_EXIT_CODE = 31
 
@@ -70,7 +73,6 @@ class Node:
 
         self.node_id: str = args.node_id
         self.max_workers: int = args.workers
-        self.heartbeat_every_s: float = args.heartbeat_every
         self.poll_interval_s: float = args.poll_interval
         self.chaos: Dict[str, Any] = (
             json.loads(args.chaos) if args.chaos else {}
@@ -81,7 +83,6 @@ class Node:
         self.pool = WorkerPool(
             scratch=scratch,
             heartbeat_timeout_s=args.heartbeat_timeout,
-            kill_grace_s=args.kill_grace,
         )
         self.sock = socket.create_connection(
             ("127.0.0.1", args.connect), timeout=10.0
@@ -188,7 +189,7 @@ class Node:
                 self._stalled = True
             if now >= self._next_beat and not self._stalled:
                 self._post({"type": "heartbeat", "node": self.node_id}, now)
-                self._next_beat = now + self.heartbeat_every_s
+                self._next_beat = now + HEARTBEAT_EVERY_S
 
             if shutting_down and not self._queued and not self.pool.running:
                 return 0
@@ -206,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--node-id", required=True)
     parser.add_argument("--workers", type=int, default=2,
                         help="max concurrent worker subprocesses")
-    parser.add_argument("--heartbeat-every", type=float, default=0.2)
     parser.add_argument("--heartbeat-timeout", type=float, default=10.0)
-    parser.add_argument("--kill-grace", type=float, default=1.0)
     parser.add_argument("--poll-interval", type=float, default=0.02)
     parser.add_argument("--scratch", default="")
     parser.add_argument("--chaos", default="",

@@ -41,6 +41,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #: Result-payload keys copied into an ``ok`` outcome.
 _OK_KEYS = ("result", "oracles")
 
+#: Grace between SIGTERM and SIGKILL when reaping a worker.
+KILL_GRACE_S = 1.0
+
 
 @dataclass
 class WorkerHandle:
@@ -79,18 +82,15 @@ class WorkerPool:
         scratch: Directory for spec/result/heartbeat files.
         heartbeat_timeout_s: Monotonic seconds without an observed
             heartbeat-mtime change before a worker is declared dead.
-        kill_grace_s: Grace between SIGTERM and SIGKILL when reaping.
     """
 
     def __init__(
         self,
         scratch: Path,
         heartbeat_timeout_s: float = 10.0,
-        kill_grace_s: float = 1.0,
     ) -> None:
         self.scratch = Path(scratch)
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.kill_grace_s = kill_grace_s
         self._running: List[WorkerHandle] = []
 
     # -- launch --------------------------------------------------------------
@@ -268,7 +268,7 @@ class WorkerPool:
     def _collect_killed(
         self, handle: WorkerHandle, status: str, why: str
     ) -> Dict[str, Any]:
-        kill_process(handle.proc, self.kill_grace_s)
+        kill_process(handle.proc, KILL_GRACE_S)
         return dict(
             self._common(handle),
             status=status,
@@ -285,9 +285,8 @@ class WorkerPool:
         """Number of live workers."""
         return len(self._running)
 
-    def kill_all(self, grace_s: Optional[float] = None) -> None:
+    def kill_all(self, grace_s: float = KILL_GRACE_S) -> None:
         """Reap every worker (campaign abort / shutdown)."""
-        grace = self.kill_grace_s if grace_s is None else grace_s
         for handle in self._running:
-            kill_process(handle.proc, grace)
+            kill_process(handle.proc, grace_s)
         self._running = []

@@ -5,7 +5,7 @@ the boundary through three files named in the spec:
 
 * **spec** (read) — the task: experiment id, kwargs, seed, registry
   import spec, chaos directive.
-* **heartbeat** (written) — touched every ``heartbeat_every_s`` by a
+* **heartbeat** (written) — touched every :data:`HEARTBEAT_EVERY_S` by a
   daemon thread started *before* the heavy simulation imports, so the
   supervisor's watchdog can tell "still importing scipy" from "dead".
 * **result** (written once) — the JSON-serialized
@@ -46,9 +46,14 @@ from typing import Any, Dict
 #: Exit code for an injected crash (distinctive in supervisor logs).
 CRASH_EXIT_CODE = 23
 
+#: Seconds between liveness beats: a worker's heartbeat-file touches,
+#: and a node's heartbeat lines to the scheduler.  A campaign's
+#: ``heartbeat_timeout_s`` must exceed it.
+HEARTBEAT_EVERY_S = 0.2
 
-def _start_heartbeat(path: str, every_s: float) -> threading.Event:
-    """Touch *path* every *every_s* seconds until the event is set."""
+
+def _start_heartbeat(path: str) -> threading.Event:
+    """Touch *path* every :data:`HEARTBEAT_EVERY_S` until the event is set."""
     stop = threading.Event()
 
     def beat() -> None:
@@ -58,7 +63,7 @@ def _start_heartbeat(path: str, every_s: float) -> threading.Event:
                     os.utime(path, None)
             except OSError:
                 pass  # scratch dir vanished; the supervisor will notice
-            stop.wait(every_s)
+            stop.wait(HEARTBEAT_EVERY_S)
 
     thread = threading.Thread(target=beat, name="heartbeat", daemon=True)
     thread.start()
@@ -75,10 +80,14 @@ def _write_result(path: str, payload: Dict[str, Any]) -> None:
     os.replace(tmp, path)
 
 
-def _resolve_registry(registry_spec: str):
+def resolve_registry(registry_spec: str) -> Any:
+    """Import the ``module.path:ATTRIBUTE`` an experiment registry names."""
     module_name, _, attribute = registry_spec.partition(":")
-    module = importlib.import_module(module_name)
-    return getattr(module, attribute)
+    if not module_name or not attribute:
+        raise ValueError(
+            f"registry spec must be 'module:ATTR', got {registry_spec!r}"
+        )
+    return getattr(importlib.import_module(module_name), attribute)
 
 
 def run_spec(spec: Dict[str, Any]) -> int:
@@ -87,9 +96,7 @@ def run_spec(spec: Dict[str, Any]) -> int:
         if extra not in sys.path:
             sys.path.insert(0, extra)
 
-    heartbeat_stop = _start_heartbeat(
-        spec["heartbeat_path"], float(spec.get("heartbeat_every_s", 0.2))
-    )
+    heartbeat_stop = _start_heartbeat(spec["heartbeat_path"])
 
     chaos = spec.get("chaos")
     if chaos == "crash":
@@ -122,7 +129,7 @@ def run_spec(spec: Dict[str, Any]) -> int:
             lambda op: injector.flip_array_bits(op.matrix.data, n_flips=1)
         )
 
-    registry = _resolve_registry(
+    registry = resolve_registry(
         spec.get("registry_spec", "repro.core.experiments:REGISTRY")
     )
     outcome = run_experiment(

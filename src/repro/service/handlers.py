@@ -31,6 +31,9 @@ from repro.core.experiments import task_fingerprint
 from repro.service.jobstore import DONE, FAILED
 from repro.service.middleware import Request, Response, shed
 
+#: Retry-After hint for queue sheds (breaker sheds compute theirs).
+RETRY_AFTER_S = 1.0
+
 
 def _bump(stats: Dict[str, int], key: str) -> None:
     stats[key] = stats.get(key, 0) + 1
@@ -136,9 +139,7 @@ def handle_submit(app: Any, request: Request, now: float) -> Response:
             app.jobs.discard(job)
         else:
             app.jobs.mark_failed(job, "admission queue full", "Shed")
-        return shed(
-            503, "admission queue is full", app.config.retry_after_s
-        )
+        return shed(503, "admission queue is full", RETRY_AFTER_S)
     _bump(app.stats, "admitted")
     return Response(200, job.public_view())
 
@@ -159,7 +160,7 @@ def _admission_shed(app: Any, now: float) -> Optional[Response]:
         return shed(
             503,
             "admission queue is over its load-shedding watermark",
-            app.config.retry_after_s,
+            RETRY_AFTER_S,
         )
     return None
 
@@ -194,7 +195,7 @@ def handle_job_get(app: Any, job_id: str, now: float) -> Response:
                 503,
                 "artifact quarantined and the re-run queue is full; "
                 "retry shortly",
-                app.config.retry_after_s,
+                RETRY_AFTER_S,
             )
         view = job.public_view()
         view["requeued"] = True

@@ -25,7 +25,7 @@ Chaos hooks (:data:`repro.resilience.faults.SERVICE_FAULT_MODES`):
 
 * ``slow-client`` — the connection is treated as a dribbler: ``408``
   and close, same as a real client that trickles its headers past
-  ``header_timeout_s``.
+  :data:`HEADER_TIMEOUT_S`.
 * ``request-flood`` — handled in the middleware (token-cost
   amplification).
 * ``backend-partition`` — the dispatcher records a synthetic executor
@@ -39,19 +39,18 @@ Chaos hooks (:data:`repro.resilience.faults.SERVICE_FAULT_MODES`):
 from __future__ import annotations
 
 import asyncio
-import importlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.resilience.faults import FaultInjector
 from repro.runner.journal import completed_fingerprints, scan_journal
-from repro.runner.scheduler import run_campaign
-from repro.runner.supervisor import CampaignConfig, RetryPolicy
+from repro.runner.scheduler import CampaignConfig, RetryPolicy, run_campaign
 from repro.runner.tasks import DEFAULT_REGISTRY_SPEC, CampaignTask
+from repro.runner.worker import resolve_registry
 from repro.service import handlers
 from repro.service.jobstore import QUEUED, RUNNING, Job, JobStore
 from repro.service.middleware import ProtectionPipeline, Request, Response
@@ -68,6 +67,17 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Largest request head (request line + headers) we will buffer.
 MAX_HEAD_BYTES = 1 << 14
+
+#: Seconds a client may take to send its request head, then its body.
+HEADER_TIMEOUT_S = 5.0
+BODY_TIMEOUT_S = 5.0
+
+#: Scheduler-level retry budget inside one job attempt.
+SCHEDULER_RETRIES = 1
+
+#: Backoff before a job lost to the backend is re-admitted (the
+#: service-level attempts themselves are ``max_job_attempts``).
+JOB_RETRY_POLICY = RetryPolicy(max_retries=0, backoff_base_s=0.05)
 
 
 @dataclass
@@ -88,24 +98,14 @@ class ServiceConfig:
     #: Service-level dispatch attempts per job (requeues after backend
     #: losses); each attempt may wrap scheduler-level retries too.
     max_job_attempts: int = 3
-    #: Scheduler-level retry budget inside one attempt.
-    scheduler_retries: int = 1
     rate_per_s: float = 20.0
     burst: float = 40.0
-    max_clients: int = 1024
     queue_depth: int = 64
     shed_watermark: int = 48
     breaker_threshold: int = 3
     breaker_reset_s: float = 2.0
-    #: Retry-After hint for queue sheds (breaker sheds compute theirs).
-    retry_after_s: float = 1.0
-    header_timeout_s: float = 5.0
-    body_timeout_s: float = 5.0
     oracle_mode: str = "sample"
     injector: Optional[FaultInjector] = None
-    retry_policy: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(max_retries=0, backoff_base_s=0.05)
-    )
 
     def __post_init__(self) -> None:
         # Fail on a bad configuration at config time (the CLI maps
@@ -141,27 +141,17 @@ class ServiceConfig:
         return Path(self.data_dir) / "service-journal.jsonl"
 
 
-def _resolve_registry(spec: str) -> Any:
-    """Import ``module.path:ATTRIBUTE`` (same convention as workers)."""
-    module_path, _, attr = spec.partition(":")
-    if not module_path or not attr:
-        raise ValueError(f"registry spec must be 'module:ATTR', got {spec!r}")
-    return getattr(importlib.import_module(module_path), attr)
-
-
 class ReproService:
     """The running service: HTTP front end + job dispatcher back end."""
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self.registry = _resolve_registry(config.registry_spec)
+        self.registry = resolve_registry(config.registry_spec)
         self.registry_spec = config.registry_spec
         config.spool_dir.mkdir(parents=True, exist_ok=True)
         self.jobs = JobStore(journal_path=str(config.journal_path))
         self.cache = ResultCache(config.cache_dir)
-        self.limiter = RateLimiter(
-            config.rate_per_s, config.burst, config.max_clients
-        )
+        self.limiter = RateLimiter(config.rate_per_s, config.burst)
         self.policy = AdmissionPolicy(
             depth=config.queue_depth, watermark=config.shed_watermark
         )
@@ -345,10 +335,9 @@ class ReproService:
         self, reader: asyncio.StreamReader, peer: str
     ) -> Request:
         """Minimal HTTP/1.1 request reader (one request per connection)."""
-        cfg = self.config
         try:
             head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=cfg.header_timeout_s
+                reader.readuntil(b"\r\n\r\n"), timeout=HEADER_TIMEOUT_S
             )
         except asyncio.IncompleteReadError as exc:
             raise ValueError("connection closed mid-request") from exc
@@ -378,7 +367,7 @@ class ReproService:
         if length:
             try:
                 body = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=cfg.body_timeout_s
+                    reader.readexactly(length), timeout=BODY_TIMEOUT_S
                 )
             except asyncio.IncompleteReadError as exc:
                 raise ValueError("connection closed mid-body") from exc
@@ -516,7 +505,7 @@ class ReproService:
         campaign = CampaignConfig(
             workers=max(1, cfg.workers),
             task_timeout_s=cfg.job_timeout_s,
-            retry=RetryPolicy(max_retries=cfg.scheduler_retries),
+            retry=RetryPolicy(max_retries=SCHEDULER_RETRIES),
             journal_path=str(self._attempt_journal(job)),
             backend=cfg.backend,
             oracle_mode=cfg.oracle_mode,
@@ -578,7 +567,7 @@ class ReproService:
             self.breaker.record_failure(self.now())
         if backend_fault and job.attempts < self.config.max_job_attempts:
             self.jobs.mark_requeued(job, f"{error_type}: {error}")
-            delay_s = self.config.retry_policy.delay_s(
+            delay_s = JOB_RETRY_POLICY.delay_s(
                 job.fingerprint, job.attempts
             )
             loop = asyncio.get_running_loop()

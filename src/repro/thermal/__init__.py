@@ -35,8 +35,6 @@ from repro.thermal.solver import (
 )
 from repro.thermal.transient import TransientResult, solve_transient
 from repro.thermal.model import (
-    peak_temperature_planar,
-    peak_temperature_stack,
     simulate_planar,
     simulate_stack,
 )
@@ -65,6 +63,4 @@ __all__ = [
     "solve_transient",
     "simulate_planar",
     "simulate_stack",
-    "peak_temperature_planar",
-    "peak_temperature_stack",
 ]

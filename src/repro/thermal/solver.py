@@ -37,7 +37,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.oracles.config import get_oracle_config
+from repro.oracles.config import (
+    CONSERVATION_RTOL,
+    RESIDUAL_TOL,
+    SAMPLE_STRIDE,
+    TEMP_SLACK_C,
+    get_oracle_config,
+)
 from repro.oracles.integrity import crc32_of_arrays
 from repro.oracles.invariants import (
     check_energy_conservation,
@@ -401,7 +407,7 @@ def _verify_cached_operator(
     Two checks, never raising:
 
     * **Integrity** — recompute the crc32 stored at insertion.  Checked
-      on the first reuse, then every ``sample_stride``-th reuse (every
+      on the first reuse, then every :data:`SAMPLE_STRIDE`-th reuse (every
       reuse in strict mode).  A mismatch means the cached arrays were
       corrupted in memory: the entry is quarantined and reassembled.
     * **Differential** — once per geometry, re-run the full assembly
@@ -418,7 +424,7 @@ def _verify_cached_operator(
     check_crc = (
         cfg.strict
         or operator.reuse_count == 1
-        or operator.reuse_count % cfg.sample_stride == 0
+        or operator.reuse_count % SAMPLE_STRIDE == 0
     )
     if check_crc:
         record_check("thermal.operator-crc")
@@ -777,28 +783,27 @@ def _steady_solution_oracles(
     numbers are still returned so a campaign completes degraded instead
     of crashing.
     """
-    cfg = get_oracle_config()
-    if not cfg.enabled:
+    if not get_oracle_config().enabled:
         return
     problems: List[str] = []
     record_check("thermal.residual")
-    if not (solution.residual <= cfg.residual_tol):
+    if not (solution.residual <= RESIDUAL_TOL):
         problems.append(
             f"steady residual {solution.residual:.3g} above "
-            f"tolerance {cfg.residual_tol:.3g}"
+            f"tolerance {RESIDUAL_TOL:.3g}"
         )
     record_check("thermal.conservation")
     power_w = float(system.power_rhs.sum()) if system.power_rhs is not None \
         else float("nan")
     problems += check_energy_conservation(
-        solution.boundary_heat_flow(), power_w, cfg.conservation_rtol
+        solution.boundary_heat_flow(), power_w, CONSERVATION_RTOL
     )
     record_check("thermal.bounds")
     problems += check_temperature_bounds(
         float(solution.temperature.min()),
         float(solution.temperature.max()),
         system.config.ambient_c,
-        cfg.temp_slack_c,
+        TEMP_SLACK_C,
     )
     for problem in problems:
         record_violation("thermal.steady", "thermal", problem)

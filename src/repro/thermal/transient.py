@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.oracles.config import get_oracle_config
+from repro.oracles.config import TEMP_SLACK_C, get_oracle_config
 from repro.oracles.invariants import check_temperature_bounds
 from repro.oracles.report import record_check, record_violation
 from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
@@ -273,8 +273,7 @@ def solve_transient(
                 checkpoint_path,
             )
     final = system.solution_from(temperature)
-    cfg = get_oracle_config()
-    if cfg.enabled:
+    if get_oracle_config().enabled:
         # Bounds oracle on the final field: a transient may legitimately
         # pass through any trajectory, but its end state must still be
         # physical (>= ambient with backward Euler from a cold start,
@@ -285,7 +284,7 @@ def solve_transient(
         # end) below ambient; only ambient starts get the lower bound.
         floor = ambient if initial is None else float("-inf")
         for problem in check_temperature_bounds(
-            float(field.min()), float(field.max()), floor, cfg.temp_slack_c
+            float(field.min()), float(field.max()), floor, TEMP_SLACK_C
         ):
             record_violation("thermal.transient-bounds", "thermal", problem)
             final.degraded = True

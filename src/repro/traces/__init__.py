@@ -21,7 +21,6 @@ from repro.traces.generator import (
     TraceGenerator,
     WorkloadSpec,
     generate_trace,
-    rms_workloads,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "TraceGenerator",
     "WorkloadSpec",
     "generate_trace",
-    "rms_workloads",
 ]

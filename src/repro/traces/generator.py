@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -216,29 +216,3 @@ def generate_trace(
         params=params,
     )
     return list(TraceGenerator(spec, scale=scale).records())
-
-
-def generate_trace_array(
-    name: str,
-    n_records: int = 100_000,
-    n_threads: int = 2,
-    scale: int = 1,
-    seed: int = 1234,
-    params: Optional[KernelParams] = None,
-) -> np.ndarray:
-    """Generate a complete trace as a :data:`TRACE_DTYPE` array."""
-    spec = WorkloadSpec(
-        name=name,
-        n_records=n_records,
-        n_threads=n_threads,
-        seed=seed,
-        params=params,
-    )
-    return TraceGenerator(spec, scale=scale).arrays()
-
-
-def rms_workloads() -> Dict[str, str]:
-    """Table 1: workload name -> description."""
-    from repro.traces.kernels.registry import KERNELS
-
-    return {name: entry.description for name, entry in KERNELS.items()}

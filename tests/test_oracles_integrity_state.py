@@ -22,8 +22,7 @@ from repro.resilience.checkpoint import (
 from repro.resilience.errors import CheckpointError, StateIntegrityError
 from repro.resilience.faults import FaultInjector
 from repro.runner.journal import Journal, make_entry, scan_journal
-from repro.runner.scheduler import run_campaign
-from repro.runner.supervisor import CampaignConfig, RetryPolicy
+from repro.runner.scheduler import CampaignConfig, RetryPolicy, run_campaign
 from repro.runner.tasks import CampaignTask
 
 from tests.campaign_fixtures import FAST_REGISTRY_SPEC

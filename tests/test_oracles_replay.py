@@ -13,7 +13,12 @@ import pytest
 from repro.memsim import baseline_config
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.replay import TraceReplayer, replay_trace
-from repro.oracles.config import get_oracle_config, oracle_mode, set_oracle_mode
+from repro.oracles.config import (
+    REPLAY_CHUNK,
+    get_oracle_config,
+    oracle_mode,
+    set_oracle_mode,
+)
 from repro.oracles.report import oracle_report, reset_oracles
 from repro.traces.generator import generate_trace, records_to_array
 
@@ -73,7 +78,7 @@ class TestModesAreBitIdentical:
             replayer = TraceReplayer(hierarchy=MemoryHierarchy(baseline_config()))
             replayer.feed_array(array)
         checks = oracle_report().checks
-        chunks = -(-len(array) // get_oracle_config().replay_chunk)
+        chunks = -(-len(array) // REPLAY_CHUNK)
         assert checks["memsim.replay-differential"] == chunks
         assert checks["memsim.replay-chunk"] == chunks
 
@@ -137,6 +142,39 @@ class TestDetection:
         report = oracle_report()
         assert not report.clean
         assert any("associativity" in v.detail for v in report.violations)
+
+    def test_counter_decrease_in_a_chunk_degrades_the_run(
+        self, array, monkeypatch
+    ):
+        real_feed_rows = TraceReplayer._feed_rows
+        warmup = len(array) // 3
+        corrupted = []
+
+        def rewinding_feed_rows(self, rows, start, stop):
+            bus = self.hierarchy.bus
+            entry_bytes = bus.total_bytes
+            real_feed_rows(self, rows, start, stop)
+            if start > warmup and not corrupted:
+                # A silent fast-path fault on a chunk past warm-up: the
+                # bus byte counter ends the chunk below where it began.
+                corrupted.append(start)
+                bus.total_bytes = entry_bytes - 64
+
+        monkeypatch.setattr(TraceReplayer, "_feed_rows", rewinding_feed_rows)
+        with oracle_mode("sample"):
+            replayer = TraceReplayer(
+                hierarchy=MemoryHierarchy(baseline_config()),
+                warmup_until=warmup,
+            )
+            replayer.feed_array(array)
+            stats = replayer.stats()
+        assert corrupted
+        [violation] = [
+            v for v in oracle_report().violations
+            if v.oracle == "memsim.replay"
+        ]
+        assert "bus_total_bytes" in violation.detail
+        assert stats.degraded
 
     def test_divergence_falls_back_to_reference(self, array, monkeypatch):
         real_feed_rows = TraceReplayer._feed_rows

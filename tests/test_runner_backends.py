@@ -16,9 +16,9 @@ from repro.cli import main as cli_main
 from repro.resilience.faults import FaultInjector
 from repro.runner.backends import make_backend, parse_backend_spec
 from repro.runner.journal import read_journal
-from repro.runner.scheduler import run_campaign
-from repro.runner.supervisor import CampaignConfig, RetryPolicy
+from repro.runner.scheduler import CampaignConfig, RetryPolicy, run_campaign
 from repro.runner.tasks import CampaignTask
+from repro.runner.worker import resolve_registry
 
 from tests.campaign_fixtures import FAST_REGISTRY_SPEC
 
@@ -66,6 +66,10 @@ class TestBackendSpec:
     def test_config_validates_backend_eagerly(self):
         with pytest.raises(ValueError, match="unknown backend"):
             CampaignConfig(backend="cloud")
+
+    def test_registry_spec_without_colon_rejected(self):
+        with pytest.raises(ValueError, match="'repro.core.experiments'"):
+            resolve_registry("repro.core.experiments")
 
     def test_make_backend_dispatches(self):
         config = CampaignConfig(backend="nodes:2")
@@ -284,12 +288,10 @@ class TestNodeClose:
             node = Node(argparse.Namespace(
                 node_id="n1",
                 workers=1,
-                heartbeat_every=0.2,
                 poll_interval=0.02,
                 chaos="",
                 scratch=str(tmp_path),
                 heartbeat_timeout=5.0,
-                kill_grace=0.5,
                 connect=port,
             ))
             conn, _addr = listener.accept()

@@ -18,8 +18,7 @@ import pytest
 
 from repro.resilience.faults import FaultInjector
 from repro.runner.backends.nodes import NodesBackend
-from repro.runner.scheduler import run_campaign
-from repro.runner.supervisor import CampaignConfig, RetryPolicy
+from repro.runner.scheduler import CampaignConfig, RetryPolicy, run_campaign
 from repro.runner.tasks import CampaignTask
 
 from tests.campaign_fixtures import FAST_REGISTRY_SPEC
@@ -78,8 +77,7 @@ class TestLocalBackendFailover:
             "worker-stall:t2": 1,    # stall once, then recover
         })
         faulted = run_campaign(tasks, _config(
-            journal, workers=4, injector=injector,
-            heartbeat_every_s=0.1, heartbeat_timeout_s=1.0,
+            journal, workers=4, injector=injector, heartbeat_timeout_s=1.0,
         ))
         assert faulted.degraded
         assert faulted.counts["failed"] == 1  # only the always-crasher
@@ -131,8 +129,7 @@ class TestNodesBackendFailover:
         journal = tmp_path / "j.jsonl"
         config = _config(
             journal, backend="nodes:2", workers=1,
-            scratch_dir=str(tmp_path / "scratch"),
-            heartbeat_every_s=0.1, lease_ttl_s=10.0,
+            scratch_dir=str(tmp_path / "scratch"), lease_ttl_s=10.0,
         )
         backend = NodesBackend(config, n_nodes=2)
         done = {}

@@ -11,8 +11,7 @@ import pytest
 
 from repro.resilience.faults import FaultInjector
 from repro.runner.journal import completed_fingerprints, read_journal
-from repro.runner.scheduler import run_campaign
-from repro.runner.supervisor import CampaignConfig, RetryPolicy
+from repro.runner.scheduler import CampaignConfig, RetryPolicy, run_campaign
 from repro.runner.tasks import CampaignTask
 
 from tests.campaign_fixtures import FAST_REGISTRY_SPEC
@@ -125,7 +124,6 @@ class TestWatchdog:
         report = run_campaign(tasks, CampaignConfig(
             workers=1,
             task_timeout_s=60.0,
-            heartbeat_every_s=0.1,
             heartbeat_timeout_s=1.0,
             retry=RetryPolicy(max_retries=0),
             journal_path=str(tmp_path / "j.jsonl"),
@@ -199,4 +197,4 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match="task_timeout_s"):
             CampaignConfig(task_timeout_s=0)
         with pytest.raises(ValueError, match="heartbeat_timeout_s"):
-            CampaignConfig(heartbeat_timeout_s=0.1, heartbeat_every_s=0.2)
+            CampaignConfig(heartbeat_timeout_s=0.1)

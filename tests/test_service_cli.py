@@ -13,7 +13,7 @@ from repro.oracles.integrity import attach_crc
 from repro.resilience.checkpoint import save_checkpoint
 from repro.resilience.faults import FaultInjector
 from repro.runner.journal import Journal
-from repro.runner.supervisor import CampaignReport
+from repro.runner.scheduler import CampaignReport
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -166,6 +166,17 @@ class TestBackendTallies:
             "fenced_discarded": 1,
             "per_executor": {"node-0": {"ok": 3, "failed": 1}},
         }
+
+    def test_report_to_dict_key_order(self):
+        assert list(CampaignReport().to_dict()) == [
+            "tasks", "counts", "taxonomy", "retries_used", "wall_clock_s",
+            "degraded", "degraded_solves", "journal_path", "resumed_ok",
+            "torn_journal_lines", "corrupt_journal_lines", "stale_resume",
+            "oracle_checks", "oracle_violations", "backend",
+            "executors_lost", "leases_reclaimed", "duplicate_completions",
+            "fenced_completions", "work_stolen", "per_executor",
+            "backend_tallies",
+        ]
 
     def test_sweep_json_emits_backend_tallies(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"

@@ -16,9 +16,8 @@ import socket
 import threading
 import time
 
-import pytest
-
 from repro.resilience.faults import FaultInjector
+from repro.service import server as server_module
 from repro.service.server import ServiceConfig, ServiceThread
 
 from tests.campaign_fixtures import FAST_REGISTRY_SPEC
@@ -349,8 +348,9 @@ class TestChaos:
 
 
 class TestSlowClientReal:
-    def test_dribbled_headers_time_out_408(self, tmp_path):
-        with service(tmp_path, header_timeout_s=0.3) as svc:
+    def test_dribbled_headers_time_out_408(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "HEADER_TIMEOUT_S", 0.3)
+        with service(tmp_path) as svc:
             with socket.create_connection(
                 ("127.0.0.1", svc.port), timeout=10.0
             ) as sock:
