@@ -25,9 +25,10 @@ from repro.floorplan.stacking import power_density_report
 from repro.thermal.model import simulate_planar, simulate_stack
 from repro.thermal.solver import SolverConfig
 from repro.uarch.dvfs import ScalingPoint, table5_points
-from repro.uarch.interval import speedup
+from repro.uarch.interval import geomean_ipc
 from repro.uarch.pipeline import (
     TABLE4_ELIMINATIONS,
+    PipelineConfig,
     planar_pipeline,
     stacked_pipeline,
     stages_eliminated_fraction,
@@ -37,7 +38,7 @@ from repro.uarch.power import (
     power_reduction_fraction,
     stacked_power_breakdown,
 )
-from repro.uarch.workloads import WorkloadProfile, workload_suite
+from repro.uarch.workloads import SuiteColumns, WorkloadProfile, workload_suite
 
 
 @dataclass
@@ -76,15 +77,24 @@ class LogicOnLogicResult:
 def run_performance_study(
     suite: Optional[List[WorkloadProfile]] = None,
 ) -> LogicOnLogicResult:
-    """Table 4: per-row and total gains over the workload suite."""
-    suite = suite or workload_suite()
+    """Table 4: per-row and total gains over the workload suite.
+
+    Every row shares one planar baseline geomean over one set of suite
+    columns.
+    """
+    columns = SuiteColumns.of(suite or workload_suite())
     planar = planar_pipeline()
     stacked = stacked_pipeline(planar)
-    per_row: Dict[str, float] = {}
-    for area, removed in TABLE4_ELIMINATIONS.items():
-        partial = stacked_pipeline(planar, {area: removed})
-        per_row[area] = 100.0 * (speedup(suite, planar, partial) - 1.0)
-    total = 100.0 * (speedup(suite, planar, stacked) - 1.0)
+    base = geomean_ipc(columns, planar)
+
+    def gain_pct(pipeline: PipelineConfig) -> float:
+        return 100.0 * (geomean_ipc(columns, pipeline) / base - 1.0)
+
+    per_row = {
+        area: gain_pct(stacked_pipeline(planar, {area: removed}))
+        for area, removed in TABLE4_ELIMINATIONS.items()
+    }
+    total = gain_pct(stacked)
     breakdown = planar_power_breakdown()
     stacked_w = stacked_power_breakdown(breakdown).total
     return LogicOnLogicResult(

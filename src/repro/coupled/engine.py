@@ -42,7 +42,7 @@ from repro.thermal.transient import solve_transient
 from repro.uarch.interval import geomean_ipc
 from repro.uarch.pipeline import planar_pipeline, stacked_pipeline
 from repro.uarch.power import planar_power_breakdown, stacked_power_breakdown
-from repro.uarch.workloads import CATEGORY_COUNTS, make_profile
+from repro.uarch.workloads import CATEGORY_COUNTS, SuiteColumns, make_profile
 
 #: One first-order time constant: 1 - 1/e of the step response.
 TAU_FRACTION = 0.632
@@ -215,14 +215,14 @@ class _IntervalPerfModel:
     of frequency (the only epoch-to-epoch variable it depends on)."""
 
     def __init__(self, seed: int) -> None:
-        self.suite = [
+        self.columns = SuiteColumns.of(
             make_profile(category, index, seed)
             for category in CATEGORY_COUNTS
             for index in range(PROFILES_PER_CATEGORY)
-        ]
+        )
         self.planar_pipe = planar_pipeline()
         self.stacked_pipe = stacked_pipeline(self.planar_pipe)
-        self.planar_ipc = geomean_ipc(self.suite, self.planar_pipe)
+        self.planar_ipc = geomean_ipc(self.columns, self.planar_pipe)
 
     def perf_pct(self, freq: float) -> float:
         """3D performance at relative frequency *freq*, % of planar.
@@ -231,10 +231,9 @@ class _IntervalPerfModel:
         f it costs f times as many cycles; wall-clock performance is
         f * IPC(f), normalized to the planar machine at f = 1.
         """
-        scaled = [
-            replace(w, memory_latency=w.memory_latency * freq)
-            for w in self.suite
-        ]
+        scaled = replace(
+            self.columns, memory_latency=self.columns.memory_latency * freq
+        )
         ipc = geomean_ipc(scaled, self.stacked_pipe)
         return 100.0 * freq * ipc / self.planar_ipc
 

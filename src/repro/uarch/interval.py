@@ -22,15 +22,21 @@ through the mechanisms the paper names:
 Main-memory stalls are modeled but (as in the paper) unaffected by the
 3D floorplan, which is why performance does not scale 1:1 with frequency
 in Table 5.
+
+The adders are computed once per suite, columnwise
+(:func:`cpi_columns`); a single profile is a one-row suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List
+import math
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Iterable, Union
+
+import numpy as np
 
 from repro.uarch.pipeline import PipelineConfig
-from repro.uarch.workloads import WorkloadProfile
+from repro.uarch.workloads import SuiteColumns, WorkloadProfile
 
 #: Calibration coefficients (dimensionless exposure factors).  Tuned once
 #: against Table 4's per-row gains; ``repro validate table-4`` grades them.
@@ -68,7 +74,8 @@ COEFFS: Dict[str, float] = {
 
 @dataclass(frozen=True)
 class CpiBreakdown:
-    """CPI adders for one workload on one pipeline (cycles/instruction)."""
+    """CPI adders (cycles/instruction): floats for one workload, or
+    arrays with one entry per suite trace (:func:`cpi_columns`)."""
 
     base: float
     branch: float
@@ -95,14 +102,31 @@ class CpiBreakdown:
         return 1.0 / self.total_cpi
 
 
-def cpi_breakdown(
-    workload: WorkloadProfile,
+Workloads = Union[SuiteColumns, Iterable[WorkloadProfile]]
+
+
+def _columns(workloads: Workloads) -> SuiteColumns:
+    if isinstance(workloads, SuiteColumns):
+        return workloads
+    return SuiteColumns.of(workloads)
+
+
+def cpi_columns(
+    columns: SuiteColumns,
     pipeline: PipelineConfig,
     coeffs: Dict[str, float] = COEFFS,
 ) -> CpiBreakdown:
-    """Compute the CPI adders of *workload* on *pipeline*."""
+    """The CPI adders of every suite trace on *pipeline*, one array each.
+
+    Elementwise ``+ - * /`` and ``np.minimum`` round exactly as Python
+    floats do, so each entry equals the scalar evaluation of its trace
+    bit for bit; the one transcendental, ``rho ** 3``, goes through
+    Python's ``**`` (libm ``pow``) per element for the same reason.
+    """
     c = coeffs
-    mispredicts = workload.branch_freq * workload.mispredict_rate
+    w = columns
+    n = len(w)
+    mispredicts = w.branch_freq * w.mispredict_rate
     refill = (
         pipeline.trace_cache
         + pipeline.rename_alloc
@@ -110,8 +134,8 @@ def cpi_breakdown(
         + pipeline.int_rf_read
         + 4  # execute + resolve
     )
-    l1_misses = workload.load_freq * workload.l1_miss_per_load
-    l2_misses = workload.load_freq * workload.l2_miss_per_load
+    l1_misses = w.load_freq * w.l1_miss_per_load
+    l2_misses = w.load_freq * w.l2_miss_per_load
 
     store_lifetime_cycles = (
         pipeline.store_lifetime * c["store_lifetime_cycles_per_stage"]
@@ -119,40 +143,45 @@ def cpi_breakdown(
     # Store-queue congestion via Little's law: occupancy rho grows with
     # store rate and post-retirement lifetime; the stall term rises
     # steeply (rho^3) as the queue saturates.
-    ipc_estimate = min(workload.base_ilp, 2.0)
-    rho = min(
-        workload.store_freq * ipc_estimate * store_lifetime_cycles
+    ipc_estimate = np.minimum(w.base_ilp, 2.0)
+    rho = np.minimum(
+        w.store_freq * ipc_estimate * store_lifetime_cycles
         / pipeline.store_queue_entries,
         1.5,
     )
+    rho_cubed = np.array([r ** 3 for r in rho.tolist()])
     cpi_store = (
         c["store_congestion"]
-        * workload.store_freq
+        * w.store_freq
         * store_lifetime_cycles
-        * rho ** 3
+        * rho_cubed
         / pipeline.store_queue_entries
+    )
+    memory = (
+        l1_misses * c["l2_latency"]
+        + l2_misses * w.memory_latency * c["memory_exposure"]
     )
 
     return CpiBreakdown(
-        base=1.0 / workload.base_ilp,
+        base=1.0 / w.base_ilp,
         branch=mispredicts * refill * c["mispredict_exposure"],
-        front_end=c["tc_miss_freq"] * pipeline.front_end,
-        alloc=c["alloc_events"] * pipeline.rename_alloc,
+        front_end=np.full(n, c["tc_miss_freq"] * pipeline.front_end),
+        alloc=np.full(n, c["alloc_events"] * pipeline.rename_alloc),
         load_use=(
-            workload.load_freq
-            * workload.load_chain_density
+            w.load_freq
+            * w.load_chain_density
             * (pipeline.load_to_use - 1)
             * c["load_use_exposure"]
         ),
         fp=(
-            workload.fp_freq
-            * workload.fp_chain_density
+            w.fp_freq
+            * w.fp_chain_density
             * (pipeline.fp_latency - 1)
             * c["fp_exposure"]
         ),
         fp_load=(
-            workload.fp_load_freq
-            * workload.fp_chain_density
+            w.fp_load_freq
+            * w.fp_chain_density
             * pipeline.fp_load_latency
             * c["fp_load_exposure"]
         ),
@@ -160,11 +189,20 @@ def cpi_breakdown(
         recovery=(
             mispredicts * pipeline.retire_dealloc * c["recovery_exposure"]
         ),
-        memory=(
-            l1_misses * c["l2_latency"]
-            + l2_misses * workload.memory_latency * c["memory_exposure"]
-        ),
+        memory=memory,
         store=cpi_store,
+    )
+
+
+def cpi_breakdown(
+    workload: WorkloadProfile,
+    pipeline: PipelineConfig,
+    coeffs: Dict[str, float] = COEFFS,
+) -> CpiBreakdown:
+    """Compute the CPI adders of *workload* on *pipeline*."""
+    row = cpi_columns(SuiteColumns.of([workload]), pipeline, coeffs)
+    return CpiBreakdown(
+        **{f.name: float(getattr(row, f.name)[0]) for f in fields(row)}
     )
 
 
@@ -178,37 +216,39 @@ def evaluate_ipc(
 
 
 def geomean_ipc(
-    workloads: Iterable[WorkloadProfile],
+    workloads: Workloads,
     pipeline: PipelineConfig,
     coeffs: Dict[str, float] = COEFFS,
 ) -> float:
-    """Geometric-mean IPC over a suite (the paper's aggregate)."""
-    log_sum = 0.0
-    count = 0
-    import math
+    """Geometric-mean IPC over a suite (the paper's aggregate).
 
-    for workload in workloads:
-        log_sum += math.log(evaluate_ipc(workload, pipeline, coeffs))
-        count += 1
-    if count == 0:
+    The log-sum runs through ``math.log`` in suite order, so the result
+    does not depend on numpy's transcendentals or pairwise summation.
+    """
+    columns = _columns(workloads)
+    if len(columns) == 0:
         raise ValueError("empty workload suite")
-    return math.exp(log_sum / count)
+    log_sum = 0.0
+    for ipc in cpi_columns(columns, pipeline, coeffs).ipc.tolist():
+        log_sum += math.log(ipc)
+    return math.exp(log_sum / len(columns))
 
 
 def speedup(
-    workloads: List[WorkloadProfile],
+    workloads: Workloads,
     baseline: PipelineConfig,
     improved: PipelineConfig,
     coeffs: Dict[str, float] = COEFFS,
 ) -> float:
     """Geomean speedup of *improved* over *baseline* (1.15 = +15%)."""
-    return geomean_ipc(workloads, improved, coeffs) / geomean_ipc(
-        workloads, baseline, coeffs
+    columns = _columns(workloads)
+    return geomean_ipc(columns, improved, coeffs) / geomean_ipc(
+        columns, baseline, coeffs
     )
 
 
 def frequency_scaling_slope(
-    workloads: List[WorkloadProfile],
+    workloads: Workloads,
     pipeline: PipelineConfig,
     delta: float = 0.05,
     coeffs: Dict[str, float] = COEFFS,
@@ -220,15 +260,13 @@ def frequency_scaling_slope(
     re-evaluating the suite with memory latency scaled by (1 + delta) and
     converting the IPC loss into wall-clock performance.
     """
-    import dataclasses
-    import math
-
-    base = geomean_ipc(workloads, pipeline, coeffs)
-    scaled_workloads = [
-        dataclasses.replace(w, memory_latency=w.memory_latency * (1 + delta))
-        for w in workloads
-    ]
-    scaled = geomean_ipc(scaled_workloads, pipeline, coeffs)
+    columns = _columns(workloads)
+    base = geomean_ipc(columns, pipeline, coeffs)
+    scaled = geomean_ipc(
+        replace(columns, memory_latency=columns.memory_latency * (1 + delta)),
+        pipeline,
+        coeffs,
+    )
     # Wall-clock speed at (1+delta) frequency = (1+delta) * scaled-IPC.
     perf_ratio = (1 + delta) * scaled / base
     return math.log(perf_ratio) / math.log(1 + delta)

@@ -9,13 +9,21 @@ performance model needs: instruction-mix frequencies, branch
 predictability, dependence densities, and cache behaviour.  Profiles are
 drawn deterministically (seeded) around per-category archetypes, so the
 suite is reproducible and spans a realistic spread within each category.
+
+The interval model evaluates a suite as :class:`SuiteColumns` — one
+float64 array per numeric profile field — so one set of elementwise ops
+covers every trace.  :func:`workload_suite` builds each seed's profiles
+once per process.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from typing import Dict, List
+from functools import cache
+from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 #: Workload categories and how many traces each contributes (total 656).
 CATEGORY_COUNTS: Dict[str, int] = {
@@ -150,13 +158,22 @@ def make_profile(category: str, index: int, seed: int = 20061209) -> WorkloadPro
     )
 
 
+@cache
+def _suite_profiles(seed: int) -> Tuple[WorkloadProfile, ...]:
+    return tuple(
+        make_profile(category, index, seed)
+        for category, count in CATEGORY_COUNTS.items()
+        for index in range(count)
+    )
+
+
 def workload_suite(seed: int = 20061209) -> List[WorkloadProfile]:
-    """The full 650+ trace suite, deterministic for a given seed."""
-    suite = []
-    for category, count in CATEGORY_COUNTS.items():
-        for index in range(count):
-            suite.append(make_profile(category, index, seed))
-    return suite
+    """The full 650+ trace suite, deterministic for a given seed.
+
+    The (frozen) profiles are built once per process and seed; every
+    call returns a fresh list of them.
+    """
+    return list(_suite_profiles(seed))
 
 
 def suite_by_category(seed: int = 20061209) -> Dict[str, List[WorkloadProfile]]:
@@ -165,3 +182,36 @@ def suite_by_category(seed: int = 20061209) -> Dict[str, List[WorkloadProfile]]:
     for profile in workload_suite(seed):
         grouped.setdefault(profile.category, []).append(profile)
     return grouped
+
+
+@dataclass(frozen=True, eq=False)
+class SuiteColumns:
+    """A suite as one float64 array per numeric :class:`WorkloadProfile`
+    field, indexed in suite order."""
+
+    branch_freq: np.ndarray
+    mispredict_rate: np.ndarray
+    load_freq: np.ndarray
+    store_freq: np.ndarray
+    fp_freq: np.ndarray
+    fp_load_freq: np.ndarray
+    load_chain_density: np.ndarray
+    fp_chain_density: np.ndarray
+    base_ilp: np.ndarray
+    l1_miss_per_load: np.ndarray
+    l2_miss_per_load: np.ndarray
+    memory_latency: np.ndarray
+
+    @classmethod
+    def of(cls, profiles: Iterable[WorkloadProfile]) -> SuiteColumns:
+        """The columns of *profiles*, in iteration order."""
+        profiles = list(profiles)
+        return cls(**{
+            f.name: np.array(
+                [getattr(p, f.name) for p in profiles], dtype=np.float64
+            )
+            for f in fields(cls)
+        })
+
+    def __len__(self) -> int:
+        return len(self.base_ilp)

@@ -261,6 +261,15 @@ class TestCoupledConfig:
             CoupledConfig(start="lukewarm")
 
 
+class TestIntervalPerfModel:
+    def test_perf_pct_recorded_values(self):
+        # Recorded from the per-profile scalar model; compared exactly.
+        model = engine._IntervalPerfModel(0)
+        assert model.perf_pct(0.8) == 96.59909696600837
+        assert model.perf_pct(0.92) == 108.12940477947426
+        assert model.perf_pct(1.0) == 115.49352675125687
+
+
 class TestEngine:
     def test_trace_shape(self, tiny_run):
         assert len(tiny_run.epochs) == TINY.n_epochs

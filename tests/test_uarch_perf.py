@@ -1,13 +1,15 @@
 """Tests for the interval model, cycle simulator, and DVFS scaling."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.experiments import get_experiment
 from repro.uarch.cycle import simulate_cycles
 from repro.uarch.dvfs import (
     PERF_PER_FREQ,
-    ScalingPoint,
     perf_3d_pct,
     power_3d_w,
     scale_operating_point,
@@ -28,7 +30,25 @@ from repro.uarch.pipeline import (
     planar_pipeline,
     stacked_pipeline,
 )
-from repro.uarch.workloads import make_profile, workload_suite
+from repro.uarch.workloads import (
+    SuiteColumns,
+    make_profile,
+    suite_by_category,
+    workload_suite,
+)
+
+#: sha256 over ``repr(evaluate_ipc(w, p)) + "\n"`` for every suite
+#: profile (suite order) on each of :func:`_table4_pipelines`, recorded
+#: from the per-profile scalar model the columnar one replaced.
+IPC_SHA256 = "4372ae028eeb212b9eb60fb0e802b518d4a5067c5156ee4842b19661800e4722"
+
+
+def _table4_pipelines():
+    planar = planar_pipeline()
+    return [planar, stacked_pipeline(planar)] + [
+        stacked_pipeline(planar, {area: removed})
+        for area, removed in TABLE4_ELIMINATIONS.items()
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +115,63 @@ class TestIntervalModel:
         assert slope == pytest.approx(0.82, abs=0.05)
 
     def test_geomean_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty workload suite"):
             geomean_ipc([], planar_pipeline())
+        with pytest.raises(ValueError, match="empty workload suite"):
+            geomean_ipc(SuiteColumns.of([]), planar_pipeline())
+
+
+class TestBitIdentity:
+    """Values recorded from the per-profile scalar model before the
+    columnar rewrite, compared with ``==``: the columnar evaluation must
+    reproduce them to the last bit."""
+
+    def test_per_profile_ipc_digest(self, suite):
+        digest = hashlib.sha256()
+        for pipeline in _table4_pipelines():
+            for profile in suite:
+                ipc = evaluate_ipc(profile, pipeline)
+                digest.update((repr(ipc) + "\n").encode())
+        assert digest.hexdigest() == IPC_SHA256
+
+    def test_table4_result(self):
+        result = get_experiment("table-4").run()
+        assert result["total_gain_pct"] == 15.279035955049292
+        assert result["stages_eliminated_pct"] == 27.419354838709676
+        rows = result["per_row_gains_pct"]
+        assert rows["fp_wire"] == 3.745236711701838
+        assert rows["store_lifetime"] == 2.8641029595241507
+
+    def test_frequency_scaling_slope(self, suite):
+        slope = frequency_scaling_slope(suite, planar_pipeline())
+        assert slope == 0.8327577132409811
+
+    def test_columns_and_profiles_agree(self, suite):
+        columns = SuiteColumns.of(suite)
+        assert len(columns) == len(suite)
+        for pipeline in _table4_pipelines()[:2]:
+            assert geomean_ipc(columns, pipeline) == geomean_ipc(
+                suite, pipeline
+            )
+
+
+class TestSuiteMemo:
+    def test_mutating_returned_suite_does_not_leak(self):
+        expected = list(workload_suite())
+        first = workload_suite()
+        first.append(first[0])
+        assert workload_suite() == expected
+        first.clear()
+        assert workload_suite() == expected
+
+    def test_mutating_grouped_suite_does_not_leak(self):
+        expected = {k: list(v) for k, v in suite_by_category().items()}
+        grouped = suite_by_category()
+        grouped["specint"].append(grouped["specfp"][0])
+        grouped["server"].clear()
+        assert suite_by_category() == expected
+        grouped.clear()
+        assert suite_by_category() == expected
 
 
 class TestCycleSimulator:
