@@ -310,8 +310,7 @@ def _run_dtm_load_spike(**kwargs: Any) -> Dict[str, Any]:
         PredictiveDtm,
         ThresholdDtm,
         bursty_load_spikes,
-        calibrate,
-        run_coupled_loop,
+        run_coupled_policies,
     )
 
     config = CoupledConfig(
@@ -331,10 +330,8 @@ def _run_dtm_load_spike(**kwargs: Any) -> Dict[str, Any]:
         PidDtm(guard_c=6.0),
         PredictiveDtm(),
     ]
-    calibration = calibrate(config)
     runs = {
-        p.name: run_coupled_loop(p, load, config, calibration)
-        for p in policies
+        r.policy: r for r in run_coupled_policies(policies, load, config)
     }
     return {
         "ceiling_c": runs["none"].ceiling_c,
@@ -362,9 +359,8 @@ def _run_dtm_policy_compare(**kwargs: Any) -> Dict[str, Any]:
         PidDtm,
         PredictiveDtm,
         ThresholdDtm,
-        calibrate,
         constant_load,
-        run_coupled_loop,
+        run_coupled_policies,
     )
 
     config = CoupledConfig(
@@ -374,12 +370,12 @@ def _run_dtm_policy_compare(**kwargs: Any) -> Dict[str, Any]:
         dt_s=kwargs.get("dt_s", 0.5),
         start="steady",
     )
-    load = constant_load(1.0)
-    calibration = calibrate(config)
-    summaries = [
-        run_coupled_loop(policy, load, config, calibration).summary()
-        for policy in (NoDtm(), ThresholdDtm(), PidDtm(), PredictiveDtm())
-    ]
+    runs = run_coupled_policies(
+        [NoDtm(), ThresholdDtm(), PidDtm(), PredictiveDtm()],
+        constant_load(1.0),
+        config,
+    )
+    summaries = [r.summary() for r in runs]
     return {"policies": summaries}
 
 

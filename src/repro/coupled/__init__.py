@@ -31,6 +31,7 @@ from repro.coupled.engine import (
     calibrate,
     planar_baseline_peak_c,
     run_coupled_loop,
+    run_coupled_policies,
 )
 
 __all__ = [
@@ -53,4 +54,5 @@ __all__ = [
     "calibrate",
     "planar_baseline_peak_c",
     "run_coupled_loop",
+    "run_coupled_policies",
 ]

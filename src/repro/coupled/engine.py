@@ -7,12 +7,19 @@ Alternates control epochs between the two sides of the machine:
   grows in cycles with frequency — Table 5's 0.82%/1% slope emerges
   rather than being assumed) and the block-level power roll-up gives
   the per-component power, scaled by V^2*f and the workload's activity.
-* **thermal side** — the backward-Euler transient solver advances the
-  full temperature field one epoch under that power (the field carries
-  over between epochs, so thermal history is exact), reusing the
-  cached per-(geometry, dt) factorization every epoch.
+* **thermal side** — backward Euler advances the full temperature
+  field one epoch under that power (the field carries over between
+  epochs, so thermal history is exact), reusing the cached
+  per-(geometry, dt) factorization every epoch.
 * **DTM** — the policy observes the epoch's peak temperature and picks
   the next V/f point.
+
+The policies of one run share the stack, the load and the step, so
+:func:`run_coupled_policies` advances them together: one ``(P, n)``
+block of fields, one assembly per epoch and one P-column
+back-substitution per step.  Each policy's row is bit-identical to its
+solo run (see :class:`~repro.thermal.transient.BackwardEuler`), and
+:func:`run_coupled_loop` is the one-policy case.
 
 One steady solve calibrates the linear power→peak-temperature map (the
 discrete conduction operator is linear, so the full-power solution
@@ -25,7 +32,7 @@ config, and every policy run of that config shares the result.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +43,18 @@ from repro.floorplan.pentium4 import (
     pentium4_planar_floorplan,
 )
 from repro.thermal.model import simulate_planar
-from repro.thermal.solver import SolverConfig, solve_steady_state
+from repro.thermal.solver import (
+    SolverConfig,
+    assemble_system,
+    solve_steady_state,
+)
 from repro.thermal.stack import ThermalStack, build_3d_stack
-from repro.thermal.transient import solve_transient
+from repro.thermal.transient import (
+    BackwardEuler,
+    solve_transient,
+    transient_bounds_hold,
+    whole_steps,
+)
 from repro.uarch.interval import geomean_ipc
 from repro.uarch.pipeline import planar_pipeline, stacked_pipeline
 from repro.uarch.power import planar_power_breakdown, stacked_power_breakdown
@@ -80,7 +96,7 @@ class CoupledConfig:
             resolves tau to this granularity, so it must be finer than
             the stack's fast response (~1 s for the Logic+Logic stack);
             a coarse step inflates tau and destabilizes the predictive
-            policy.
+            policy.  Must divide both epoch_s and calibration_s.
         seed: Seed for the interval-model workload slice.
         reuse_operator: Reuse cached thermal operators/LUs (default);
             False forces cold assembly every epoch (bench reference).
@@ -101,8 +117,13 @@ class CoupledConfig:
     reuse_operator: bool = True
 
     def __post_init__(self) -> None:
-        if self.epoch_s <= 0 or self.dt_s <= 0 or self.n_epochs < 1:
-            raise ValueError("epoch_s, dt_s and n_epochs must be positive")
+        if self.n_epochs < 1:
+            raise ValueError("n_epochs must be positive")
+        whole_steps(self.epoch_s, self.dt_s, "epoch_s", "dt_s")
+        whole_steps(self.epoch_s, self.calibration_dt_s, "epoch_s",
+                    "calibration_dt_s")
+        whole_steps(self.calibration_s, self.calibration_dt_s,
+                    "calibration_s", "calibration_dt_s")
         if not 0 < self.vcc_min <= self.vcc_init <= self.vcc_max:
             raise ValueError("need 0 < vcc_min <= vcc_init <= vcc_max")
         if self.start not in ("cold", "steady"):
@@ -352,7 +373,7 @@ def calibrate(config: Optional[CoupledConfig] = None) -> Calibration:
     total_rise = steady_peak - warmup.peak_c[0]
     idx = min(
         len(warmup.peak_c) - 1,
-        max(1, int(round(cfg.epoch_s / cfg.calibration_dt_s))),
+        whole_steps(cfg.epoch_s, cfg.calibration_dt_s),
     )
     return Calibration(
         inputs=_calibration_inputs(cfg),
@@ -389,7 +410,38 @@ def run_coupled_loop(
     Raises:
         ValueError: *calibration* was computed for another config.
     """
-    policy = policy or NoDtm()
+    return run_coupled_policies(
+        [policy or NoDtm()], load, config, calibration
+    )[0]
+
+
+def run_coupled_policies(
+    policies: Sequence[DtmPolicy],
+    load: Optional[LoadSchedule] = None,
+    config: Optional[CoupledConfig] = None,
+    calibration: Optional[Calibration] = None,
+) -> List[CoupledResult]:
+    """Run several DTM policies through one closed loop, stepped together.
+
+    Every policy sees the same load, stack and calibration; only its
+    V/f trajectory and field differ.  Each epoch assembles the system
+    once and advances the ``(P, n)`` block of the P policies' fields
+    with one multi-column back-substitution per step, and each result
+    equals that policy's :func:`run_coupled_loop` run exactly.
+
+    Args:
+        policies: DTM policies, one result each, in this order.
+        load: Workload driver (default: constant design-point activity).
+        config: Engine knobs.
+        calibration: ``calibrate(config)``; computed here when None.
+
+    Returns:
+        One :class:`CoupledResult` per policy.
+
+    Raises:
+        ValueError: *calibration* was computed for another config, or
+            the load produced a negative activity.
+    """
     load = load or constant_load()
     cfg = config or CoupledConfig()
     if calibration is None:
@@ -404,87 +456,95 @@ def run_coupled_loop(
     nominal_w = calibration.nominal_w
     nominal_breakdown = calibration.nominal_breakdown_w
     steady_field = calibration.steady_field
-    ceiling = calibration.ceiling_c
-    tau_s = calibration.tau_s
+    steps = whole_steps(cfg.epoch_s, cfg.dt_s)
 
     # Initial field: cold power-on, or the steady field of the first
-    # epoch's power level (linear scaling of the full-power solve).
-    vcc = cfg.vcc_init
-    first_power, _ = _power_at(vcc, load(0, 0.0), nominal_breakdown)
+    # epoch's power level (linear scaling of the full-power solve).  One
+    # row per policy: all start at vcc_init under the same load.
+    vccs = [cfg.vcc_init] * len(policies)
+    first_power, _ = _power_at(cfg.vcc_init, load(0, 0.0), nominal_breakdown)
     if cfg.start == "steady":
         factor = first_power / nominal_w
-        temperature = ambient + factor * (steady_field - ambient)
+        initial = ambient + factor * (steady_field - ambient)
     else:
-        temperature = np.full(steady_field.shape, ambient)
+        initial = np.full(steady_field.shape, ambient)
+    temperature = np.repeat(initial[np.newaxis, :], len(policies), axis=0)
 
     # The first vcc seen in a key's bucket sets the bucket's value, so
-    # the cache is per run: shared, one policy's trajectory would move
-    # another's perf numbers.
-    perf_by_key: Dict[float, float] = {}
-    policy.reset()
-    result = CoupledResult(
-        policy=policy.name,
-        ceiling_c=ceiling,
-        tau_s=tau_s,
-        nominal_power_w=nominal_w,
-    )
+    # the cache is per policy: shared, one policy's trajectory would
+    # move another's perf numbers.
+    perf_by_key: List[Dict[float, float]] = [{} for _ in policies]
+    results = []
+    for policy in policies:
+        policy.reset()
+        results.append(
+            CoupledResult(
+                policy=policy.name,
+                ceiling_c=calibration.ceiling_c,
+                tau_s=calibration.tau_s,
+                nominal_power_w=nominal_w,
+            )
+        )
 
     for epoch in range(cfg.n_epochs):
         t_start = epoch * cfg.epoch_s
         activity = load(epoch, t_start)
         if activity < 0:
             raise ValueError("load schedule produced a negative activity")
-        power_w, breakdown = _power_at(vcc, activity, nominal_breakdown)
-        key = round(vcc, _FREQ_KEY_DIGITS)
-        if key not in perf_by_key:
-            perf_by_key[key] = calibration.perf_model.perf_pct(vcc)
-        perf = perf_by_key[key]
+        powers = [_power_at(vcc, activity, nominal_breakdown) for vcc in vccs]
+        factors = np.array([[power_w / nominal_w] for power_w, _ in powers])
 
-        factor = power_w / nominal_w
-        run = solve_transient(
-            calibration.stack,
-            solver,
-            duration_s=cfg.epoch_s,
-            dt_s=cfg.dt_s,
-            initial=temperature,
-            power_schedule=lambda t, f=factor: f,
-            reuse_operator=cfg.reuse_operator,
+        system = assemble_system(
+            calibration.stack, solver, reuse_operator=cfg.reuse_operator
         )
-        temperature = run.final.temperature.reshape(-1)
-        peak = run.peak_c[-1]
+        euler = BackwardEuler(system, cfg.dt_s)
+        for step in range(1, steps + 1):
+            temperature = euler.step(
+                temperature, factors, step, t_start + step * cfg.dt_s
+            )
 
-        obs = DtmObservation(
-            epoch=epoch,
-            t_s=t_start + cfg.epoch_s,
-            peak_c=peak,
-            ceiling_c=ceiling,
-            vcc=vcc,
-            power_w=power_w,
-            activity=activity,
-            epoch_s=cfg.epoch_s,
-            tau_s=tau_s,
-            epoch_response=calibration.epoch_response,
-            ambient_c=ambient,
-            rise_per_watt=calibration.rise_per_watt,
-            vcc_min=cfg.vcc_min,
-            vcc_max=cfg.vcc_max,
-        )
-        next_vcc = obs.clamp(policy.decide(obs))
-        result.epochs.append(
-            EpochTrace(
+        for row, policy in enumerate(policies):
+            vcc = vccs[row]
+            power_w, breakdown = powers[row]
+            field_c = temperature[row]
+            # Epochs start from a carried-over field, which may sit below
+            # ambient: no lower bound, as for solve_transient(initial=...).
+            transient_bounds_hold(field_c, float("-inf"))
+            key = round(vcc, _FREQ_KEY_DIGITS)
+            if key not in perf_by_key[row]:
+                perf_by_key[row][key] = calibration.perf_model.perf_pct(vcc)
+            obs = DtmObservation(
                 epoch=epoch,
-                t_s=obs.t_s,
-                activity=activity,
+                t_s=t_start + cfg.epoch_s,
+                peak_c=float(system.solution_from(field_c).peak_temperature()),
+                ceiling_c=calibration.ceiling_c,
                 vcc=vcc,
                 power_w=power_w,
-                power_breakdown_w=breakdown,
-                perf_pct=perf,
-                peak_c=peak,
-                throttled=next_vcc < vcc - 1e-12,
+                activity=activity,
+                epoch_s=cfg.epoch_s,
+                tau_s=calibration.tau_s,
+                epoch_response=calibration.epoch_response,
+                ambient_c=ambient,
+                rise_per_watt=calibration.rise_per_watt,
+                vcc_min=cfg.vcc_min,
+                vcc_max=cfg.vcc_max,
             )
-        )
-        vcc = next_vcc
-    return result
+            next_vcc = obs.clamp(policy.decide(obs))
+            results[row].epochs.append(
+                EpochTrace(
+                    epoch=epoch,
+                    t_s=obs.t_s,
+                    activity=activity,
+                    vcc=vcc,
+                    power_w=power_w,
+                    power_breakdown_w=breakdown,
+                    perf_pct=perf_by_key[row][key],
+                    peak_c=obs.peak_c,
+                    throttled=next_vcc < vcc - 1e-12,
+                )
+            )
+            vccs[row] = next_vcc
+    return results
 
 
 def _nominal_breakdown(nominal_w: float) -> Dict[str, float]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +40,7 @@ from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.resilience.errors import CheckpointError, SolverDivergenceError
 from repro.thermal.solver import (
     _TRANSIENT_LU_MAX,
+    DiscreteSystem,
     SolverConfig,
     ThermalSolution,
     assemble_system,
@@ -87,6 +88,134 @@ class TransientResult:
             if reached:
                 return t
         return self.times_s[-1]
+
+
+def whole_steps(
+    duration_s: float,
+    dt_s: float,
+    duration_name: str = "duration_s",
+    dt_name: str = "dt_s",
+) -> int:
+    """The number of *dt_s* steps that cover *duration_s* exactly.
+
+    Float noise is tolerated (``0.1 * 3`` covers 0.3); a step that does
+    not divide the duration is rejected, so a run ends where requested
+    and never a silently truncated step short.  The names label the
+    error message.
+
+    Raises:
+        ValueError: a non-positive argument, or a step that does not
+            divide the duration.
+    """
+    if duration_s <= 0 or dt_s <= 0:
+        raise ValueError(
+            f"{duration_name} and {dt_name} must be positive"
+        )
+    steps = int(round(duration_s / dt_s))
+    if steps < 1 or not math.isclose(
+        steps * dt_s, duration_s, rel_tol=1e-9, abs_tol=0.0
+    ):
+        raise ValueError(
+            f"{dt_name}={dt_s:g} does not divide "
+            f"{duration_name}={duration_s:g}: {steps} whole step(s) would "
+            f"cover {steps * dt_s:g} s; pick a step that divides the "
+            f"duration so the run ends where requested"
+        )
+    return steps
+
+
+class BackwardEuler:
+    """The backward-Euler update of one assembled system at one step.
+
+    ``(K + M/dt) T' = b_ambient + f * q + (M/dt) T`` for a power factor
+    ``f``.  :meth:`step` advances one field ``(n,)`` under one factor, or
+    a block ``(P, n)`` of P independent fields (one row each) under a
+    ``(P, 1)`` column of factors with one multi-column back-substitution.
+    Every right-hand-side element is the same floating-point expression
+    either way, and SuperLU solves each column of a block bit-identically
+    to solving it alone, so a row of a block run equals its solo run.
+    """
+
+    def __init__(self, system: DiscreteSystem, dt_s: float) -> None:
+        self.system = system
+        self.mass_over_dt = system.mass / dt_s
+        # One factorization per (geometry, dt) pair, kept on the cached
+        # operator: reruns over the same stack (parameter sweeps, resumed
+        # runs, control epochs) skip straight to the time loop.  K + M/dt
+        # is symmetric positive definite, so the diagonal is a stable
+        # pivot sequence: factor in symmetric mode with no row pivoting,
+        # which keeps the fill-reducing column order on the rows too
+        # (perm_r == perm_c).
+        operator = system.operator
+        lu = operator.transient_lus.get(dt_s) if operator is not None else None
+        if lu is None:
+            lhs = (system.matrix + sp.diags(self.mass_over_dt)).tocsc()
+            lu = spla.splu(
+                lhs,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+            if operator is not None:
+                operator.transient_lus[dt_s] = lu
+                while len(operator.transient_lus) > _TRANSIENT_LU_MAX:
+                    operator.transient_lus.pop(
+                        next(iter(operator.transient_lus))
+                    )
+        self.lu = lu
+
+    def step(
+        self,
+        temperature: np.ndarray,
+        factor: Union[float, np.ndarray],
+        step: int,
+        t_s: float,
+        partial: Optional[Dict[str, Any]] = None,
+    ) -> np.ndarray:
+        """The field(s) one step on; *step* and *t_s* (the step's end
+        time) label a divergence.
+
+        Raises:
+            SolverDivergenceError: a result is non-finite (carries
+                *partial*).
+        """
+        system = self.system
+        rhs = (
+            system.boundary_rhs
+            + factor * system.power_rhs
+            + self.mass_over_dt * temperature
+        )
+        # SuperLU wants (n, P) columns; the transpose of a C-ordered
+        # (P, n) block is one, and the solved block transposes back to
+        # C-ordered rows.  Both are no-ops on a single field.
+        out = self.lu.solve(rhs.T).T
+        if not np.all(np.isfinite(out)):
+            raise SolverDivergenceError(
+                f"transient step {step} (t={t_s:g} s) produced non-finite "
+                "temperatures",
+                method="transient",
+                partial=partial,
+            )
+        return out
+
+
+def transient_bounds_hold(field: np.ndarray, floor_c: float) -> bool:
+    """Bounds oracle on a transient's end field; False on a violation.
+
+    A transient may legitimately pass through any trajectory, but its
+    end state must still be physical (>= *floor_c*, ambient for a cold
+    start under backward Euler, and below the damage ceiling).  Records
+    one ``thermal.transient-bounds`` check when oracles are on.
+    """
+    if not get_oracle_config().enabled:
+        return True
+    record_check("thermal.transient-bounds")
+    problems = check_temperature_bounds(
+        float(field.min()), float(field.max()), floor_c, TEMP_SLACK_C
+    )
+    for problem in problems:
+        record_violation("thermal.transient-bounds", "thermal", problem)
+    return not problems
 
 
 def solve_transient(
@@ -138,17 +267,7 @@ def solve_transient(
         SolverDivergenceError: a step produced non-finite temperatures.
         CheckpointError: *resume_from* is unusable or incompatible.
     """
-    if duration_s <= 0 or dt_s <= 0:
-        raise ValueError("duration and time step must be positive")
-    steps = int(round(duration_s / dt_s))
-    if steps < 1 or not math.isclose(
-        steps * dt_s, duration_s, rel_tol=1e-9, abs_tol=0.0
-    ):
-        raise ValueError(
-            f"dt_s={dt_s:g} does not divide duration_s={duration_s:g}: "
-            f"{steps} whole step(s) would cover {steps * dt_s:g} s; pick a "
-            f"step that divides the duration so the run ends where requested"
-        )
+    steps = whole_steps(duration_s, dt_s)
     if checkpoint_every is not None:
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
@@ -156,37 +275,8 @@ def solve_transient(
             raise ValueError("checkpoint_every requires checkpoint_path")
     system = assemble_system(stack, config, reuse_operator=reuse_operator)
     ambient = system.config.ambient_c
-
     n = system.matrix.shape[0]
-    # The assembly already delivers the rhs split into power injection and
-    # ambient boundary terms (exactly, not by subtraction), so a power
-    # schedule can scale only the former.
-    power_part = system.power_rhs
-    boundary_rhs = system.boundary_rhs
-
-    # One backward-Euler factorization per (geometry, dt) pair; reruns
-    # over the same stack (parameter sweeps, resumed runs) skip straight
-    # to the time loop.  K + M/dt is symmetric positive definite, so the
-    # diagonal is a stable pivot sequence: factor in symmetric mode with
-    # no row pivoting, which keeps the fill-reducing column order on the
-    # rows too (perm_r == perm_c).
-    operator = system.operator
-    lu = operator.transient_lus.get(dt_s) if operator is not None else None
-    if lu is None:
-        mass_over_dt = sp.diags(system.mass / dt_s)
-        lhs = (system.matrix + mass_over_dt).tocsc()
-        lu = spla.splu(
-            lhs,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-        if operator is not None:
-            operator.transient_lus[dt_s] = lu
-            while len(operator.transient_lus) > _TRANSIENT_LU_MAX:
-                operator.transient_lus.pop(
-                    next(iter(operator.transient_lus))
-                )
+    euler = BackwardEuler(system, dt_s)
 
     if resume_from is not None:
         # quarantine=True: a checkpoint failing its sha256 envelope is
@@ -244,15 +334,10 @@ def solve_transient(
         factor = power_schedule(t_start) if power_schedule else 1.0
         if factor < 0:
             raise ValueError("power schedule must be non-negative")
-        rhs = boundary_rhs + factor * power_part + (system.mass / dt_s) * temperature
-        temperature = lu.solve(rhs)
-        if not np.all(np.isfinite(temperature)):
-            raise SolverDivergenceError(
-                f"transient step {step} (t={t_now:g} s) produced non-finite "
-                "temperatures",
-                method="transient",
-                partial={"step": step, "times_s": times, "peak_c": peaks},
-            )
+        temperature = euler.step(
+            temperature, factor, step, t_now,
+            partial={"step": step, "times_s": times, "peak_c": peaks},
+        )
         times.append(t_now)
         peaks.append(
             float(system.solution_from(temperature).peak_temperature())
@@ -273,21 +358,11 @@ def solve_transient(
                 checkpoint_path,
             )
     final = system.solution_from(temperature)
-    if get_oracle_config().enabled:
-        # Bounds oracle on the final field: a transient may legitimately
-        # pass through any trajectory, but its end state must still be
-        # physical (>= ambient with backward Euler from a cold start,
-        # below the damage ceiling).
-        record_check("thermal.transient-bounds")
-        field = final.temperature
-        # A caller-supplied initial field may legitimately start (and
-        # end) below ambient; only ambient starts get the lower bound.
-        floor = ambient if initial is None else float("-inf")
-        for problem in check_temperature_bounds(
-            float(field.min()), float(field.max()), floor, TEMP_SLACK_C
-        ):
-            record_violation("thermal.transient-bounds", "thermal", problem)
-            final.degraded = True
+    # A caller-supplied initial field may legitimately start (and end)
+    # below ambient; only ambient starts get the lower bound.
+    floor = ambient if initial is None else float("-inf")
+    if not transient_bounds_hold(final.temperature, floor):
+        final.degraded = True
     return TransientResult(
         times_s=times,
         peak_c=peaks,

@@ -34,9 +34,12 @@ from repro.coupled import (
     constant_load,
     make_policy,
     run_coupled_loop,
+    run_coupled_policies,
     step_load,
 )
 from repro.coupled.drivers import SPIKE_JITTER
+from repro.oracles.config import oracle_mode
+from repro.oracles.report import oracle_report, reset_oracles
 from repro.uarch.dvfs import power_3d_w
 
 #: Small-grid engine config shared by the integration tests: big enough
@@ -260,6 +263,31 @@ class TestCoupledConfig:
         with pytest.raises(ValueError, match="start"):
             CoupledConfig(start="lukewarm")
 
+    # The whole-steps rule of solve_transient, checked at construction
+    # (before any calibration solve runs).
+    def test_rejects_dt_not_dividing_epoch(self):
+        with pytest.raises(
+            ValueError, match="dt_s=0.3 does not divide epoch_s=1"
+        ):
+            CoupledConfig(epoch_s=1.0, dt_s=0.3)
+
+    def test_rejects_calibration_dt_not_dividing_epoch(self):
+        with pytest.raises(
+            ValueError, match="calibration_dt_s=0.4 does not divide epoch_s=1"
+        ):
+            CoupledConfig(
+                epoch_s=1.0, calibration_s=6.0, calibration_dt_s=0.4
+            )
+
+    def test_rejects_calibration_dt_not_dividing_calibration(self):
+        with pytest.raises(
+            ValueError,
+            match="calibration_dt_s=0.5 does not divide calibration_s=5.25",
+        ):
+            CoupledConfig(
+                epoch_s=1.0, calibration_s=5.25, calibration_dt_s=0.5
+            )
+
 
 class TestIntervalPerfModel:
     def test_perf_pct_recorded_values(self):
@@ -361,6 +389,31 @@ class TestCalibration:
         shared = run_coupled_loop(policy(), load, TINY, tiny_calibration)
         alone = run_coupled_loop(policy(), load, TINY)
         assert shared.to_dict() == alone.to_dict()
+
+    def test_policies_stepped_together_equal_solo_runs(self):
+        # nx=12, 8 epochs of bursty load, one shared calibration, on the
+        # cold path (reuse_operator=False: one fresh assembly and factor
+        # per epoch).  Each policy's row of the batched run must equal
+        # its one-policy run exactly, and the transient bounds oracle
+        # must fire once per policy per epoch.
+        config = CoupledConfig(
+            nx=12, n_epochs=8, epoch_s=1.0, dt_s=0.5,
+            calibration_s=5.0, calibration_dt_s=0.5, start="steady",
+            reuse_operator=False,
+        )
+        load = bursty_load_spikes(seed=3, period=4, burst=2, ramp=1)
+        policies = [NoDtm, ThresholdDtm, PidDtm, PredictiveDtm]
+        calibration = calibrate(config)
+        reset_oracles()
+        with oracle_mode("sample"):
+            together = run_coupled_policies(
+                [policy() for policy in policies], load, config, calibration
+            )
+            checks = oracle_report().checks["thermal.transient-bounds"]
+        assert checks == len(policies) * config.n_epochs
+        for policy, batched in zip(policies, together):
+            alone = run_coupled_loop(policy(), load, config, calibration)
+            assert batched.to_dict() == alone.to_dict()
 
     def test_steady_field_is_read_only(self, tiny_calibration):
         with pytest.raises(ValueError):

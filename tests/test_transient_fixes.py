@@ -32,6 +32,7 @@ from repro.thermal.solver import (
     clear_operator_cache,
 )
 from repro.thermal.stack import build_planar_stack
+from repro.thermal.transient import BackwardEuler
 
 FAST = SolverConfig(nx=12, ny=12)
 
@@ -198,6 +199,26 @@ class TestTransientLuCache:
             stack, FAST, duration_s=1.0, dt_s=0.25, reuse_operator=False
         )
         assert warm.peak_c == cold.peak_c
+
+
+class TestMultiColumnSolve:
+    """The coupled loop steps P policies with one P-column solve; its
+    exactness rests on SuperLU solving each column of a block
+    bit-identically to solving that column alone."""
+
+    def test_columns_bit_identical_to_single_solves(self):
+        stack = build_coupled_stack()[0]
+        system = assemble_system(stack, SolverConfig(nx=20, ny=20))
+        lu = BackwardEuler(system, 0.5).lu
+        mass_over_dt = system.mass / 0.5
+        base = np.full(system.matrix.shape[0], FAST.ambient_c)
+        B = np.column_stack([
+            system.boundary_rhs + f * system.power_rhs + mass_over_dt * base
+            for f in (0.4, 0.7, 1.0, 1.3)
+        ])
+        X = lu.solve(B)
+        for j in range(B.shape[1]):
+            assert np.array_equal(X[:, j], lu.solve(B[:, j]))
 
 
 class TestUnpivotedFactor:
