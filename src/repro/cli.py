@@ -11,7 +11,7 @@ Commands:
   graded experiment runs once, as ``repro run`` runs it, and every
   quantity is graded pass/shape/fail against the published values.
 * ``replay`` — replay a trace file through the memory hierarchy with
-  strict/lenient validation and optional checkpoint/resume.
+  strict/lenient validation.
 * ``sweep`` — run a campaign of experiments in crash-isolated,
   supervised workers with timeouts, retries, and a resumable journal.
 * ``verify`` — integrity-check an artifact offline: a checkpoint's
@@ -226,7 +226,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.traces.record import read_trace
 
     strict = args.mode != "lenient"
-    checkpoint_path = args.checkpoint or (args.trace + ".ckpt")
     try:
         records = list(read_trace(args.trace, strict=strict))
         stats = replay_trace(
@@ -234,11 +233,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             baseline_config(),
             warmup_fraction=args.warmup_fraction,
             mode=args.mode,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_path=(
-                checkpoint_path if args.checkpoint_every else None
-            ),
-            resume_from=checkpoint_path if args.resume else None,
         )
     except (ReproError, OSError) as exc:
         print(f"replay failed ({type(exc).__name__}): {exc}", file=sys.stderr)
@@ -277,13 +271,9 @@ def _verify_file(path: str) -> tuple:
             summary = verify_checkpoint(path)
         except CheckpointError as exc:
             return "corrupt", f"checkpoint: {exc}"
-        detail = (
-            f"checkpoint OK kind={summary.get('kind')} "
-            f"nbytes={summary.get('nbytes')}"
+        return "ok", (
+            f"checkpoint OK kind={summary['kind']} nbytes={summary['nbytes']}"
         )
-        if summary.get("note"):
-            detail += f" ({summary['note']})"
-        return "ok", detail
     entries, torn, crc_failed = scan_journal(path)
     detail = (
         f"journal with {len(entries)} verifiable entr(ies), {torn} torn "
@@ -716,12 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="quarantine corrupt records and report counts")
     replay.add_argument("--warmup-fraction", type=float, default=0.3,
                         help="leading fraction used to warm the caches")
-    replay.add_argument("--checkpoint-every", type=int, metavar="N",
-                        help="checkpoint replay state every N records")
-    replay.add_argument("--checkpoint", metavar="FILE",
-                        help="checkpoint path (default: <trace>.ckpt)")
-    replay.add_argument("--resume", action="store_true",
-                        help="resume from the latest checkpoint")
 
     lint = sub.add_parser(
         "lint",

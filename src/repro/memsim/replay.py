@@ -14,10 +14,10 @@ misses outstanding.  CPMA — cycles per memory access — is the paper's
 metric: total elapsed cycles divided by references retired per cpu.
 
 The engine is the stateful :class:`TraceReplayer`: records are fed one
-at a time, the full replay state (hierarchy, queues, completion table,
-statistics) can be checkpointed to disk at any record boundary, and a
-fresh replayer restored from that checkpoint continues the run
-bit-identically.  An optional
+at a time (or as a :data:`~repro.traces.generator.TRACE_DTYPE` batch
+through the chunked fast path), and its whole state (hierarchy, queues,
+completion table, statistics) is plain picklable data, which the
+differential oracle clones.  An optional
 :class:`~repro.traces.record.TraceGuard` validates the stream as it
 flows: strict mode raises
 :class:`~repro.resilience.errors.TraceCorruptionError` on the first bad
@@ -27,13 +27,11 @@ record, lenient mode quarantines bad records and reports counts.
 
 from __future__ import annotations
 
-import itertools
 import pickle
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,7 +49,6 @@ from repro.oracles.invariants import (
     check_rob_occupancy,
 )
 from repro.oracles.report import record_check, record_violation
-from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.traces.generator import TRACE_DTYPE, array_to_records
 from repro.traces.record import AccessType, TraceGuard, TraceRecord
 
@@ -102,12 +99,11 @@ class ReplayStats:
 
 
 class TraceReplayer:
-    """Incremental, checkpointable replay of one trace.
+    """Incremental replay of one trace.
 
-    Feed records with :meth:`feed` (or :meth:`feed_many`), then call
-    :meth:`stats` to finalize.  The replayer's entire state is plain
-    Python/numpy data, so :meth:`checkpoint` can serialize it mid-run
-    and :meth:`restore` continues exactly where the snapshot was taken.
+    Feed records with :meth:`feed` (or :meth:`feed_many` /
+    :meth:`feed_array`), then call :meth:`stats` to finalize.  Feeding
+    a trace in consecutive slices is the same as feeding it whole.
 
     Args:
         config: Hierarchy configuration (Table 3 baseline by default).
@@ -148,13 +144,6 @@ class TraceReplayer:
         self._chunk_counter = 0
         self._oracle_fallback = False
         self._oracle_degraded = False
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        """Unpickle, defaulting oracle fields absent from old snapshots."""
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_chunk_counter", 0)
-        self.__dict__.setdefault("_oracle_fallback", False)
-        self.__dict__.setdefault("_oracle_degraded", False)
 
     # -- the per-record hot path ---------------------------------------------
 
@@ -265,49 +254,17 @@ class TraceReplayer:
             return True
         return self.index < self.warmup_until
 
-    def feed_many(
-        self,
-        records: Iterable[TraceRecord],
-        checkpoint_every: Optional[int] = None,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        stop_after: Optional[int] = None,
-    ) -> int:
-        """Feed a stream of records; returns how many were consumed.
-
-        Args:
-            records: The stream (must start at this replayer's current
-                position — use :func:`itertools.islice` or re-read the
-                trace file when resuming).
-            checkpoint_every: Snapshot state every this many records.
-            checkpoint_path: Where snapshots go (required with
-                *checkpoint_every*).
-            stop_after: Stop after consuming this many records from
-                *records* (simulates an interruption; used by tests).
-        """
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise ValueError("checkpoint_every must be >= 1")
-            if checkpoint_path is None:
-                raise ValueError("checkpoint_every requires checkpoint_path")
+    def feed_many(self, records: Iterable[TraceRecord]) -> int:
+        """Feed a stream of records; returns how many were consumed."""
         consumed = 0
         for record in records:
             self.feed(record)
             consumed += 1
-            if checkpoint_every and consumed % checkpoint_every == 0:
-                self.checkpoint(checkpoint_path)
-            if stop_after is not None and consumed >= stop_after:
-                break
         return consumed
 
     # -- the chunked (batched) hot path --------------------------------------
 
-    def feed_array(
-        self,
-        array: np.ndarray,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        stop_after: Optional[int] = None,
-    ) -> int:
+    def feed_array(self, array: np.ndarray) -> int:
         """Replay a :data:`~repro.traces.generator.TRACE_DTYPE` batch.
 
         Bit-identical to calling :meth:`feed` on each row in order — the
@@ -330,38 +287,21 @@ class TraceReplayer:
         reference path — the run completes ``degraded`` rather than
         crashing or silently trusting the fast path.
 
-        Args/returns as :meth:`feed_many`.
+        Returns the number of rows consumed.
         """
         if array.dtype != TRACE_DTYPE:
             raise ValueError(
                 f"feed_array needs a TRACE_DTYPE array, got {array.dtype}"
             )
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise ValueError("checkpoint_every must be >= 1")
-            if checkpoint_path is None:
-                raise ValueError("checkpoint_every requires checkpoint_path")
-        n = len(array)
-        if stop_after is not None:
-            n = min(n, stop_after)
         if self.guard is not None:
             # Guard admission needs validated records; take the exact
             # per-record path so quarantine accounting stays identical.
-            return self.feed_many(
-                array_to_records(array[:n]),
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-            )
+            return self.feed_many(array_to_records(array))
+        n = len(array)
         cfg = get_oracle_config()
         consumed = 0
         while consumed < n:
-            stop = n
-            if checkpoint_every:
-                stop = min(
-                    n, (consumed // checkpoint_every + 1) * checkpoint_every
-                )
-            if cfg.enabled:
-                stop = min(stop, consumed + REPLAY_CHUNK)
+            stop = min(n, consumed + REPLAY_CHUNK) if cfg.enabled else n
             if self._oracle_fallback:
                 # A prior differential diverged: the fast path is not
                 # trusted for the rest of this run.
@@ -386,8 +326,6 @@ class TraceReplayer:
             else:
                 self._feed_rows(array, consumed, stop)
             consumed = stop
-            if checkpoint_every and consumed % checkpoint_every == 0:
-                self.checkpoint(checkpoint_path)
         return consumed
 
     def _feed_rows(self, array: np.ndarray, start: int, stop: int) -> None:
@@ -875,40 +813,18 @@ class TraceReplayer:
             degraded=self._oracle_degraded,
         )
 
-    # -- checkpoint/resume ---------------------------------------------------
-
-    def checkpoint(self, path: Union[str, Path]) -> Path:
-        """Snapshot the full replay state to *path* (atomic write)."""
-        return save_checkpoint(
-            "replay", {"replayer": self, "index": self.index}, path
-        )
-
-    @classmethod
-    def restore(cls, path: Union[str, Path]) -> "TraceReplayer":
-        """Rebuild a replayer from a :meth:`checkpoint` snapshot.
-
-        The caller must re-feed the trace starting at record
-        ``replayer.index`` (earlier records are already accounted for).
-        """
-        state = load_checkpoint(path, kind="replay")
-        return state["replayer"]
-
 
 def replay_trace(
-    records: Union[Iterable[TraceRecord], np.ndarray],
+    records: Union[Sequence[TraceRecord], np.ndarray],
     config: Optional[HierarchyConfig] = None,
     hierarchy: Optional[MemoryHierarchy] = None,
     warmup_fraction: float = 0.3,
-    n_records_hint: Optional[int] = None,
     mode: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    resume_from: Optional[Union[str, Path]] = None,
 ) -> ReplayStats:
     """Replay a trace and measure CPMA, bandwidth, and bus power.
 
     Args:
-        records: The trace — any iterable of :class:`TraceRecord`, or a
+        records: The trace — a sequence of :class:`TraceRecord`, or a
             :data:`~repro.traces.generator.TRACE_DTYPE` structured array
             (the batched form; replayed through the chunked fast path
             with identical results).
@@ -918,18 +834,11 @@ def replay_trace(
         warmup_fraction: Leading fraction of the trace used to warm the
             caches; its statistics are discarded, mirroring the paper's
             skipping of each benchmark's initialization phase.
-        n_records_hint: Length of *records* if it is a generator (needed
-            to place the warmup boundary; ignored for sized iterables).
         mode: ``"strict"`` validates every record and raises
             :class:`~repro.resilience.errors.TraceCorruptionError` on
             the first violation; ``"lenient"`` quarantines bad records
             and reports counts in the stats; ``None`` (default) replays
             unvalidated, trusting construction-time checks.
-        checkpoint_every: Snapshot replay state every this many records
-            (requires *checkpoint_path*).
-        checkpoint_path: Snapshot destination.
-        resume_from: Resume from a snapshot written by an earlier
-            (interrupted) run over the same *records* stream.
 
     Returns:
         A :class:`ReplayStats`.
@@ -939,39 +848,20 @@ def replay_trace(
     if mode not in (None, "strict", "lenient"):
         raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
 
-    is_array = isinstance(records, np.ndarray)
-    if resume_from is not None:
-        replayer = TraceReplayer.restore(resume_from)
-        if is_array:
-            records = records[replayer.index :]
-        else:
-            records = itertools.islice(iter(records), replayer.index, None)
+    if hierarchy is None:
+        hierarchy = MemoryHierarchy(config or HierarchyConfig())
+    guard = (
+        TraceGuard(n_cpus=hierarchy.config.n_cpus, strict=mode == "strict")
+        if mode is not None
+        else None
+    )
+    replayer = TraceReplayer(
+        hierarchy=hierarchy,
+        warmup_until=int(len(records) * warmup_fraction),
+        guard=guard,
+    )
+    if isinstance(records, np.ndarray):
+        replayer.feed_array(records)
     else:
-        try:
-            total = len(records)  # type: ignore[arg-type]
-        except TypeError:
-            total = n_records_hint
-        warmup_until = int(total * warmup_fraction) if total else 0
-        if hierarchy is None:
-            hierarchy = MemoryHierarchy(config or HierarchyConfig())
-        guard = (
-            TraceGuard(n_cpus=hierarchy.config.n_cpus, strict=mode == "strict")
-            if mode is not None
-            else None
-        )
-        replayer = TraceReplayer(
-            hierarchy=hierarchy, warmup_until=warmup_until, guard=guard
-        )
-    if is_array:
-        replayer.feed_array(
-            records,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-        )
-    else:
-        replayer.feed_many(
-            records,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-        )
+        replayer.feed_many(records)
     return replayer.stats()

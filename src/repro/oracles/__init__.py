@@ -9,9 +9,10 @@ Three layers (see DESIGN.md "Oracles"):
    work re-executed on the reference path and compared field-for-field;
    a mismatch quarantines the offending cache entry or falls back to
    the reference path, and marks the run ``degraded``.
-3. **Integrity-checked state** — sha256 envelopes on checkpoints and a
-   per-line CRC on journal entries, verified on resume, with corrupt
-   state quarantined to ``*.quarantined``.
+3. **Integrity-checked state** — a sha256 envelope on every result-cache
+   entry, re-proved on every read (a corrupt entry is quarantined to
+   ``*.quarantined`` and re-simulated), and a per-line CRC on journal
+   entries, verified when a sweep resumes.
 
 The package keeps process-global mode + scoreboard state so that
 engines deep in the call tree can consult the oracle mode without

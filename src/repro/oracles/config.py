@@ -32,8 +32,7 @@ from typing import Iterator, Union
 MODES = ("off", "sample", "strict")
 
 #: Row-span size the chunked replay fast path is broken into when
-#: oracles are enabled (smaller than the checkpoint interval so
-#: per-chunk invariants see bounded deltas).
+#: oracles are enabled (so per-chunk invariants see bounded deltas).
 REPLAY_CHUNK = 4096
 
 #: In ``sample`` mode, differentially replay every N-th chunk (and

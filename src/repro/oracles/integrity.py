@@ -3,8 +3,8 @@
 ``crc32`` (zlib) is used where the check runs inside a hot loop — the
 per-reuse operator-cache check and the per-line journal CRC — because
 hashing a cached sparse matrix with sha256 would cost more than the
-solve it protects.  sha256 is reserved for the once-per-checkpoint
-envelope where its cost is invisible next to pickling.
+solve it protects.  sha256 is reserved for the once-per-file
+checkpoint envelope where its cost is invisible next to pickling.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ interval performance model (Section 4), the finite-volume thermal
 solver (Section 2.3) and the campaign runner/service around them:
 
 * a structured exception taxonomy (:mod:`repro.resilience.errors`),
-* checkpoint/resume for interruptible runs
-  (:mod:`repro.resilience.checkpoint`), and
+* sha256-enveloped state files for the result cache and
+  ``repro verify`` (:mod:`repro.resilience.checkpoint`), and
 * a seeded fault-injection harness proving every degradation path
   engages (:mod:`repro.resilience.faults`).
 

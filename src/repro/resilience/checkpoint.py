@@ -1,22 +1,17 @@
-"""Checkpoint files for interruptible simulator runs.
+"""Integrity-checked state files (the result cache's entries).
 
-Version 2 layout (integrity-checked): ``MAGIC`` + a small pickled
-envelope ``{version, kind, sha256, nbytes}`` + the pickled state
-payload as raw bytes.  The envelope carries the sha256 of the payload,
-so a flipped bit anywhere in the state is detected *before* the bytes
-reach :mod:`pickle` — loading corrupt state raises
-:class:`~repro.resilience.errors.StateIntegrityError` and (on resume
-paths) quarantines the file to ``<name>.quarantined`` so the supervisor
-can re-run from the last good record instead of ingesting garbage.
+Layout: ``MAGIC`` + a small pickled envelope ``{version, kind, sha256,
+nbytes}`` + the pickled state payload as raw bytes.  The envelope
+carries the sha256 of the payload, so a flipped bit anywhere in the
+state is detected *before* the bytes reach :mod:`pickle`: reading
+corrupt state raises :class:`~repro.resilience.errors.StateIntegrityError`.
+Only the current :data:`VERSION` is read; anything else is a
+:class:`~repro.resilience.errors.CheckpointError`.
 
-Version 1 files (``{version, kind, state}`` in one pickle, no digest)
-are still read for backward compatibility; they get the structural
-checks but no integrity guarantee.
-
-Writes are atomic (temp file + rename) so an interruption mid-write
-never destroys the previous good checkpoint.  Checkpoints are trusted
+Writes are atomic (temp file + fsync + rename) so an interruption
+mid-write never destroys the previous good file.  These are trusted
 local files produced by the same codebase (they use :mod:`pickle`); do
-not load checkpoints from untrusted sources.
+not load them from untrusted sources.
 """
 
 from __future__ import annotations
@@ -25,16 +20,14 @@ import hashlib
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 from repro.resilience.errors import CheckpointError, StateIntegrityError
 
 #: Identifies a file as one of ours before unpickling the payload.
 MAGIC = b"REPRO-CKPT"
-#: Envelope format version; bump on incompatible layout changes.
+#: Envelope format version, the only one this build reads.
 VERSION = 2
-#: Oldest version this build still reads.
-MIN_VERSION = 1
 
 PathLike = Union[str, Path]
 
@@ -64,8 +57,15 @@ def save_checkpoint(kind: str, state: Dict[str, Any], path: PathLike) -> Path:
     return path
 
 
-def _read_envelope(path: Path) -> Tuple[Dict[str, Any], bytes]:
-    """Read (envelope, payload bytes); payload is empty for v1 files."""
+def _read_verified(path: Path) -> Tuple[Dict[str, Any], bytes]:
+    """``(envelope, payload)`` once magic, version, nbytes and sha256 hold.
+
+    Raises:
+        CheckpointError: missing file, foreign/truncated envelope, or a
+            version other than :data:`VERSION`.
+        StateIntegrityError: the payload's size or sha256 does not match
+            its envelope (bit-rot or tampering detected).
+    """
     try:
         with open(path, "rb") as handle:
             magic = handle.read(len(MAGIC))
@@ -87,12 +87,25 @@ def _read_envelope(path: Path) -> Tuple[Dict[str, Any], bytes]:
     if not isinstance(envelope, dict):
         raise CheckpointError(f"{path} has no envelope")
     version = envelope.get("version")
-    if not isinstance(version, int) or not (
-        MIN_VERSION <= version <= VERSION
-    ):
+    if version != VERSION:
         raise CheckpointError(
             f"{path} has checkpoint version {version}, this build reads "
-            f"versions {MIN_VERSION}..{VERSION}"
+            f"version {VERSION}"
+        )
+    nbytes = envelope.get("nbytes")
+    if len(payload) != nbytes:
+        raise StateIntegrityError(
+            f"{path} is truncated or corrupt: payload is {len(payload)} "
+            f"bytes, envelope says {nbytes}",
+            path=str(path),
+        )
+    expected = envelope.get("sha256")
+    digest = hashlib.sha256(payload).hexdigest()
+    if digest != expected:
+        raise StateIntegrityError(
+            f"{path} failed its sha256 integrity check "
+            f"(stored {expected}, computed {digest})",
+            path=str(path),
         )
     return envelope, payload
 
@@ -105,70 +118,28 @@ def quarantine_file(path: PathLike) -> Path:
     return target
 
 
-def _integrity_failure(
-    path: Path, message: str, quarantine: bool
-) -> StateIntegrityError:
-    quarantined: Optional[str] = None
-    if quarantine:
-        try:
-            quarantined = str(quarantine_file(path))
-            message += f" (quarantined to {quarantined})"
-        except OSError:
-            quarantined = None
-    return StateIntegrityError(message, path=str(path), quarantined=quarantined)
-
-
-def load_checkpoint(
-    path: PathLike, kind: str, quarantine: bool = False
-) -> Dict[str, Any]:
-    """Read a checkpoint of the given *kind*; returns its state dict.
-
-    Args:
-        path: Checkpoint file.
-        kind: Expected engine tag (``"replay"``/``"transient"``).
-        quarantine: On an integrity failure, move the corrupt file to
-            ``<name>.quarantined`` before raising (resume paths set
-            this so a retry starts clean).
+def load_checkpoint(path: PathLike, kind: str) -> Dict[str, Any]:
+    """Read a *kind* checkpoint; returns its state dict.
 
     Raises:
-        CheckpointError: missing file, foreign/truncated content, wrong
-            kind, or incompatible version.
-        StateIntegrityError: the payload's sha256 does not match its
-            envelope (bit-rot or tampering detected).
+        CheckpointError: the envelope check fails (see
+            :func:`_read_verified`), the kind differs, or the payload is
+            not a state dict.
+        StateIntegrityError: the payload fails its integrity check or
+            does not unpickle.
     """
     path = Path(path)
-    envelope, payload = _read_envelope(path)
+    envelope, payload = _read_verified(path)
     if envelope.get("kind") != kind:
         raise CheckpointError(
             f"{path} is a {envelope.get('kind')!r} checkpoint, "
             f"expected {kind!r}"
         )
-    if envelope.get("version") == 1:
-        if "state" not in envelope:
-            raise CheckpointError(f"{path} has no state payload")
-        return envelope["state"]
-    expected = envelope.get("sha256")
-    nbytes = envelope.get("nbytes")
-    if nbytes is not None and len(payload) != nbytes:
-        raise _integrity_failure(
-            path,
-            f"{path} is truncated or corrupt: payload is {len(payload)} "
-            f"bytes, envelope says {nbytes}",
-            quarantine,
-        )
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != expected:
-        raise _integrity_failure(
-            path,
-            f"{path} failed its sha256 integrity check "
-            f"(stored {expected}, computed {digest})",
-            quarantine,
-        )
     try:
         state = pickle.loads(payload)
     except Exception as exc:
-        raise _integrity_failure(
-            path, f"{path} state payload does not unpickle: {exc}", quarantine
+        raise StateIntegrityError(
+            f"{path} state payload does not unpickle: {exc}", path=str(path)
         ) from exc
     if not isinstance(state, dict):
         raise CheckpointError(f"{path} has no state payload")
@@ -178,44 +149,16 @@ def load_checkpoint(
 def verify_checkpoint(path: PathLike) -> Dict[str, Any]:
     """Verify a checkpoint's envelope + digest without applying it.
 
-    Returns a summary dict (``version``, ``kind``, ``nbytes``,
-    ``sha256``) on success; raises :class:`CheckpointError` /
-    :class:`StateIntegrityError` (never quarantines — ``repro verify``
-    is read-only).
+    Returns a summary dict (``path``, ``version``, ``kind``, ``nbytes``,
+    ``sha256``) on success; raises as :func:`_read_verified` does and
+    never moves the file (``repro verify`` is read-only).
     """
     path = Path(path)
-    envelope, payload = _read_envelope(path)
-    version = envelope.get("version")
-    if version == 1:
-        if "state" not in envelope:
-            raise CheckpointError(f"{path} has no state payload")
-        return {
-            "path": str(path),
-            "version": 1,
-            "kind": envelope.get("kind"),
-            "nbytes": None,
-            "sha256": None,
-            "note": "version-1 checkpoint: no integrity envelope",
-        }
-    expected = envelope.get("sha256")
-    nbytes = envelope.get("nbytes")
-    if nbytes is not None and len(payload) != nbytes:
-        raise StateIntegrityError(
-            f"{path} is truncated or corrupt: payload is {len(payload)} "
-            f"bytes, envelope says {nbytes}",
-            path=str(path),
-        )
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != expected:
-        raise StateIntegrityError(
-            f"{path} failed its sha256 integrity check "
-            f"(stored {expected}, computed {digest})",
-            path=str(path),
-        )
+    envelope, payload = _read_verified(path)
     return {
         "path": str(path),
-        "version": version,
+        "version": VERSION,
         "kind": envelope.get("kind"),
-        "nbytes": nbytes,
-        "sha256": digest,
+        "nbytes": len(payload),
+        "sha256": envelope["sha256"],
     }

@@ -25,8 +25,8 @@ The taxonomy:
     working.
 
 ``CheckpointError``
-    A checkpoint file is missing, truncated, of the wrong kind, or from
-    an incompatible run.
+    A checkpoint file is missing, truncated, of the wrong kind, or of an
+    envelope version this build does not read.
 
 ``GuardViolation``
     A run guard rejected an engine's input (a non-finite or negative
@@ -34,9 +34,8 @@ The taxonomy:
 
 ``StateIntegrityError``
     Persisted state (a checkpoint envelope, a journal line) failed its
-    sha256/CRC integrity check.  Subclasses :class:`CheckpointError` so
-    every existing resume-failure handler already catches it; carries
-    the quarantine path when the corrupt file was set aside.
+    sha256/CRC integrity check.  Subclasses :class:`CheckpointError`, so
+    one ``except CheckpointError`` catches every unusable state file.
 
 ``OracleError``
     A runtime invariant oracle tripped *and* the caller asked for an
@@ -114,20 +113,16 @@ class StateIntegrityError(CheckpointError):
 
     Attributes:
         path: The offending file, if known.
-        quarantined: Where the corrupt file was moved (``*.quarantined``),
-            or None if it was left in place.
     """
 
     def __init__(
         self,
         message: str,
         path: Optional[str] = None,
-        quarantined: Optional[str] = None,
         partial: Optional[Dict[str, Any]] = None,
     ):
         super().__init__(message, partial)
         self.path = path
-        self.quarantined = quarantined
 
 
 class OracleError(ReproError):

@@ -39,7 +39,7 @@ from repro.resilience.checkpoint import (
     quarantine_file,
     save_checkpoint,
 )
-from repro.resilience.errors import CheckpointError, StateIntegrityError
+from repro.resilience.errors import CheckpointError
 
 #: Checkpoint ``kind`` tag for result-store entries.
 RESULT_KIND = "service-result"
@@ -110,7 +110,7 @@ class ResultCache:
             return None, "miss"
         try:
             state = load_checkpoint(path, RESULT_KIND)
-        except (CheckpointError, StateIntegrityError) as exc:
+        except CheckpointError as exc:
             return None, self._quarantine(path, f"envelope: {exc}")
         entry = state.get("entry")
         if state.get("fingerprint") != fingerprint or not isinstance(

@@ -15,18 +15,15 @@ Use cases: power-on warm-up curves, power-step response (e.g. a DVFS
 transition from Table 5), and verifying that transients decay to the
 steady solution.
 
-Long integrations can snapshot their state every ``checkpoint_every``
-steps and resume from the latest snapshot after an interruption; each
-step's output is guarded against divergence (non-finite temperatures
-raise :class:`~repro.resilience.errors.SolverDivergenceError` instead of
-silently propagating NaN to the end of the run).
+Each step's output is guarded against divergence (non-finite
+temperatures raise :class:`~repro.resilience.errors.SolverDivergenceError`
+instead of silently propagating NaN to the end of the run).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -36,8 +33,7 @@ import scipy.sparse.linalg as spla
 from repro.oracles.config import TEMP_SLACK_C, get_oracle_config
 from repro.oracles.invariants import check_temperature_bounds
 from repro.oracles.report import record_check, record_violation
-from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
-from repro.resilience.errors import CheckpointError, SolverDivergenceError
+from repro.resilience.errors import SolverDivergenceError
 from repro.thermal.solver import (
     _TRANSIENT_LU_MAX,
     DiscreteSystem,
@@ -140,8 +136,8 @@ class BackwardEuler:
         self.system = system
         self.mass_over_dt = system.mass / dt_s
         # One factorization per (geometry, dt) pair, kept on the cached
-        # operator: reruns over the same stack (parameter sweeps, resumed
-        # runs, control epochs) skip straight to the time loop.  K + M/dt
+        # operator: reruns over the same stack (parameter sweeps, control
+        # epochs) skip straight to the time loop.  K + M/dt
         # is symmetric positive definite, so the diagonal is a stable
         # pivot sequence: factor in symmetric mode with no row pivoting,
         # which keeps the fill-reducing column order on the rows too
@@ -225,9 +221,6 @@ def solve_transient(
     dt_s: float = 0.05,
     initial: Optional[np.ndarray] = None,
     power_schedule: Optional[Callable[[float], float]] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    resume_from: Optional[Union[str, Path]] = None,
     reuse_operator: bool = True,
 ) -> TransientResult:
     """Integrate the stack's temperature field over time.
@@ -249,12 +242,6 @@ def solve_transient(
             ``lambda t: 0.66 if t >= 5 else 1.0`` therefore takes effect
             exactly on the step beginning at t = 5 (a step boundary when
             dt divides 5), never half a step early.
-        checkpoint_every: Snapshot the integration state every this many
-            steps (requires *checkpoint_path*).
-        checkpoint_path: Where to write snapshots.
-        resume_from: Path of a snapshot written by a previous run of the
-            *same* stack/config/schedule; integration continues from the
-            checkpointed step.
         reuse_operator: Reuse the geometry-keyed cached operator and its
             per-dt backward-Euler factorization (the default).  False
             assembles and factorizes from scratch without touching the
@@ -265,66 +252,25 @@ def solve_transient(
 
     Raises:
         SolverDivergenceError: a step produced non-finite temperatures.
-        CheckpointError: *resume_from* is unusable or incompatible.
     """
     steps = whole_steps(duration_s, dt_s)
-    if checkpoint_every is not None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if checkpoint_path is None:
-            raise ValueError("checkpoint_every requires checkpoint_path")
     system = assemble_system(stack, config, reuse_operator=reuse_operator)
     ambient = system.config.ambient_c
     n = system.matrix.shape[0]
     euler = BackwardEuler(system, dt_s)
 
-    if resume_from is not None:
-        # quarantine=True: a checkpoint failing its sha256 envelope is
-        # moved to *.quarantined so a retry restarts clean instead of
-        # tripping over the same corrupt bytes.
-        state = load_checkpoint(resume_from, kind="transient", quarantine=True)
-        if state["n"] != n or state["dt_s"] != dt_s:
-            raise CheckpointError(
-                f"checkpoint {resume_from} was written for n={state['n']}, "
-                f"dt={state['dt_s']}; this run has n={n}, dt={dt_s}"
-            )
-        # Same cell count is not same stack: a checkpoint from a
-        # different geometry would be silently accepted on n/dt alone.
-        saved_stack = state.get("stack_name")
-        if saved_stack is not None and saved_stack != stack.name:
-            raise CheckpointError(
-                f"checkpoint {resume_from} was written for stack "
-                f"{saved_stack!r}; this run solves {stack.name!r}"
-            )
-        # Duration compatibility: the checkpointed progress must lie
-        # within this run's horizon.  (Resuming an interrupted run with
-        # the full original duration is the normal case, so the saved
-        # target duration may legitimately be shorter than ours.)
-        elapsed_s = int(state["step"]) * dt_s
-        if int(state["step"]) > steps:
-            raise CheckpointError(
-                f"checkpoint {resume_from} is {elapsed_s:g} s into its run "
-                f"(step {state['step']}); this run ends at "
-                f"{duration_s:g} s ({steps} steps) and has nothing to resume"
-            )
-        temperature = np.asarray(state["temperature"], dtype=float)
-        times = list(state["times_s"])
-        peaks = list(state["peak_c"])
-        start_step = int(state["step"]) + 1
+    if initial is None:
+        temperature = np.full(n, ambient)
     else:
-        if initial is None:
-            temperature = np.full(n, ambient)
-        else:
-            temperature = np.asarray(initial, dtype=float).reshape(n).copy()
-        if not np.all(np.isfinite(temperature)):
-            raise SolverDivergenceError(
-                "initial temperature field is non-finite", method="transient"
-            )
-        times = [0.0]
-        peaks = [float(system.solution_from(temperature).peak_temperature())]
-        start_step = 1
+        temperature = np.asarray(initial, dtype=float).reshape(n).copy()
+    if not np.all(np.isfinite(temperature)):
+        raise SolverDivergenceError(
+            "initial temperature field is non-finite", method="transient"
+        )
+    times = [0.0]
+    peaks = [float(system.solution_from(temperature).peak_temperature())]
 
-    for step in range(start_step, steps + 1):
+    for step in range(1, steps + 1):
         t_now = step * dt_s
         # Piecewise-constant convention (see the docstring): the factor
         # for the step spanning (t_now - dt, t_now] is the schedule's
@@ -342,21 +288,6 @@ def solve_transient(
         peaks.append(
             float(system.solution_from(temperature).peak_temperature())
         )
-        if checkpoint_every and step % checkpoint_every == 0:
-            save_checkpoint(
-                "transient",
-                {
-                    "step": step,
-                    "n": n,
-                    "dt_s": dt_s,
-                    "duration_s": duration_s,
-                    "temperature": temperature,
-                    "times_s": times,
-                    "peak_c": peaks,
-                    "stack_name": stack.name,
-                },
-                checkpoint_path,
-            )
     final = system.solution_from(temperature)
     # A caller-supplied initial field may legitimately start (and end)
     # below ambient; only ambient starts get the lower bound.

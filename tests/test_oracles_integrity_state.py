@@ -7,6 +7,7 @@ never silently resumed from.
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.oracles.config import get_oracle_config, set_oracle_mode
 from repro.oracles.report import reset_oracles
 from repro.resilience.checkpoint import (
+    MAGIC,
     load_checkpoint,
     quarantine_file,
     save_checkpoint,
@@ -52,14 +54,12 @@ class TestCheckpointIntegrity:
         with pytest.raises(StateIntegrityError, match="sha256"):
             load_checkpoint(path, "replay")
 
-    def test_quarantine_moves_corrupt_file_aside(self, tmp_path):
-        path = tmp_path / "state.ckpt"
-        save_checkpoint("replay", self.STATE, path)
-        FaultInjector(seed=5).flip_file_bits(path, n_flips=1, offset_min=96)
-        with pytest.raises(StateIntegrityError):
-            load_checkpoint(path, "replay", quarantine=True)
-        assert not path.exists()
-        assert (tmp_path / "state.ckpt.quarantined").exists()
+    def test_version_1_envelope_rejected(self, tmp_path):
+        path = _write_version_1(tmp_path / "v1.ckpt", self.STATE)
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path, "replay")
+        with pytest.raises(CheckpointError, match="version 1"):
+            verify_checkpoint(path)
 
     def test_verify_is_read_only(self, tmp_path):
         path = tmp_path / "state.ckpt"
@@ -78,6 +78,13 @@ class TestCheckpointIntegrity:
         target = quarantine_file(path)
         assert target.name == "junk.bin.quarantined"
         assert target.read_bytes() == b"garbage"
+
+
+def _write_version_1(path, state):
+    """A version-1 file: the state inside the envelope, no digest."""
+    envelope = {"version": 1, "kind": "replay", "state": state}
+    path.write_bytes(MAGIC + pickle.dumps(envelope))
+    return path
 
 
 def _entry(task, status="ok", **overrides):
@@ -211,6 +218,13 @@ class TestVerifyCli:
         assert "checkpoint OK" in capsys.readouterr().out
         FaultInjector(seed=5).flip_file_bits(path, n_flips=1, offset_min=96)
         assert self._main("verify", str(path)) == 1
+
+    def test_version_1_checkpoint_is_corrupt(self, tmp_path, capsys):
+        path = _write_version_1(tmp_path / "v1.ckpt", {"x": 1})
+        assert self._main("verify", str(path)) == 1
+        out = capsys.readouterr()
+        assert "checkpoint OK" not in out.out
+        assert "CORRUPT" in out.err
 
     def test_journal_ok_and_corrupt(self, tmp_path, capsys):
         path = tmp_path / "journal.jsonl"

@@ -6,6 +6,7 @@ stays bit-identical to the per-record reference path, corruption is
 the reference path with ``ReplayStats.degraded`` set.
 """
 
+import pickle
 import random
 
 import pytest
@@ -207,17 +208,15 @@ class TestDetection:
         fingerprint = replayer.state_fingerprint()
         assert fingerprint == reference.state_fingerprint()
 
-    def test_checkpoint_round_trip_preserves_oracle_flags(
-        self, trace, tmp_path
-    ):
-        path = tmp_path / "replay.ckpt"
+    def test_pickle_round_trip_preserves_oracle_flags(self, array):
+        """The differential oracle's reference is a pickle clone; it must
+        carry the oracle bookkeeping and the full replay state."""
         with oracle_mode("sample"):
             replayer = TraceReplayer(hierarchy=MemoryHierarchy(baseline_config()))
-            replayer.feed_many(trace, stop_after=6000,
-                               checkpoint_every=3000, checkpoint_path=path)
+            replayer.feed_array(array[:6000])
             replayer._oracle_degraded = True
-            replayer.checkpoint(path)
-            restored = TraceReplayer.restore(path)
-        assert restored._oracle_degraded
-        assert not restored._oracle_fallback
-        assert restored._chunk_counter == replayer._chunk_counter
+            clone = pickle.loads(pickle.dumps(replayer))
+        assert clone._oracle_degraded
+        assert not clone._oracle_fallback
+        assert clone._chunk_counter == replayer._chunk_counter == 2
+        assert clone.state_fingerprint() == replayer.state_fingerprint()

@@ -5,7 +5,7 @@ through ``feed`` — not just matching summary stats but identical
 *internal* state: cache contents and LRU order, coherence directory,
 prefetch history, ROBs, completion tables, timing accumulators.  These
 tests compare full state snapshots across memory configurations, warmup
-placements, ifetch interleavings, and checkpoint/resume splits.
+placements, ifetch interleavings, and split feeds.
 """
 
 import numpy as np
@@ -157,38 +157,28 @@ class TestFeedArrayMechanics:
         with pytest.raises(ValueError, match="TRACE_DTYPE"):
             replayer.feed_array(np.zeros(4, dtype=np.int64))
 
-    def test_checkpoint_requires_path(self):
-        _, array = _trace(n_records=2_000)
-        replayer = TraceReplayer(baseline_config(SCALE))
-        with pytest.raises(ValueError, match="checkpoint_path"):
-            replayer.feed_array(array, checkpoint_every=100)
-
-    def test_stop_after_matches_partial_feed(self):
+    def test_partial_array_matches_partial_feed(self):
         records, array = _trace(n_records=10_000)
         partial = TraceReplayer(baseline_config(SCALE))
-        partial.feed_array(array, stop_after=4_321)
+        partial.feed_array(array[:4_321])
         reference = TraceReplayer(baseline_config(SCALE))
         reference.feed_many(records[:4_321])
         assert full_state(partial) == full_state(reference)
 
-    def test_checkpoint_resume_roundtrip(self, tmp_path):
-        """Interrupt mid-array, restore, continue: identical end state."""
-        records, array = _trace(n_records=12_000)
+    def test_split_feed_matches_whole_feed(self):
+        """Two consecutive slices, the warmup boundary inside the first:
+        identical end state to one whole feed."""
+        _, array = _trace(n_records=12_000)
         config = baseline_config(SCALE)
-        path = tmp_path / "replay.ckpt"
 
-        interrupted = TraceReplayer(config, warmup_until=3_000)
-        interrupted.feed_array(
-            array, checkpoint_every=2_500, checkpoint_path=path,
-            stop_after=7_500,
-        )
-        resumed = TraceReplayer.restore(path)
-        assert resumed.index == 7_500
-        resumed.feed_array(array[resumed.index:])
+        split = TraceReplayer(config, warmup_until=3_000)
+        split.feed_array(array[:7_500])
+        assert split.index == 7_500
+        split.feed_array(array[7_500:])
 
-        straight = TraceReplayer(config, warmup_until=3_000)
-        straight.feed_array(array)
-        assert full_state(resumed) == full_state(straight)
+        whole = TraceReplayer(config, warmup_until=3_000)
+        whole.feed_array(array)
+        assert full_state(split) == full_state(whole)
 
     def test_guarded_replay_falls_back_to_record_path(self):
         """A strict guard forces per-record validation; results match the
