@@ -39,11 +39,6 @@ DEFAULT_CLOCK_ALLOWLIST = frozenset({
     # The benchmark harness exists to read the wall clock; suites hand
     # it callables and never time anything themselves.
     "bench/harness.py",
-    # The service's single clock: every other service module is
-    # clock-explicit (rate limiter, breaker, admission all take an
-    # explicit monotonic ``now``), and server.py threads one
-    # time.monotonic() reading through them per request.
-    "service/server.py",
 })
 
 #: Methods of the module-level ``random`` generator whose use is global

@@ -2,7 +2,8 @@
 
 FoundationDB-style testing: a single-threaded discrete-event harness
 drives the *real* scheduler, lease table, journal, result cache, and
-service protection state machines through thousands of randomized fault
+simulation service (``ReproService``, through the same synchronous
+methods its asyncio server calls) through thousands of randomized fault
 histories on a virtual clock, asserting protocol invariants after every
 event.  A violating history is shrunk to a minimal failing prefix and
 emitted as a replayable ``(seed, schedule)`` artifact.

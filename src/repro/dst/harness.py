@@ -16,10 +16,11 @@ table, journal, protection state machines, and result cache through it:
    fault-free resume must finish every task (no task lost), and a
    second resume must be a pure no-op: all tasks skipped and the
    journal bytes untouched.
-3. **Service segment** — the ``service``-site events drive the real
-   protection pipeline (:class:`~repro.service.simtransport.
-   SimGateway`); breaker transitions and response codes are audited
-   against :mod:`repro.oracles.protocol`.
+3. **Service segment** — the ``service``-site events drive a real
+   :class:`~repro.service.server.ReproService` on virtual time, through
+   the synchronous methods its asyncio server calls; breaker
+   transitions and responses are audited against
+   :mod:`repro.oracles.protocol`, and every admitted job must settle.
 4. **Cache segment** — ``cache``-site events flip a byte in a stored
    result-cache artifact; the cache must quarantine, never serve it.
 
@@ -32,12 +33,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.core.experiments import task_fingerprint
 from repro.dst.clock import SimClock
 from repro.dst.fabric import SimCrash, SimFabric, SimWorld
 from repro.dst.invariants import InvariantChecker
@@ -48,15 +51,21 @@ from repro.dst.schedule import (
     load_artifact,
     save_artifact,
 )
-from repro.dst.workload import expected_result, make_tasks
+from repro.dst.workload import DST_REGISTRY_SPEC, expected_result, make_tasks
 from repro.oracles.protocol import (
     breaker_transition_problems,
-    gateway_response_problems,
     journal_protocol_problems,
     report_conservation_problems,
+    service_response_problems,
 )
+from repro.resilience.faults import FaultInjector
 from repro.runner.journal import Journal, scan_journal
 from repro.runner.scheduler import CampaignConfig, RetryPolicy, run_campaign
+from repro.service.jobstore import QUEUED, RUNNING, Job
+from repro.service.middleware import Request, Response
+from repro.service.protection import CircuitBreaker
+from repro.service.resultcache import ResultCache
+from repro.service.server import ReproService, ServiceConfig
 
 #: Hard ceiling on fabric polls per scheduler run — exceeding it means
 #: the scheduler livelocked, which is itself a reportable violation.
@@ -344,61 +353,136 @@ def _check_convergence(
     return violations
 
 
+class AuditedBreaker(CircuitBreaker):
+    """The real breaker, recording each ``(event, before, after)``
+    transition (as :class:`SimJournal` wraps the real journal)."""
+
+    def __init__(self, failure_threshold: int, reset_after_s: float) -> None:
+        super().__init__(failure_threshold, reset_after_s)
+        self.transitions: List[Tuple[str, str, str]] = []
+
+    def _audit(self, event: str, call: Callable[..., Any], *args: Any) -> Any:
+        before = self.state
+        result = call(*args)
+        self.transitions.append((event, before, self.state))
+        return result
+
+    def allow(self, now: float) -> bool:
+        return self._audit("allow", super().allow, now)
+
+    def record_success(self) -> None:
+        self._audit("success", super().record_success)
+
+    def record_failure(self, now: float) -> None:
+        self._audit("failure", super().record_failure, now)
+
+
+class SimDispatcher:
+    """``ReproService._process`` and ``_requeue_later`` without awaits:
+    a token the breaker refuses stays parked here, the executor run is
+    a direct ``_run_job_sync`` call, and requeue backoffs are timers."""
+
+    def __init__(self, service: ReproService) -> None:
+        self.service = service
+        self.parked: Optional[Job] = None
+        self.timers: List[Tuple[float, Job]] = []
+
+    def idle(self) -> bool:
+        return not (self.service.queue_depth() or self.parked or self.timers)
+
+    def turn(self) -> None:
+        """Fire due requeue timers, then dispatch at most one job."""
+        svc, now = self.service, self.service.now()
+        for timer in [t for t in self.timers if t[0] <= now]:
+            self.timers.remove(timer)
+            if timer[1].state == QUEUED:
+                svc._readmit(timer[1])
+        if self.parked is None and svc.queue_depth():
+            self.parked = svc._claim(svc._queue.get_nowait())
+        job = self.parked
+        if job is None or (job.state == QUEUED and not svc.breaker.allow(now)):
+            return
+        self.parked = None
+        if job.state != QUEUED:
+            return
+        retry_s = svc._start(job, now)
+        if job.state == RUNNING:
+            retry_s = svc._settle(job, svc._run_job_sync(job), svc.now())
+        if retry_s is not None:
+            self.timers.append((svc.now() + retry_s, job))
+
+
 def _run_service_segment(
-    seed: int, schedule: FaultSchedule, clock: SimClock,
+    seed: int, schedule: FaultSchedule, clock: SimClock, data_dir: Path,
 ) -> List[str]:
-    """Drive the protection pipeline through the ``service`` events."""
-    from repro.core.experiments import task_fingerprint
-    from repro.service.simtransport import SimGateway
+    """Drive a real service through the ``service`` events."""
+    config = ServiceConfig(
+        data_dir=str(data_dir), registry_spec=DST_REGISTRY_SPEC,
+        parallel_jobs=1, rate_per_s=5.0, burst=4.0, queue_depth=8,
+        shed_watermark=6, breaker_threshold=3, breaker_reset_s=2.0,
+        injector=FaultInjector(seed=seed),
+    )
+    service = ReproService(config)
+    service.clock = clock
+    service.breaker = AuditedBreaker(
+        config.breaker_threshold, config.breaker_reset_s
+    )
+    budget = config.injector.forced_failures
+    dispatcher = SimDispatcher(service)
+    responses: List[Response] = []
 
-    import random as _random
+    def send(method: str, path: str, client: str, body: Any = None) -> None:
+        request = Request(method, path, {"x-client-id": client},
+                          json.dumps(body).encode("utf-8"))
+        responses.append(service.handle(request, clock.monotonic()))
 
-    gateway = SimGateway()
-    rng = _random.Random(f"dst-service:{seed}")
+    rng = random.Random(f"dst-service:{seed}")
     experiments = ("dst-unit-a", "dst-unit-b", "dst-unit-c")
-    fail_budget = 0
     for i in range(40):
         clock.advance(0.1)
-        now = clock.monotonic()
         for event in schedule.fire("service", i):
             if event.kind == "svc-backend-fail":
-                fail_budget += int(event.arg)
+                budget["backend-partition"] = (
+                    budget.get("backend-partition", 0) + int(event.arg)
+                )
             elif event.kind == "svc-flood":
-                flooder = f"client-flood-{i}"
                 for _ in range(int(event.arg) * 4):
-                    eid = rng.choice(experiments)
-                    value = rng.randrange(100)
-                    gateway.submit(
-                        flooder, eid,
-                        task_fingerprint(eid, {"value": value}, None),
-                        now, kwargs={"value": value},
-                    )
+                    send("POST", "/jobs", f"client-flood-{i}", {
+                        "experiment": rng.choice(experiments),
+                        "kwargs": {"value": rng.randrange(100)},
+                    })
         client = f"client-{i % 3}"
         eid = rng.choice(experiments)
-        value = rng.randrange(8)
-        fingerprint = task_fingerprint(eid, {"value": value}, None)
-        gateway.submit(client, eid, fingerprint, now,
-                       kwargs={"value": value})
+        kwargs = {"value": rng.randrange(8)}
+        send("POST", "/jobs", client, {"experiment": eid, "kwargs": kwargs})
         if i % 4 == 3:
-            gateway.submit(client, "no-such-experiment", "f" * 16, now)
-        fail = fail_budget > 0
-        if fail:
-            fail_budget -= 1
-        gateway.backend_turn(now, fail=fail)
-        gateway.poll_job(fingerprint, now)
-    problems = breaker_transition_problems(gateway.transitions)
-    problems += gateway_response_problems(gateway.responses)
-    # Liveness: with failures exhausted and time passing, the breaker
-    # must eventually let the queue drain.
+            send("POST", "/jobs", client, {"experiment": "no-such"})
+        if i % 4 == 1:
+            # Valid at the front door, raises inside the experiment:
+            # bad input, not a backend fault.
+            send("POST", "/jobs", client, {
+                "experiment": eid, "kwargs": dict(kwargs, bogus=i),
+            })
+        dispatcher.turn()
+        fingerprint = task_fingerprint(eid, kwargs, None)
+        send("GET", f"/jobs/{fingerprint}", client)
+    # Liveness: once backend failures stop, every admitted job
+    # settles and the dispatcher runs dry.
+    budget.pop("backend-partition", None)
     for _ in range(200):
-        if not gateway.queue:
+        if dispatcher.idle():
             break
         clock.advance(0.25)
-        gateway.backend_turn(clock.monotonic(), fail=False)
-    if gateway.queue:
+        dispatcher.turn()
+    service.jobs.close()
+    problems = breaker_transition_problems(service.breaker.transitions)
+    problems += service_response_problems(responses)
+    counts = service.jobs.counts()
+    unsettled = counts[QUEUED] + counts[RUNNING]
+    if unsettled or not dispatcher.idle():
         problems.append(
-            f"service liveness: {len(gateway.queue)} job(s) stuck in "
-            f"queue after backend recovered"
+            f"service liveness: {unsettled} admitted job(s) unsettled "
+            f"after the backend healed (queue depth {service.queue_depth()})"
         )
     return problems
 
@@ -407,8 +491,6 @@ def _run_cache_segment(
     schedule: FaultSchedule, journal_path: Path, cache_root: Path,
 ) -> List[str]:
     """``cache-flip`` events corrupt stored artifacts; serving must not."""
-    from repro.service.resultcache import ResultCache
-
     entries, _torn, _crc = scan_journal(journal_path)
     winners = [
         e for e in entries
@@ -498,7 +580,9 @@ def run_history(
             _check_convergence(segment, journal_path, scratch, world)
         )
         result.violations.extend(
-            _run_service_segment(seed, schedule, clock)
+            _run_service_segment(
+                seed, schedule, clock, workdir / "service"
+            )
         )
         result.violations.extend(
             _run_cache_segment(schedule, journal_path, workdir / "cache")
@@ -583,9 +667,11 @@ def replay(
 
 
 __all__ = [
+    "AuditedBreaker",
     "HistoryResult",
     "LEASE_TTL_S",
     "MAX_POLLS",
+    "SimDispatcher",
     "SimJournal",
     "explore",
     "replay",

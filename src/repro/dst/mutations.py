@@ -2,11 +2,11 @@
 
 A simulation harness that never fails is indistinguishable from one
 that checks nothing.  Each mutation here re-introduces a specific
-safety bug into the *real* scheduler for the duration of a ``with``
-block; the DST test suite asserts that fault exploration finds a
-violating history for each, and that the shrinker reduces it to a
-handful of events.  ``repro dst --mutate NAME`` exposes the same thing
-for manual runs.
+bug into the *real* scheduler or service for the duration of a
+``with`` block; the DST test suite asserts that fault exploration
+finds a violating history for each, and that the shrinker reduces it
+to a handful of events.  ``repro dst --mutate NAME`` exposes the same
+thing for manual runs.
 
 Mutations:
 
@@ -16,6 +16,9 @@ Mutations:
 * ``fence-off-by-one`` — the fence comparison uses ``<`` instead of
   ``<=``: a zombie writing at *exactly* the reclaimed epoch is
   accepted.  The classic boundary bug fencing tokens exist to close.
+* ``drop-queue-token`` — ``ReproService.enqueue`` reports success
+  without queueing: an admitted job never runs, which the service
+  segment's liveness check must notice.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.runner.scheduler import Scheduler
+from repro.service.server import ReproService
 
 
 def _no_fence(self, fingerprint, epoch):  # noqa: ANN001
@@ -37,15 +41,17 @@ def _off_by_one_fence(self, fingerprint, epoch):  # noqa: ANN001
     return int(epoch) < self._fence_by_fp.get(fingerprint, 0)
 
 
+#: name -> (owner, attribute, replacement).
 MUTATIONS = {
-    "drop-fencing": _no_fence,
-    "fence-off-by-one": _off_by_one_fence,
+    "drop-fencing": (Scheduler, "_is_fenced", _no_fence),
+    "fence-off-by-one": (Scheduler, "_is_fenced", _off_by_one_fence),
+    "drop-queue-token": (ReproService, "enqueue", lambda self, job: True),
 }
 
 
 @contextmanager
 def apply_mutation(name: Optional[str]) -> Iterator[None]:
-    """Patch the named bug into the scheduler for the block's duration."""
+    """Patch the named bug in for the block's duration."""
     if name is None:
         yield
         return
@@ -53,12 +59,13 @@ def apply_mutation(name: Optional[str]) -> Iterator[None]:
         raise ValueError(
             f"unknown mutation {name!r}; known: {', '.join(sorted(MUTATIONS))}"
         )
-    original = Scheduler._is_fenced
-    Scheduler._is_fenced = MUTATIONS[name]
+    owner, attribute, replacement = MUTATIONS[name]
+    original = getattr(owner, attribute)
+    setattr(owner, attribute, replacement)
     try:
         yield
     finally:
-        Scheduler._is_fenced = original
+        setattr(owner, attribute, original)
 
 
 __all__ = ["MUTATIONS", "apply_mutation"]

@@ -19,7 +19,7 @@ executor   crash, crash-zombie,  scheduler-fabric polls
            flaky, hang, duplicate
 clock      clock-jump            scheduler-fabric polls
 journal    torn-write            journal appends (cumulative)
-service    svc-backend-fail,     simulated gateway requests
+service    svc-backend-fail,     rounds of traffic to the real service
            svc-flood
 cache      cache-flip            result-cache stores
 ========== ===================== =====================================

@@ -17,8 +17,10 @@ The properties:
   is exactly the bug lease epochs exist to stop.
 * **No task lost** — every submitted fingerprint reaches a final
   verdict (an accepted ``ok`` or a ``final`` failure line).
-* **State-machine legality** — circuit breakers, token buckets, and
-  admission gates only make transitions their specification allows.
+* **State-machine legality** — the circuit breaker only makes
+  transitions its specification allows.
+* **Service contract** — every answer the service gives is one of the
+  advertised status codes, and every shed carries ``Retry-After``.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ _BREAKER_LEGAL = {
     ("allow", "half-open"): {"half-open"},
 }
 
-#: Status codes the simulated gateway may ever return.
-GATEWAY_STATUSES = frozenset({200, 202, 400, 404, 408, 429, 503})
+#: Status codes ``ReproService.handle`` may return (``408`` is not
+#: among them: only the socket reader produces it).
+SERVICE_STATUSES = frozenset({200, 400, 404, 429, 503})
 
 
 def journal_protocol_problems(
@@ -149,7 +152,7 @@ def breaker_transition_problems(
     transitions: Sequence[Sequence[Any]],
 ) -> List[str]:
     """Illegal circuit-breaker transitions in ``(event, before, after)``
-    triples recorded by the simulated gateway."""
+    triples recorded by DST's audited breaker."""
     problems: List[str] = []
     for i, (event, before, after) in enumerate(transitions):
         legal = _BREAKER_LEGAL.get((event, before))
@@ -166,46 +169,29 @@ def breaker_transition_problems(
     return problems
 
 
-def gateway_response_problems(
-    responses: Sequence[Mapping[str, Any]],
-) -> List[str]:
-    """Simulated-gateway responses stay inside the advertised contract."""
+def service_response_problems(responses: Sequence[Any]) -> List[str]:
+    """Service answers (objects with ``status`` and ``headers``) stay
+    inside the advertised contract: a known status, and a
+    ``Retry-After`` on every 429 and 503."""
     problems: List[str] = []
     for i, resp in enumerate(responses):
-        status = resp.get("status")
-        if status not in GATEWAY_STATUSES:
+        if resp.status not in SERVICE_STATUSES:
             problems.append(
-                f"gateway response {i}: status {status!r} is outside the "
-                f"advertised set {sorted(GATEWAY_STATUSES)}"
+                f"service response {i}: status {resp.status!r} is outside "
+                f"the advertised set {sorted(SERVICE_STATUSES)}"
             )
-        if status == 429 and not resp.get("retry_after", 0) >= 0:
+        if resp.status in (429, 503) and "retry-after" not in resp.headers:
             problems.append(
-                f"gateway response {i}: throttled without a usable "
-                f"retry-after hint"
-            )
-    return problems
-
-
-def token_bucket_problems(
-    observations: Sequence[Mapping[str, Any]], burst: float
-) -> List[str]:
-    """Bucket levels observed by the sim stay within ``[0, burst]``."""
-    problems: List[str] = []
-    for i, obs in enumerate(observations):
-        tokens = float(obs.get("tokens", 0.0))
-        if tokens < -1e-9 or tokens > burst + 1e-9:
-            problems.append(
-                f"token bucket observation {i}: level {tokens} outside "
-                f"[0, {burst}]"
+                f"service response {i}: {resp.status} shed without a "
+                f"Retry-After header"
             )
     return problems
 
 
 __all__ = [
-    "GATEWAY_STATUSES",
+    "SERVICE_STATUSES",
     "breaker_transition_problems",
-    "gateway_response_problems",
     "journal_protocol_problems",
     "report_conservation_problems",
-    "token_bucket_problems",
+    "service_response_problems",
 ]

@@ -275,7 +275,7 @@ class _Pending:
     assignment: Optional[Assignment] = field(default=None, repr=False)
 
 
-class _WallClock:
+class WallClock:
     """Default time source: the process monotonic clock."""
 
     @staticmethod
@@ -297,7 +297,7 @@ class Scheduler:
     ) -> None:
         self.config = config or CampaignConfig()
         self._backend = backend
-        self._clock = self.config.clock or _WallClock()
+        self._clock = self.config.clock or WallClock()
 
     def _emit(self, kind: str, **payload: Any) -> None:
         """Fire the config's event hook, if any (DST decision points)."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.runner.journal import Journal
 
@@ -92,11 +92,11 @@ class JobStore:
     that lock (single writer, as :class:`Journal` requires).
     """
 
-    def __init__(self, journal_path: Optional[str] = None) -> None:
+    def __init__(self, journal_path: str) -> None:
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
         self._seq = 0
-        self._journal = Journal(journal_path) if journal_path else None
+        self._journal = Journal(journal_path)
 
     # -- single-flight admission ---------------------------------------------
 
@@ -222,14 +222,9 @@ class JobStore:
             out["requeues"] = sum(j.requeues for j in self._jobs.values())
             return out
 
-    def jobs(self) -> List[Job]:
-        with self._lock:
-            return list(self._jobs.values())
-
     def close(self) -> None:
         with self._lock:
-            if self._journal is not None:
-                self._journal.close()
+            self._journal.close()
 
     # -- journal -------------------------------------------------------------
 
@@ -241,8 +236,6 @@ class JobStore:
         self, job: Job, event: str, error: Optional[str] = None
     ) -> None:
         """One CRC'd audit line per transition (lock already held)."""
-        if self._journal is None:
-            return
         line = {
             "v": 1,
             "event": event,

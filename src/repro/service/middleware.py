@@ -10,8 +10,8 @@ request passes before any handler runs:
    one bucket per source address.
 2. **Rate limiting** — the per-client token bucket.  Over budget →
    ``429`` with ``Retry-After``; the request never reaches admission.
-   A ``request-flood`` chaos directive from the fault injector
-   amplifies the token cost of flagged requests, driving the limiter
+   A ``request-flood`` chaos directive from the fault injector makes a
+   flagged request cost the client's whole bucket, driving the limiter
    into shedding deterministically in tests without needing thousands
    of real sockets.
 3. **Error guard** — a handler exception becomes a ``503`` (journaled
@@ -113,33 +113,22 @@ class ProtectionPipeline:
     """The pre-handler gate: identity → flood chaos → rate limit."""
 
     def __init__(
-        self,
-        limiter: Any,
-        stats: Dict[str, int],
-        injector: Any = None,
-        flood_cost_factor: float = 0.0,
+        self, limiter: Any, stats: Dict[str, int], injector: Any = None
     ) -> None:
         self.limiter = limiter
         self.stats = stats
         self.injector = injector
-        #: Token cost of an injected-flood request, as a fraction of the
-        #: bucket burst (0 disables; 1.0 drains the whole bucket).
-        self.flood_cost_factor = flood_cost_factor
 
     def before(self, request: Request, now: float) -> Optional[Response]:
         """A shedding response, or None to let the request through."""
         if request.path in UNMETERED_PATHS:
             return None
         cost = 1.0
-        if (
-            self.injector is not None
-            and hasattr(self.injector, "service_fault")
-            and self.injector.service_fault(
-                "request-flood", request.client_id
-            )
+        if self.injector is not None and self.injector.service_fault(
+            "request-flood", request.client_id
         ):
-            burst = getattr(self.limiter, "burst", 1.0)
-            cost = max(1.0, burst * (self.flood_cost_factor or 1.0))
+            # A flooded request drains the client's whole bucket.
+            cost = self.limiter.burst
             self.stats["flood_injected"] = (
                 self.stats.get("flood_injected", 0) + 1
             )

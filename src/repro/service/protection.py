@@ -19,8 +19,7 @@ backpressure pipeline (see DESIGN.md, "Backpressure state machine"):
 Like :class:`repro.runner.leases.LeaseTable`, nothing here reads a
 clock: every transition takes an explicit monotonic ``now``, so unit
 tests drive time deterministically and the service's single clock lives
-in ``service/server.py`` (the one service file on the RPL103
-allowlist).
+on ``ReproService`` (``service/server.py``).
 """
 
 from __future__ import annotations

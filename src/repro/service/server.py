@@ -1,10 +1,9 @@
 """The asyncio HTTP server and job dispatcher (``repro serve``).
 
-This is the only service module that reads a clock (``time.monotonic``;
-it is on the RPL103 determinism allowlist) and the only one that speaks
-sockets.  Everything else — rate limiting, admission, breaking, the job
-table, the verify-before-serve cache — is clock-explicit and tested
-without a single socket.
+This is the only service module that speaks sockets.  Every decision
+is synchronous and takes ``now`` from the service's one clock
+(``ReproService.clock``): the coroutines only read sockets and await,
+so ``repro dst`` drives the same methods on virtual time.
 
 Shape of the service::
 
@@ -26,11 +25,11 @@ Chaos hooks (:data:`repro.resilience.faults.SERVICE_FAULT_MODES`):
 * ``slow-client`` — the connection is treated as a dribbler: ``408``
   and close, same as a real client that trickles its headers past
   :data:`HEADER_TIMEOUT_S`.
-* ``request-flood`` — handled in the middleware (token-cost
-  amplification).
-* ``backend-partition`` — the dispatcher records a synthetic executor
-  loss instead of submitting, which is what drives the circuit breaker
-  open in the chaos suite.
+* ``request-flood`` — handled in the middleware (the request costs
+  the client's whole bucket).
+* ``backend-partition`` — ``_start`` records a synthetic executor loss
+  instead of submitting, which is what drives the circuit breaker open
+  in the chaos suite and in DST's ``svc-backend-fail`` events.
 * ``corrupt-cached-result`` — bits are flipped in the just-stored
   artifact; the *next* serve quarantines it and re-runs the simulation
   (the verify-before-serve path, exercised end to end).
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +46,12 @@ from typing import Any, Dict, Optional
 
 from repro.resilience.faults import FaultInjector
 from repro.runner.journal import completed_fingerprints, scan_journal
-from repro.runner.scheduler import CampaignConfig, RetryPolicy, run_campaign
+from repro.runner.scheduler import (
+    CampaignConfig,
+    RetryPolicy,
+    WallClock,
+    run_campaign,
+)
 from repro.runner.tasks import DEFAULT_REGISTRY_SPEC, CampaignTask
 from repro.runner.worker import resolve_registry
 from repro.service import handlers
@@ -159,10 +162,11 @@ class ReproService:
             failure_threshold=config.breaker_threshold,
             reset_after_s=config.breaker_reset_s,
         )
+        #: :meth:`now` reads this clock, and every job's campaign runs on it.
+        self.clock: Any = WallClock()
         self.stats: Dict[str, int] = {}
         self.pipeline = ProtectionPipeline(
-            self.limiter, self.stats, injector=config.injector,
-            flood_cost_factor=1.0,
+            self.limiter, self.stats, injector=config.injector
         )
         #: Aggregated backend tallies across every campaign this
         #: service ran — the numbers ``repro sweep --json`` reports per
@@ -186,10 +190,8 @@ class ReproService:
         self._server: Optional[asyncio.AbstractServer] = None
         self.port: int = 0
 
-    # The service's single clock.  Everything below threads this value
-    # through the clock-explicit protection primitives.
     def now(self) -> float:
-        return time.monotonic()
+        return self.clock.monotonic()
 
     # -- duck-typed surface the handlers use ---------------------------------
 
@@ -309,26 +311,29 @@ class ReproService:
             # Chaos: pretend this client dribbled its request past the
             # header deadline — same observable outcome as the real
             # timeout below, without tying up a socket for seconds.
-            self._count_status(408)
-            self.stats["slow_clients"] = self.stats.get("slow_clients", 0) + 1
+            self._bump("http_408")
+            self._bump("slow_clients")
             return Response(408, {"error": "request header read timed out"})
         try:
             request = await self._read_request(reader, peer)
         except asyncio.TimeoutError:
-            self._count_status(408)
-            self.stats["slow_clients"] = self.stats.get("slow_clients", 0) + 1
+            self._bump("http_408")
+            self._bump("slow_clients")
             return Response(408, {"error": "request read timed out"})
         except ValueError as exc:
-            self._count_status(400)
+            self._bump("http_400")
             return Response(400, {"error": str(exc)})
-        now = self.now()
+        return self.handle(request, self.now())
+
+    def handle(self, request: Request, now: float) -> Response:
+        """One parsed request's answer: rate limit, route, guard, count."""
         response = self.pipeline.before(request, now)
         if response is None:
             try:
                 response = handlers.route(self, request, now)
             except Exception as exc:
                 response = self.pipeline.guard(exc)
-        self._count_status(response.status)
+        self._bump(f"http_{response.status}")
         return response
 
     async def _read_request(
@@ -375,8 +380,7 @@ class ReproService:
             method=method, path=path, headers=headers, body=body, peer=peer
         )
 
-    def _count_status(self, status: int) -> None:
-        key = f"http_{status}"
+    def _bump(self, key: str) -> None:
         self.stats[key] = self.stats.get(key, 0) + 1
 
     # -- dispatcher back end -------------------------------------------------
@@ -400,96 +404,116 @@ class ReproService:
                 self._queue.task_done()
 
     async def _process(self, fingerprint: str) -> None:
-        job = self.jobs.get(fingerprint)
-        if job is None or job.state != QUEUED:
-            return  # stale queue token (job already handled elsewhere)
-        entry, _why = self.cache.load_verified(fingerprint)
-        if entry is not None:
-            # Someone (a previous attempt, a sibling service) already
-            # produced a verified artifact: finish without simulating.
-            self.jobs.mark_done(job)
+        job = self._claim(fingerprint)
+        if job is None:
             return
         # Breaker gate: while the circuit is open, dispatchers idle and
         # the queue backs up — which is exactly what pushes admission
         # over its watermark and turns backend failure into 503s at the
-        # front door instead of a pile-up here.
-        while not self.breaker.allow(self.now()):
-            await asyncio.sleep(
-                min(0.05, self.config.breaker_reset_s / 4)
-            )
+        # front door instead of a pile-up here.  The job is checked
+        # before each ask, so a granted half-open probe is always used.
+        while job.state == QUEUED and not self.breaker.allow(self.now()):
+            await asyncio.sleep(min(0.05, self.config.breaker_reset_s / 4))
         if job.state != QUEUED:
             # Re-validate after parking on the breaker: while this
             # coroutine slept, the job may have been shed, failed by a
             # sibling dispatcher, or completed from cache.  Marking it
             # running anyway would overwrite that transition.
             return
+        loop = asyncio.get_running_loop()
+        retry_s = self._start(job, self.now())
+        if job.state == RUNNING:
+            try:
+                report = await asyncio.wait_for(
+                    loop.run_in_executor(self._pool, self._run_job_sync, job),
+                    timeout=self.config.job_timeout_s,
+                )
+            except asyncio.TimeoutError:
+                self._bump("job_timeouts")
+                report = TimeoutError(
+                    f"job exceeded its {self.config.job_timeout_s:g}s "
+                    f"wall-clock budget"
+                )
+            except Exception as exc:
+                report = exc
+            if job.state != RUNNING:
+                # Re-validate after the executor await: only a job in
+                # this dispatcher's custody may be settled here.  The
+                # breaker still hears the run (freeing a probe slot).
+                if isinstance(report, Exception):
+                    self.breaker.record_failure(self.now())
+                else:
+                    self.breaker.record_success()
+                return
+            retry_s = self._settle(job, report, self.now())
+        if retry_s is not None:
+            loop.create_task(self._requeue_later(job, retry_s))
+
+    def _claim(self, fingerprint: str) -> Optional[Job]:
+        """The queued job behind a token; None for a stale token or a
+        job a verified artifact finishes without simulating."""
+        job = self.jobs.get(fingerprint)
+        if job is None or job.state != QUEUED:
+            return None
+        entry, _why = self.cache.load_verified(fingerprint)
+        if entry is not None:
+            self.jobs.mark_done(job)
+            return None
+        return job
+
+    def _start(self, job: Job, now: float) -> Optional[float]:
+        """Mark *job* running; an injected partition fails it at once
+        (the requeue delay is returned)."""
         self.jobs.mark_running(job)
         injector = self.config.injector
         if injector is not None and injector.service_fault(
-            "backend-partition", fingerprint
+            "backend-partition", job.fingerprint
         ):
-            self.stats["partition_injected"] = (
-                self.stats.get("partition_injected", 0) + 1
+            self._bump("partition_injected")
+            return self._job_failed(
+                job, "injected backend partition: executor unreachable",
+                "ExecutorLost", backend_fault=True, now=now,
             )
-            self._job_failed(
-                job,
-                "injected backend partition: executor unreachable",
-                "ExecutorLost",
-                backend_fault=True,
-            )
-            return
         self.jobs.mark_simulated(job)
-        loop = asyncio.get_running_loop()
-        try:
-            report = await asyncio.wait_for(
-                loop.run_in_executor(self._pool, self._run_job_sync, job),
-                timeout=self.config.job_timeout_s,
+        return None
+
+    def _settle(self, job: Job, report: Any, now: float) -> Optional[float]:
+        """Settle a run's report, or the exception that ended it; returns
+        the requeue delay, if any.  A report proves the backend alive
+        unless the run lost its executors."""
+        if isinstance(report, Exception):
+            return self._job_failed(
+                job, str(report), type(report).__name__,
+                backend_fault=True, now=now,
             )
-        except asyncio.TimeoutError:
-            self.stats["job_timeouts"] = self.stats.get("job_timeouts", 0) + 1
-            self._job_failed(
-                job,
-                f"job exceeded its {self.config.job_timeout_s:g}s "
-                f"wall-clock budget",
-                "Timeout",
-                backend_fault=True,
-            )
-            return
-        except Exception as exc:
-            self._job_failed(job, str(exc), type(exc).__name__,
-                             backend_fault=True)
-            return
         self._absorb_report(report)
-        if job.state != RUNNING:
-            # Re-validate after the executor await: only a job still
-            # in this dispatcher's custody may be completed or failed
-            # here (a resubmission could already have re-queued it).
-            return
         entry = self._winning_entry(job)
         if entry is None:
             error, error_type, backend_fault = self._classify_failure(report)
-            self._job_failed(job, error, error_type,
-                             backend_fault=backend_fault)
-            return
+            if not backend_fault:
+                self.breaker.record_success()
+            return self._job_failed(
+                job, error, error_type, backend_fault=backend_fault, now=now
+            )
+        self.breaker.record_success()
+        fingerprint = job.fingerprint
         reason = entry_unservable_reason(fingerprint, entry)
         if reason is not None:
             # The backend worked; the *result* is unservable (oracle
-            # violations, tampered line).  Not a breaker event.
-            self.breaker.record_success()
+            # violations, tampered line).
             self.jobs.mark_failed(job, reason, "Unservable")
-            return
+            return None
         path = self.cache.store(fingerprint, entry)
+        injector = self.config.injector
         if injector is not None and injector.service_fault(
             "corrupt-cached-result", fingerprint
         ):
             # Chaos: rot the artifact *after* the store.  Nothing here
             # notices — the point is that the next serve must.
-            self.stats["corruption_injected"] = (
-                self.stats.get("corruption_injected", 0) + 1
-            )
+            self._bump("corruption_injected")
             injector.flip_file_bits(path, n_flips=8, offset_min=16)
-        self.breaker.record_success()
         self.jobs.mark_done(job)
+        return None
 
     def _run_job_sync(self, job: Job) -> Any:
         """One campaign run for one job (thread-pool side; no service
@@ -509,6 +533,7 @@ class ReproService:
             journal_path=str(self._attempt_journal(job)),
             backend=cfg.backend,
             oracle_mode=cfg.oracle_mode,
+            clock=self.clock,
         )
         return run_campaign([task], campaign)
 
@@ -531,14 +556,9 @@ class ReproService:
     def _absorb_report(self, report: Any) -> None:
         """Fold one campaign's backend tallies into the service totals."""
         tallies = report.backend_tallies()
-        self.backend_totals["campaigns"] += 1
-        self.backend_totals["executors_lost"] += tallies["executors_lost"]
-        self.backend_totals["leases_reclaimed"] += tallies["leases_reclaimed"]
-        self.backend_totals["work_stolen"] += tallies["work_stolen"]
-        self.backend_totals["duplicates_discarded"] += (
-            tallies["duplicates_discarded"]
-        )
-        self.backend_totals["retries_used"] += report.retries_used
+        tallies.update(campaigns=1, retries_used=report.retries_used)
+        for key in self.backend_totals:
+            self.backend_totals[key] += tallies[key]
 
     def _classify_failure(self, report: Any) -> tuple[str, str, bool]:
         """``(error, error_type, backend_fault)`` for a failed run.
@@ -549,38 +569,38 @@ class ReproService:
         failures with different remedies.
         """
         error, error_type = "task did not complete", "Unknown"
-        for task_entry in getattr(report, "tasks", []):
+        for task_entry in report.tasks:
             if task_entry.get("status") != "ok":
                 error = str(task_entry.get("error") or error)
                 error_type = str(task_entry.get("error_type") or "TaskFailed")
         backend_fault = (
-            getattr(report, "executors_lost", 0) > 0
-            or error_type == "ExecutorLost"
+            report.executors_lost > 0 or error_type == "ExecutorLost"
         )
         return error, error_type, backend_fault
 
     def _job_failed(
-        self, job: Job, error: str, error_type: str, backend_fault: bool
-    ) -> None:
-        """Record one failed attempt: breaker, then retry-or-fail."""
+        self, job: Job, error: str, error_type: str, backend_fault: bool,
+        now: float,
+    ) -> Optional[float]:
+        """Record one failed attempt: breaker, then retry-or-fail;
+        returns the requeue backoff, or None when the failure is final."""
         if backend_fault:
-            self.breaker.record_failure(self.now())
+            self.breaker.record_failure(now)
         if backend_fault and job.attempts < self.config.max_job_attempts:
             self.jobs.mark_requeued(job, f"{error_type}: {error}")
-            delay_s = JOB_RETRY_POLICY.delay_s(
-                job.fingerprint, job.attempts
-            )
-            loop = asyncio.get_running_loop()
-            loop.create_task(self._requeue_later(job, delay_s))
-            return
+            return JOB_RETRY_POLICY.delay_s(job.fingerprint, job.attempts)
         self.jobs.mark_failed(job, error, error_type)
+        return None
 
     async def _requeue_later(self, job: Job, delay_s: float) -> None:
-        """Backoff, then re-admit; a full queue finalizes the failure
-        (never an unbounded wait — the queue's bound is the contract)."""
+        """Backoff, then re-admit."""
         await asyncio.sleep(delay_s)
-        if job.state != QUEUED:
-            return
+        if job.state == QUEUED:
+            self._readmit(job)
+
+    def _readmit(self, job: Job) -> None:
+        """Re-queue a backed-off job; a full queue finalizes the failure
+        (never an unbounded wait — the queue's bound is the contract)."""
         if not self.enqueue(job):
             self.jobs.mark_failed(
                 job, "re-run queue full after backend loss", "Shed"

@@ -30,8 +30,10 @@ from repro.oracles.protocol import (
     breaker_transition_problems,
     journal_protocol_problems,
     report_conservation_problems,
+    service_response_problems,
 )
 from repro.runner.journal import scan_journal
+from repro.service.middleware import Response, shed
 
 KNOWN_GOOD = "tests/data/dst_known_good.json"
 
@@ -209,6 +211,20 @@ class TestProtocolPredicates:
         ) == []
         bad = breaker_transition_problems([("failure", "open", "closed")])
         assert any("illegal" in p for p in bad)
+
+    def test_service_contract_statuses(self):
+        clean = [Response(200), Response(400), Response(404),
+                 shed(429, "slow down", 0.5), shed(503, "full", 1.0)]
+        assert service_response_problems(clean) == []
+        # 202 and 408 were legal for the old simulated gateway; the
+        # service's request path never answers either.
+        for status in (202, 408):
+            problems = service_response_problems([Response(status)])
+            assert any("outside" in p for p in problems), status
+
+    def test_shed_without_retry_after_flagged(self):
+        problems = service_response_problems([Response(429)])
+        assert any("Retry-After" in p for p in problems)
 
     def test_report_conservation(self):
         report = {

@@ -1,7 +1,7 @@
 """The harness catches real bugs and shrinks them to tiny repros.
 
 A simulation harness that never fails checks nothing, so these tests
-re-introduce known lease-safety bugs into the *real* scheduler
+re-introduce known bugs into the *real* scheduler and service
 (:mod:`repro.dst.mutations`) and assert that seed exploration finds a
 violating history, that the shrinker reduces its schedule to a handful
 of events, and that the emitted artifact replays to the same verdict —
@@ -24,6 +24,15 @@ SEED_WINDOW = 24
 #: The issue's acceptance bar: a deliberate lease-safety bug must
 #: shrink to a repro of at most this many schedule events.
 MAX_MINIMAL_EVENTS = 10
+
+#: Words naming the property each mutation breaks: a zombie write or
+#: a double-counted completion for the lease bugs, a job that never
+#: settles for the dropped queue token.
+EXPECTED_VIOLATION = {
+    "drop-fencing": ("zombie", "double"),
+    "fence-off-by-one": ("zombie", "double"),
+    "drop-queue-token": ("liveness",),
+}
 
 
 def _first_failing_seed():
@@ -49,10 +58,11 @@ class TestMutationsAreCaughtAndShrunk:
             assert len(minimal) <= MAX_MINIMAL_EVENTS
             assert len(minimal) <= len(generate_schedule(seed, "quick"))
             assert not final.ok
-            # The violation names the safety property the mutation
-            # broke: a zombie write or a double-counted completion.
+            # The violation names the property the mutation broke.
             blob = " ".join(final.violations)
-            assert "zombie" in blob or "double" in blob, final.violations
+            assert any(
+                word in blob for word in EXPECTED_VIOLATION[mutation]
+            ), final.violations
             # The minimal schedule replays deterministically under the
             # bug...
             again = run_history(seed, schedule=minimal)

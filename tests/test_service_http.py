@@ -424,3 +424,56 @@ class TestDispatcherRevalidation:
         finally:
             svc.jobs.close()
             svc._pool.shutdown(wait=False)
+
+
+class TestHalfOpenProbeRelease:
+    """A half-open probe that ends in an experiment error must still
+    release the breaker.
+
+    The run returned a report, which proves the backend alive.  Before
+    the fix the probe slot stayed taken: the breaker sat half-open, and
+    every later job parked on it forever.
+    """
+
+    def test_experiment_error_probe_closes_the_breaker(self, tmp_path):
+        import asyncio
+
+        from repro.core.experiments import task_fingerprint
+        from repro.service.jobstore import DONE, FAILED
+        from repro.service.server import ReproService, ServiceConfig
+
+        config = ServiceConfig(
+            port=0,
+            data_dir=str(tmp_path / "svc"),
+            registry_spec=FAST_REGISTRY_SPEC,
+            backend="inproc",
+            breaker_threshold=1,
+            breaker_reset_s=0.1,
+        )
+        svc = ReproService(config)
+        try:
+            jobs = {}
+            for name in ("boom", "quick"):
+                fingerprint = task_fingerprint(name, {}, None)
+                jobs[name], _ = svc.jobs.get_or_create(
+                    fingerprint, name, {}, None, FAST_REGISTRY_SPEC
+                )
+            boom, quick = jobs["boom"], jobs["quick"]
+            svc.breaker.record_failure(svc.now())  # threshold=1: opens
+
+            async def run():
+                # boom is the half-open probe; quick needs the next slot.
+                await asyncio.wait_for(
+                    svc._process(boom.fingerprint), timeout=10.0
+                )
+                await asyncio.wait_for(
+                    svc._process(quick.fingerprint), timeout=5.0
+                )
+
+            asyncio.run(run())
+            assert boom.state == FAILED
+            assert quick.state == DONE
+            assert svc.breaker.state == "closed"
+        finally:
+            svc.jobs.close()
+            svc._pool.shutdown(wait=False)
