@@ -14,7 +14,7 @@ Combines the substrates into the paper's Logic+Logic flow:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.floorplan.pentium4 import (
     pentium4_3d_floorplans,
@@ -22,8 +22,6 @@ from repro.floorplan.pentium4 import (
     pentium4_worstcase_3d,
 )
 from repro.floorplan.stacking import power_density_report
-from repro.thermal.model import simulate_planar, simulate_stack
-from repro.thermal.solver import SolverConfig
 from repro.uarch.dvfs import ScalingPoint, table5_points
 from repro.uarch.interval import geomean_ipc
 from repro.uarch.pipeline import (
@@ -39,6 +37,9 @@ from repro.uarch.power import (
     stacked_power_breakdown,
 )
 from repro.uarch.workloads import SuiteColumns, WorkloadProfile, workload_suite
+
+if TYPE_CHECKING:
+    from repro.thermal.solver import SolverConfig
 
 
 @dataclass
@@ -118,10 +119,14 @@ def thermal_map_3d_power(
     by scaling the rise over ambient.  Used for Table 5's temperature
     column.
     """
+    # Imported here, not at module level: only a heat solve pays for
+    # scipy, so the Table 4 performance study never loads it.
+    from repro.thermal.model import simulate_stack
+
     bottom, top = pentium4_3d_floorplans()
     nominal = bottom.total_power + top.total_power
     solution = simulate_stack(bottom, top, die2_metal="cu", config=solver)
-    ambient = (solver or SolverConfig()).ambient_c
+    ambient = solution.config.ambient_c
     rise = solution.peak_temperature() - ambient
 
     def temp_at(power_w: float) -> float:
@@ -141,6 +146,8 @@ def run_thermal_study(
     If *solver_meta* is given, it is filled with each configuration's
     solver provenance (residual/method/degraded).
     """
+    from repro.thermal.model import simulate_planar, simulate_stack
+
     planar = pentium4_planar_floorplan()
     bottom, top = pentium4_3d_floorplans()
     worst_b, worst_t = pentium4_worstcase_3d()

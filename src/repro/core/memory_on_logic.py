@@ -18,7 +18,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,10 +45,11 @@ from repro.oracles.report import (
     record_violation,
     reset_oracles,
 )
-from repro.thermal.model import simulate_planar, simulate_stack
-from repro.thermal.solver import SolverConfig
 from repro.traces.generator import TraceGenerator, WorkloadSpec
 from repro.traces.kernels.registry import kernel_names
+
+if TYPE_CHECKING:
+    from repro.thermal.solver import SolverConfig
 
 #: Configuration names in Figure 5/7/8 order.
 MEMORY_CONFIG_NAMES: Tuple[str, ...] = ("2D 4MB", "3D 12MB", "3D 32MB", "3D 64MB")
@@ -340,6 +341,10 @@ def run_thermal_study(
     (residual/method/degraded) so degraded fallback solves stay visible
     in campaign reports.
     """
+    # Imported here, not at module level: only a heat solve pays for
+    # scipy, so the performance study and ``repro.core`` stay light.
+    from repro.thermal.model import simulate_planar, simulate_stack
+
     temps: Dict[str, float] = {}
     for config in build_memory_configs():
         if config.cache_die is None:

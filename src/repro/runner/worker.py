@@ -7,7 +7,7 @@ the boundary through three files named in the spec:
   import spec, chaos directive.
 * **heartbeat** (written) — touched every :data:`HEARTBEAT_EVERY_S` by a
   daemon thread started *before* the heavy simulation imports, so the
-  supervisor's watchdog can tell "still importing scipy" from "dead".
+  supervisor's watchdog can tell "still importing" from "dead".
 * **result** (written once) — the JSON-serialized
   :class:`~repro.core.experiments.ExperimentOutcome`, written to a temp
   file and renamed, so the supervisor either sees a complete result or
@@ -15,7 +15,9 @@ the boundary through three files named in the spec:
 
 Module-level imports are stdlib-only on purpose: heartbeats must start
 within milliseconds of process launch, long before ``repro.core`` pulls
-in numpy/scipy.
+in numpy.  Only a thermal experiment imports scipy, when it first
+solves heat (see :mod:`repro.thermal`); a performance-only task such as
+``table-4`` never does.
 
 Chaos directives (from :meth:`repro.resilience.faults.FaultInjector
 .worker_fault`) make the worker misbehave on demand so campaign tests
