@@ -172,7 +172,11 @@ def _run_figure5(**kwargs: Any) -> Dict[str, Any]:
 
 
 def _run_figure6(**kwargs: Any) -> Dict[str, Any]:
-    """Figure 6: baseline Core 2 Duo thermal map (88.35 C peak / 59 C)."""
+    """Figure 6: baseline Core 2 Duo thermal map (88.35 C peak / 59 C).
+
+    ``peak_c_fine`` is the peak on the grid with twice the die cells
+    (``2 * nx``): its distance from ``peak_c`` is the grid error.
+    """
     from repro.floorplan.core2duo import core2duo_floorplan
     from repro.thermal.model import simulate_planar
     from repro.thermal.solver import SolverConfig
@@ -181,10 +185,14 @@ def _run_figure6(**kwargs: Any) -> Dict[str, Any]:
     solution = simulate_planar(
         core2duo_floorplan(), SolverConfig(nx=nx, ny=nx)
     )
+    fine = simulate_planar(
+        core2duo_floorplan(), SolverConfig(nx=2 * nx, ny=2 * nx)
+    )
     return {
         "peak_c": solution.peak_temperature(),
         "coolest_c": solution.coolest_on_die(),
         "hottest_layer": solution.hottest_layer(),
+        "peak_c_fine": fine.peak_temperature(),
         "solver": solution.solver_info(),
     }
 

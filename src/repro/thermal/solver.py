@@ -6,7 +6,9 @@ Solves the steady form of the paper's Equation (1),
 
 on a structured grid over the full package cross-section, with Equation
 (2)'s convective (Robin) boundary conditions on the heat-sink and
-motherboard faces and adiabatic side walls.  The domain is the lateral
+motherboard faces and adiabatic side walls.  The lateral grid is
+die-conforming and graded (:func:`lateral_grid`): uniform cells over the
+die, widening outward over the package.  The domain is the lateral
 package extent; each :class:`~repro.thermal.stack.Layer` contributes one or
 more grid planes with its own (two-region) conductivity, and power maps are
 injected into the layers that carry floorplans.
@@ -29,13 +31,13 @@ factor over hundreds of steps.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.oracles.config import (
     CONSERVATION_RTOL,
@@ -60,9 +62,11 @@ class SolverConfig:
     """Discretization and boundary parameters.
 
     Attributes:
-        nx: Lateral grid cells in x (the domain is square; ny = nx unless
-            overridden).
-        ny: Lateral grid cells in y.
+        nx: Target lateral pitch in x, as cells across the domain: the
+            die gets ``round(die / (domain / nx))`` uniform cells and the
+            package periphery a graded strip each side (see
+            :func:`cell_widths`).
+        ny: The same in y.
         ambient_c: Ambient temperature, Celsius (Equation 2's T_amb).
         heatsink_h: Effective heat-transfer coefficient on the heat-sink
             face, W/(m^2 K) — lumps the fin array and forced airflow.
@@ -93,7 +97,8 @@ class ThermalSolution:
         config: Solver configuration used.
         layer_planes: Maps layer name to its ``(z_start, z_end)`` plane
             range (end exclusive).
-        die_region: ``(j0, j1, i0, i1)`` cell bounds of the die footprint.
+        die_region: ``(j0, j1, i0, i1)`` cell bounds of the die footprint;
+            its edges are grid lines (see :func:`lateral_grid`).
         residual: Relative residual ``||Ax - b|| / ||b||`` of the linear
             solve that produced this field.
         method: Solver that produced it: ``"cg"`` for a steady solve,
@@ -176,11 +181,9 @@ class ThermalSolution:
             per_face: If True, return ``{"heatsink": W, "motherboard": W}``
                 instead of the total.
         """
-        nz, ny, nx = self.temperature.shape
-        dx = self.stack.domain_size_m / nx
-        dy = self.stack.domain_size_m / ny
-        area = dx * dy
-        j0, j1, i0, i1 = self.die_region
+        nz = self.temperature.shape[0]
+        dx, dy, (j0, j1, i0, i1) = lateral_grid(self.stack, self.config)
+        area = np.outer(dy, dx)
         flows: Dict[str, float] = {}
         for face, z, layer, h in (
             ("heatsink", 0, self.stack.layers[0], self.config.heatsink_h),
@@ -192,7 +195,7 @@ class ThermalSolution:
             ),
         ):
             dz = layer.thickness_m / layer.divisions
-            k = np.full((ny, nx), layer.material_out.conductivity)
+            k = np.full(area.shape, layer.material_out.conductivity)
             k[j0:j1, i0:i1] = layer.material_in.conductivity
             # Series conductance: half-cell conduction + surface convection
             # (identical to the assembled Robin term, so the check closes
@@ -206,19 +209,47 @@ class ThermalSolution:
         return flows["heatsink"] + flows["motherboard"]
 
 
-def _die_region_cells(
-    stack: ThermalStack, nx: int, ny: int
-) -> Tuple[int, int, int, int]:
-    """Cell index bounds (j0, j1, i0, i1) of the centred die footprint."""
-    dx = stack.domain_size_m / nx
-    dy = stack.domain_size_m / ny
-    ncx = max(2, int(round(stack.die_width_m / dx)))
-    ncy = max(2, int(round(stack.die_height_m / dy)))
-    ncx = min(ncx, nx)
-    ncy = min(ncy, ny)
-    i0 = (nx - ncx) // 2
-    j0 = (ny - ncy) // 2
-    return j0, j0 + ncy, i0, i0 + ncx
+#: Width ratio of neighbouring package-periphery cells, outward from the
+#: die edge.
+GRADING_RATIO = 1.4
+
+
+def cell_widths(
+    domain_m: float, die_m: float, n: int
+) -> Tuple[np.ndarray, int]:
+    """Cell widths along one lateral axis, and the die's first cell.
+
+    The die, centred in the domain, gets ``round(die / (domain / n))``
+    uniform cells (at least two), so its edges are grid lines and its
+    modelled width is its true width at every *n*.  Each periphery strip
+    gets widths ``h * r, h * r**2, ...`` (``h`` the die pitch, ``r``
+    :data:`GRADING_RATIO`) until they cover the strip, scaled to fill it
+    exactly; the widest cells sit at the domain edge.
+    """
+    n_die = max(2, int(round(die_m / (domain_m / n))))
+    pitch = die_m / n_die
+    strip_m = (domain_m - die_m) / 2.0
+    strip: List[float] = []
+    while sum(strip) < strip_m:
+        strip.append(pitch * GRADING_RATIO ** (len(strip) + 1))
+    outward = np.asarray(strip)
+    if strip:
+        outward *= strip_m / outward.sum()
+    widths = np.concatenate((outward[::-1], np.full(n_die, pitch), outward))
+    return widths, len(strip)
+
+
+def lateral_grid(
+    stack: ThermalStack, config: SolverConfig
+) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int, int, int]]:
+    """Cell widths ``(dx, dy)`` and die bounds ``(j0, j1, i0, i1)``.
+
+    The one grid rule (:func:`cell_widths` per axis), shared by the
+    assembly and the boundary-flow check so both see the same cells.
+    """
+    dx, i0 = cell_widths(stack.domain_size_m, stack.die_width_m, config.nx)
+    dy, j0 = cell_widths(stack.domain_size_m, stack.die_height_m, config.ny)
+    return dx, dy, (j0, len(dy) - j0, i0, len(dx) - i0)
 
 
 _DIE_LAYER_PREFIXES = ("bulk-si", "metal", "bond")
@@ -494,8 +525,8 @@ def _assemble_operator(
     stack: ThermalStack, config: SolverConfig, key: Tuple[Any, ...]
 ) -> ThermalOperator:
     """Build the geometry-dependent operator: matrix, mass, ambient rhs."""
-    nx, ny = config.nx, config.ny
-    j0, j1, i0, i1 = _die_region_cells(stack, nx, ny)
+    dx, dy, (j0, j1, i0, i1) = lateral_grid(stack, config)
+    nx, ny = len(dx), len(dy)
 
     # Expand layers into grid planes.
     plane_k: List[np.ndarray] = []   # conductivity per plane, (ny, nx)
@@ -525,9 +556,6 @@ def _assemble_operator(
     c = np.stack(plane_c)          # (nz, ny, nx)
     dz = np.asarray(plane_dz)      # (nz,)
 
-    dx = stack.domain_size_m / nx
-    dy = stack.domain_size_m / ny
-
     def index(zz: np.ndarray, jj: np.ndarray, ii: np.ndarray) -> np.ndarray:
         return (zz * ny + jj) * nx + ii
 
@@ -553,10 +581,16 @@ def _assemble_operator(
         np.add.at(diag, idx_a, g)
         np.add.at(diag, idx_b, g)
 
+    # Per-cell widths broadcast over (nz, ny, nx), and face areas.
+    dz3 = dz[:, None, None]
+    dy3 = dy[None, :, None]
+    dx3 = dx[None, None, :]
+    area = np.outer(dy, dx)        # (ny, nx)
+
     # X-direction faces.
     ka = k[:, :, :-1]
     kb = k[:, :, 1:]
-    g_x = (dz[:, None, None] * dy) / (dx / (2 * ka) + dx / (2 * kb))
+    g_x = (dz3 * dy3) / (dx3[:, :, :-1] / (2 * ka) + dx3[:, :, 1:] / (2 * kb))
     couple(
         g_x.ravel(),
         index(zz[:, :, :-1], jj[:, :, :-1], ii[:, :, :-1]).ravel(),
@@ -566,7 +600,7 @@ def _assemble_operator(
     # Y-direction faces.
     ka = k[:, :-1, :]
     kb = k[:, 1:, :]
-    g_y = (dz[:, None, None] * dx) / (dy / (2 * ka) + dy / (2 * kb))
+    g_y = (dz3 * dx3) / (dy3[:, :-1] / (2 * ka) + dy3[:, 1:] / (2 * kb))
     couple(
         g_y.ravel(),
         index(zz[:, :-1, :], jj[:, :-1, :], ii[:, :-1, :]).ravel(),
@@ -576,9 +610,7 @@ def _assemble_operator(
     # Z-direction faces.
     ka = k[:-1]
     kb = k[1:]
-    dza = dz[:-1, None, None]
-    dzb = dz[1:, None, None]
-    g_z = (dx * dy) / (dza / (2 * ka) + dzb / (2 * kb))
+    g_z = area / (dz3[:-1] / (2 * ka) + dz3[1:] / (2 * kb))
     couple(
         g_z.ravel(),
         index(zz[:-1], jj[:-1], ii[:-1]).ravel(),
@@ -586,7 +618,6 @@ def _assemble_operator(
     )
 
     # Convective boundaries (Robin): half-cell conduction in series with h.
-    area = dx * dy
     for plane, h in ((0, config.heatsink_h), (nz - 1, config.motherboard_h)):
         g_b = area / (dz[plane] / (2 * k[plane]) + 1.0 / h)
         idx = index(
@@ -602,7 +633,7 @@ def _assemble_operator(
         (all_vals, (all_rows, all_cols)), shape=(n_cells, n_cells)
     )
 
-    mass = (c * (dx * dy) * dz[:, None, None]).ravel()  # rho c V, J/K
+    mass = (c * area * dz3).ravel()  # rho c V, J/K
     return ThermalOperator(
         key=key,
         matrix=matrix,
@@ -730,45 +761,75 @@ def relative_residual(matrix, x: np.ndarray, rhs: np.ndarray) -> float:
     """Relative residual ``||Ax - b|| / ||b||`` of a candidate solution."""
     x = np.asarray(x, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    norm_b = float(np.linalg.norm(rhs))
+    norm_b = _norm(rhs)
     if norm_b == 0.0:
-        return float(np.linalg.norm(matrix @ x))
+        return _norm(matrix @ x)
     if not np.all(np.isfinite(x)):
         return float("inf")
-    return float(np.linalg.norm(matrix @ x - rhs) / norm_b)
+    return _norm(matrix @ x - rhs) / norm_b
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product with a fixed reduction order.
+
+    numpy's pairwise sum, not BLAS ``ddot``: OpenBLAS splits a long dot
+    product across its threads, so its rounding (and every CG iterate
+    after it) would follow the host's thread count.
+    """
+    return float((a * b).sum())
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm through :func:`_dot`."""
+    return math.sqrt(_dot(v, v))
 
 
 def _solve_cg(system: DiscreteSystem) -> np.ndarray:
     """Jacobi-preconditioned CG on the SPD steady system, from ambient.
 
     The start is the ambient field, not a neighbouring solution, so a
-    result never depends on what was solved before it.
+    result never depends on what was solved before it; every reduction
+    goes through :func:`_dot`, so it does not depend on the BLAS thread
+    count either.  Stops once ``||r|| <= CG_RTOL * ||b||``.
     """
-    diagonal = system.matrix.diagonal()
+    matrix = system.matrix
+    diagonal = matrix.diagonal()
     if not (np.all(diagonal > 0) and np.all(np.isfinite(diagonal))):
         raise SolverDivergenceError(
             "system diagonal is not positive; CG preconditioner undefined",
             method="cg",
         )
-    start = np.full(system.rhs.shape, system.config.ambient_c)
-    flat, info = spla.cg(
-        system.matrix,
-        system.rhs,
-        x0=start,
-        rtol=CG_RTOL,
-        atol=0.0,
-        maxiter=_CG_MAXITER,
-        M=sp.diags(1.0 / diagonal),
-    )
-    if info != 0:
-        raise SolverDivergenceError(
-            f"CG did not converge (info={info})", method="cg"
-        )
-    if not np.all(np.isfinite(flat)):
+    inverse_diagonal = 1.0 / diagonal
+    x = np.full(system.rhs.shape, system.config.ambient_c)
+    r = system.rhs - matrix @ x
+    norm_b = _norm(system.rhs)
+    residual = _norm(r)
+    p = np.zeros_like(x)
+    rho_previous = 0.0
+    iterations = 0
+    while residual > CG_RTOL * norm_b and math.isfinite(residual):
+        if iterations == _CG_MAXITER:
+            raise SolverDivergenceError(
+                f"CG did not converge in {_CG_MAXITER} iterations "
+                f"(relative residual {residual / norm_b:.3g})",
+                method="cg",
+            )
+        z = inverse_diagonal * r
+        rho = _dot(r, z)
+        beta = rho / rho_previous if iterations else 0.0
+        p = z + beta * p
+        q = matrix @ p
+        alpha = rho / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_previous = rho
+        residual = _norm(r)
+        iterations += 1
+    if not (math.isfinite(residual) and np.all(np.isfinite(x))):
         raise SolverDivergenceError(
             "CG produced non-finite temperatures", method="cg"
         )
-    return flat
+    return x
 
 
 def _steady_solution_oracles(

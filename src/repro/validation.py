@@ -190,12 +190,23 @@ def _grade_figure5(result: Values, paper: Values) -> List[Check]:
     return checks
 
 
+#: Largest figure-6 peak change, C, from doubling the die cells (the
+#: default grid, 17 die cells, reads 0.12 C).
+GRID_ERROR_BOUND_C = 0.3
+
+
 def _grade_figure6(result: Values, paper: Values) -> List[Check]:
+    """Peak and coolest on-die temperature, and the grid error of the
+    peak against the grid with twice the die cells."""
+    grid_error = abs(result["peak_c_fine"] - result["peak_c"])
     return [
         _near("figure-6", "peak temperature (C)", paper["peak_c"],
               result["peak_c"], 2.0),
         _near("figure-6", "coolest on-die (C)", paper["coolest_c"],
               result["coolest_c"], 2.0),
+        _grade("figure-6", "peak grid error vs 2x die cells (C)", None,
+               grid_error, grid_error <= GRID_ERROR_BOUND_C,
+               note=f"bound {GRID_ERROR_BOUND_C} C"),
     ]
 
 
