@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
 
 def format_table(
@@ -86,11 +86,4 @@ def format_table5(rows: Sequence[Mapping[str, Any]]) -> str:
     return format_table(
         headers, body,
         title="Table 5: frequency and voltage scaling of the 3D floorplan",
-    )
-
-
-def format_dict(values: Dict[str, Any], title: Optional[str] = None) -> str:
-    """Render a flat key/value mapping as a two-column table."""
-    return format_table(
-        ["key", "value"], [[k, v] for k, v in values.items()], title=title
     )

@@ -2,7 +2,7 @@
 
 The registry in ``core/experiments.py`` is the map from this repo to the
 paper: every entry must say which figure/table it reproduces, must run
-through the seeded/fingerprinted ``run_experiment`` machinery, and must
+through the fingerprinted ``run_experiment`` machinery, and must
 be exercised by at least one test.  The kernel registry in
 ``traces/kernels/registry.py`` must stay the paper's Table 1 workload
 set — no drive-by kernels, no silently dropped workloads.

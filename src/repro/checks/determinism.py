@@ -1,8 +1,9 @@
 """RPL1xx — the determinism pass.
 
-Bit-for-bit reproducibility under ``run_experiment(seed=...)`` requires
-that every stochastic choice flow from a *seeded RNG instance* passed as
-a parameter, and that no result depend on the wall clock.  This pass
+Bit-for-bit reproducibility of a ``run_experiment`` fingerprint (the
+experiment id and its kwargs, a ``seed`` among them) requires that every
+stochastic choice flow from a *seeded RNG instance* passed as a
+parameter, and that no result depend on the wall clock.  This pass
 flags the three ways code breaks that contract:
 
 * ``RPL101`` — an RNG constructed with no seed (``random.Random()``,
@@ -276,12 +277,13 @@ EXPLANATIONS = {
         title="unseeded RNG construction",
         rationale=(
             "Every simulation result must be reproducible from its "
-            "task fingerprint, which covers the seed. An RNG built "
+            "task fingerprint, which covers the experiment's kwargs, "
+            "its seed among them. An RNG built "
             "without an explicit seed draws entropy from the OS and "
             "silently breaks bit-identical replay."
         ),
         example="rng = random.Random()\nrng = np.random.default_rng()",
-        fix="rng = random.Random(seed)  # thread the task seed through",
+        fix="rng = random.Random(seed)  # seed from an argument",
     ),
     "RPL102": Explanation(
         code="RPL102",

@@ -50,8 +50,13 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _run_kwargs(args: argparse.Namespace) -> dict:
-    """The ``--nx``/``--scale`` flags as experiment kwargs (unset: omitted)."""
-    return {k: getattr(args, k) for k in ("nx", "scale") if getattr(args, k)}
+    """The ``--nx``/``--scale``/``--seed`` flags as experiment kwargs
+    (unset: omitted; ``validate`` has no ``--seed``)."""
+    return {
+        k: getattr(args, k)
+        for k in ("nx", "scale", "seed")
+        if getattr(args, k, None) is not None
+    }
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -71,9 +76,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # completed-but-degraded run (an oracle detected corruption and
     # fell back to a trusted path).  --strict re-raises for debugging
     # with a full traceback.
-    outcome = run_experiment(
-        args.experiment, strict=args.strict, seed=args.seed, **kwargs
-    )
+    outcome = run_experiment(args.experiment, strict=args.strict, **kwargs)
     violations = (outcome.oracles or {}).get("violations", [])
     if args.json:
         print(json.dumps(outcome.to_dict(), indent=2, default=str))
@@ -85,7 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print("partial results before failure:")
             print(json.dumps(outcome.partial, indent=2, default=str))
         print(f"\nreproduce: fingerprint {outcome.fingerprint} "
-              f"(seed {outcome.seed}, kwargs {outcome.kwargs})")
+              f"(kwargs {outcome.kwargs})")
         return 1
     renderer = RENDERERS.get(experiment.id)
     if renderer is None:
@@ -162,9 +165,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.runner.tasks import select_tasks
 
     try:
-        tasks = select_tasks(
-            args.experiments, kwargs=_run_kwargs(args), seed=args.seed
-        )
+        tasks = select_tasks(args.experiments, kwargs=_run_kwargs(args))
         forced = _parse_chaos_force(args.chaos_force or [])
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
@@ -545,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--nx", type=int, help="thermal grid resolution")
     run.add_argument("--scale", type=int, help="capacity/footprint scale")
     run.add_argument("--seed", type=int,
-                     help="seed recorded with the run and hashed into its "
-                          "fingerprint")
+                     help="input seed (figure-5 traces, dtm_load_spike "
+                          "load); other experiments ignore it")
     run.add_argument("--json", action="store_true",
                      help="print the structured outcome (ok/result/error/"
                           "fingerprint) as JSON")
@@ -580,8 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip tasks with an ok entry in the journal; "
                             "re-run only failures")
     sweep.add_argument("--seed", type=int,
-                       help="base seed recorded per task (task i gets "
-                            "seed+i)")
+                       help="input seed every task gets (see 'run --seed')")
     sweep.add_argument("--nx", type=int, help="thermal grid resolution")
     sweep.add_argument("--scale", type=int, help="capacity/footprint scale")
     sweep.add_argument("--backend", default="local",

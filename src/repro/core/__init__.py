@@ -24,7 +24,6 @@ from repro.core.memory_on_logic import (
     MEMORY_CONFIG_NAMES,
     build_memory_configs,
     run_memory_study,
-    stack_for_config,
 )
 from repro.core.logic_on_logic import (
     LogicOnLogicResult,
@@ -42,7 +41,6 @@ __all__ = [
     "MEMORY_CONFIG_NAMES",
     "build_memory_configs",
     "run_memory_study",
-    "stack_for_config",
     "LogicOnLogicResult",
     "run_logic_study",
     "thermal_map_3d_power",

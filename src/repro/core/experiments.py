@@ -20,19 +20,17 @@ from repro.resilience.errors import ReproError
 
 
 def task_fingerprint(
-    experiment_id: str,
-    kwargs: Optional[Dict[str, Any]] = None,
-    seed: Optional[int] = None,
+    experiment_id: str, kwargs: Optional[Dict[str, Any]] = None
 ) -> str:
     """Stable hash of one exact experiment invocation.
 
-    Canonical-JSON over ``(experiment_id, kwargs, seed)``: the campaign
+    Canonical-JSON over ``(experiment_id, kwargs)``: the campaign
     journal keys resume decisions on this, and an outcome carrying it
-    can be re-run in isolation bit-for-bit (``repro run <id> --seed N``
-    with the journaled kwargs).
+    can be re-run in isolation bit-for-bit from the journaled kwargs
+    (a seed, where given, is one of them).
     """
     blob = json.dumps(
-        {"experiment_id": experiment_id, "kwargs": kwargs or {}, "seed": seed},
+        {"experiment_id": experiment_id, "kwargs": kwargs or {}},
         sort_keys=True,
         default=str,
     )
@@ -68,10 +66,9 @@ class ExperimentOutcome:
         error_type: Exception class name, or None.
         partial: Intermediate results the failing engine surfaced via
             :class:`~repro.resilience.errors.ReproError.partial`.
-        seed: Seed recorded with the run (part of the fingerprint).
         kwargs: Keyword arguments the experiment ran with.
-        fingerprint: :func:`task_fingerprint` of (id, kwargs, seed) — a
-            journaled failure plus this triple reproduces the run
+        fingerprint: :func:`task_fingerprint` of (id, kwargs) — a
+            journaled failure plus this pair reproduces the run
             bit-for-bit.
         oracles: Structured :class:`~repro.oracles.report.OracleReport`
             dict for this run — check counts, violations, and whether
@@ -85,7 +82,6 @@ class ExperimentOutcome:
     error: Optional[str] = None
     error_type: Optional[str] = None
     partial: Dict[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
     kwargs: Dict[str, Any] = field(default_factory=dict)
     fingerprint: str = ""
     oracles: Dict[str, Any] = field(default_factory=dict)
@@ -161,6 +157,7 @@ def _run_figure5(**kwargs: Any) -> Dict[str, Any]:
         workloads=kwargs.get("workloads"),
         scale=kwargs.get("scale", 8),
         length_factor=kwargs.get("length_factor", 1.0),
+        seed=kwargs.get("seed", 1234),
     )
     return {
         "cpma": result.cpma,
@@ -554,7 +551,6 @@ def run_experiment(
     experiment_id: str,
     strict: bool = False,
     registry: Optional[ExperimentRegistry] = None,
-    seed: Optional[int] = None,
     **kwargs: Any,
 ) -> ExperimentOutcome:
     """Run one experiment inside a run guard.
@@ -571,14 +567,13 @@ def run_experiment(
             (lookup errors for unknown ids always raise).
         registry: Registry to resolve the id against (the module-level
             :data:`REGISTRY` by default).
-        seed: Recorded on the outcome and hashed into its fingerprint,
-            so distinct seeds are distinct tasks.  Experiments draw
-            only from generators seeded by their own arguments, so the
-            seed does not change the result.
-        **kwargs: Forwarded to the experiment's ``run`` callable.
+        **kwargs: Forwarded to the experiment's ``run`` callable and
+            hashed into the fingerprint.  ``seed`` is one of them: the
+            experiments that draw random inputs (``figure-5``,
+            ``dtm_load_spike``) read it, the rest ignore it.
     """
     experiment = (registry or REGISTRY).get(experiment_id)
-    fingerprint = task_fingerprint(experiment_id, kwargs, seed)
+    fingerprint = task_fingerprint(experiment_id, kwargs)
     # Oracle scoreboard is per-run: reset here so the outcome's report
     # covers exactly this experiment, success or failure.
     reset_oracles()
@@ -593,7 +588,6 @@ def run_experiment(
             error=f"{exc}" or traceback.format_exc(limit=1).strip(),
             error_type=type(exc).__name__,
             partial=dict(exc.partial) if isinstance(exc, ReproError) else {},
-            seed=seed,
             kwargs=dict(kwargs),
             fingerprint=fingerprint,
             oracles=_collect_oracles(),
@@ -602,7 +596,6 @@ def run_experiment(
         experiment_id=experiment_id,
         ok=True,
         result=result,
-        seed=seed,
         kwargs=dict(kwargs),
         fingerprint=fingerprint,
         oracles=_collect_oracles(),

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.stack import DieStack, build_stack
 from repro.floorplan.blocks import Floorplan
 from repro.floorplan.core2duo import core2duo_floorplan, stacked_cache_die
 from repro.memsim.config import (
@@ -141,12 +140,6 @@ def build_memory_configs(scale: int = 1) -> List[MemoryOnLogicConfig]:
     ]
 
 
-def stack_for_config(config: MemoryOnLogicConfig) -> Optional[DieStack]:
-    """The physical die stack of a stacked configuration (None for 2D)."""
-    if config.cache_die is None:
-        return None
-    kind = "dram" if config.cache_die_metal == "al" else "logic"
-    return build_stack(config.cpu_die, config.cache_die, bumps_kind=kind)
 
 
 @dataclass

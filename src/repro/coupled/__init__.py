@@ -11,7 +11,6 @@ from repro.coupled.drivers import (
     LoadSchedule,
     bursty_load_spikes,
     constant_load,
-    step_load,
 )
 from repro.coupled.dtm import (
     DtmObservation,
@@ -20,7 +19,6 @@ from repro.coupled.dtm import (
     PidDtm,
     PredictiveDtm,
     ThresholdDtm,
-    make_policy,
 )
 from repro.coupled.engine import (
     Calibration,
@@ -38,14 +36,12 @@ __all__ = [
     "LoadSchedule",
     "bursty_load_spikes",
     "constant_load",
-    "step_load",
     "DtmObservation",
     "DtmPolicy",
     "NoDtm",
     "PidDtm",
     "PredictiveDtm",
     "ThresholdDtm",
-    "make_policy",
     "Calibration",
     "CoupledConfig",
     "CoupledResult",

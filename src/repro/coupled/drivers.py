@@ -35,15 +35,6 @@ def constant_load(activity: float = 1.0) -> LoadSchedule:
     return lambda epoch, t_s: activity
 
 
-def step_load(
-    before: float, after: float, t_step_s: float
-) -> LoadSchedule:
-    """A single load step at *t_step_s* (epochs starting at or after it)."""
-
-    def schedule(epoch: int, t_s: float) -> float:
-        return after if t_s >= t_step_s else before
-
-    return schedule
 
 
 def bursty_load_spikes(

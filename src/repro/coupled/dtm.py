@@ -266,20 +266,3 @@ class PredictiveDtm(DtmPolicy):
             return lo
         finally:
             self._prev_activity = obs.activity
-
-
-def make_policy(name: str, **kwargs: object) -> DtmPolicy:
-    """Instantiate a policy by its trace name (CLI/experiment plumbing)."""
-    policies = {
-        "none": NoDtm,
-        "threshold": ThresholdDtm,
-        "pid": PidDtm,
-        "predictive": PredictiveDtm,
-    }
-    try:
-        cls = policies[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown DTM policy {name!r}; known: {sorted(policies)}"
-        ) from None
-    return cls(**kwargs)  # type: ignore[arg-type]

@@ -239,7 +239,6 @@ class SimFabric(ExecutorBackend):
             task_id=a.task_id,
             experiment_id=a.experiment_id,
             fingerprint=a.fingerprint,
-            seed=a.seed,
             kwargs=dict(a.kwargs),
             attempt=a.attempt,
             elapsed_s=a.timeout_s,

@@ -209,7 +209,6 @@ def _campaign_config(
 
 
 def _run_campaign_segment(
-    seed: int,
     schedule: FaultSchedule,
     n_tasks: int,
     journal_path: Path,
@@ -219,7 +218,7 @@ def _run_campaign_segment(
     n_executors: int,
 ) -> Dict[str, Any]:
     """Crash/restart loop: returns ``{report, crashes, violations}``."""
-    tasks = make_tasks(n_tasks, seed=seed % 997)
+    tasks = make_tasks(n_tasks)
     violations: List[str] = []
     crashes = 0
     report = None
@@ -464,7 +463,7 @@ def _run_service_segment(
                 "experiment": eid, "kwargs": dict(kwargs, bogus=i),
             })
         dispatcher.turn()
-        fingerprint = task_fingerprint(eid, kwargs, None)
+        fingerprint = task_fingerprint(eid, kwargs)
         send("GET", f"/jobs/{fingerprint}", client)
     # Liveness: once backend failures stop, every admitted job
     # settles and the dispatcher runs dry.
@@ -568,7 +567,7 @@ def run_history(
     )
     try:
         segment = _run_campaign_segment(
-            seed, schedule, PROFILES[profile]["n_tasks"],
+            schedule, PROFILES[profile]["n_tasks"],
             journal_path, scratch, checker, world, n_executors,
         )
         result.crashes = segment["crashes"]

@@ -64,7 +64,7 @@ def expected_result(experiment_id: str, kwargs: Dict[str, Any]) -> Dict:
     return _RUNNERS[experiment_id](**kwargs)
 
 
-def make_tasks(n_tasks: int, seed: int) -> List[CampaignTask]:
+def make_tasks(n_tasks: int) -> List[CampaignTask]:
     """*n_tasks* campaign tasks cycling over the unit experiments."""
     ids = sorted(_RUNNERS)
     return [
@@ -72,7 +72,6 @@ def make_tasks(n_tasks: int, seed: int) -> List[CampaignTask]:
             task_id=f"dst-t{i}",
             experiment_id=ids[i % len(ids)],
             kwargs={"value": i},
-            seed=seed,
             registry_spec=DST_REGISTRY_SPEC,
         )
         for i in range(n_tasks)

@@ -9,7 +9,7 @@ solver (W/mm^2 per grid cell).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -306,39 +306,6 @@ def uniform_floorplan(
     return Floorplan(name, die_width, die_height, [block])
 
 
-def grid_floorplan(
-    name: str,
-    die_width: float,
-    die_height: float,
-    powers: Sequence[Sequence[float]],
-) -> Floorplan:
-    """Build a floorplan from a 2D grid of per-tile powers.
-
-    ``powers[j][i]`` is the power of the tile in row *j* (from the bottom)
-    and column *i* (from the left).  Handy for tests and synthetic maps.
-    """
-    ny = len(powers)
-    if ny == 0:
-        raise FloorplanError("power grid must be non-empty")
-    nx = len(powers[0])
-    if any(len(row) != nx for row in powers):
-        raise FloorplanError("power grid rows must have equal length")
-    dx = die_width / nx
-    dy = die_height / ny
-    blocks = []
-    for j, row in enumerate(powers):
-        for i, power in enumerate(row):
-            blocks.append(
-                Block(
-                    name=f"tile-{j}-{i}",
-                    x=i * dx,
-                    y=j * dy,
-                    width=dx,
-                    height=dy,
-                    power=float(power),
-                )
-            )
-    return Floorplan(name, die_width, die_height, blocks)
 
 
 def stack_outline_matches(a: Floorplan, b: Floorplan, tol: float = 1e-6) -> bool:

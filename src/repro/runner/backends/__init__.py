@@ -51,7 +51,6 @@ class Assignment:
         task_id: Campaign task id.
         experiment_id: Registered experiment to run.
         fingerprint: Task fingerprint — the idempotence key.
-        seed: RNG seed, or None.
         kwargs: Experiment keyword arguments.
         attempt: Attempt number (0-based, monotone per task).
         timeout_s: Wall-clock budget for this attempt.
@@ -63,7 +62,6 @@ class Assignment:
     task_id: str
     experiment_id: str
     fingerprint: str
-    seed: Optional[int]
     kwargs: Dict[str, Any]
     attempt: int
     timeout_s: float

@@ -70,7 +70,6 @@ def execute_assignment(assignment: Assignment) -> Dict[str, Any]:
         task_id=assignment.task_id,
         experiment_id=assignment.experiment_id,
         fingerprint=assignment.fingerprint,
-        seed=assignment.seed,
         kwargs=dict(assignment.kwargs),
         attempt=assignment.attempt,
         elapsed_s=0.0,  # clock-free by design
@@ -97,7 +96,6 @@ def execute_assignment(assignment: Assignment) -> Dict[str, Any]:
             assignment.experiment_id,
             strict=False,
             registry=registry,
-            seed=assignment.seed,
             **assignment.kwargs,
         )
     finally:

@@ -5,7 +5,7 @@ file opened in append mode and fsynced, so a campaign killed mid-write
 leaves at most one torn trailing line — which :func:`read_journal`
 tolerates and reports instead of refusing the whole file.  Resume
 (:func:`completed_fingerprints`) replays the journal and skips any task
-whose exact fingerprint (experiment id + kwargs + seed) already has an
+whose exact fingerprint (experiment id + kwargs) already has an
 ``ok`` entry; failed tasks are re-run.
 
 Every line written carries a crc32 over its canonical JSON encoding
@@ -54,7 +54,6 @@ def make_entry(
     attempt: int,
     final: bool,
     *,
-    seed: Optional[int] = None,
     kwargs: Optional[Dict[str, Any]] = None,
     elapsed_s: float = 0.0,
     error: Optional[str] = None,
@@ -86,7 +85,6 @@ def make_entry(
         "task_id": task_id,
         "experiment_id": experiment_id,
         "fingerprint": fingerprint,
-        "seed": seed,
         "kwargs": dict(kwargs or {}),
         "status": status,
         "attempt": attempt,

@@ -99,9 +99,9 @@ class WorkerPool:
         """Write *spec* to scratch and start one worker subprocess.
 
         The spec must already carry the task identity fields
-        (``task_id``, ``experiment_id``, ``fingerprint``, ``seed``,
-        ``kwargs``, ``attempt``); the pool adds the per-attempt file
-        paths it owns (``result_path``, ``heartbeat_path``).
+        (``task_id``, ``experiment_id``, ``fingerprint``, ``kwargs``,
+        ``attempt``); the pool adds the per-attempt file paths it owns
+        (``result_path``, ``heartbeat_path``).
         """
         self.scratch.mkdir(parents=True, exist_ok=True)
         stem = (
@@ -218,7 +218,6 @@ class WorkerPool:
             task_id=spec["task_id"],
             experiment_id=spec["experiment_id"],
             fingerprint=spec["fingerprint"],
-            seed=spec.get("seed"),
             kwargs=spec.get("kwargs") or {},
             attempt=int(spec.get("attempt", 0)),
             elapsed_s=round(time.monotonic() - handle.started_mono, 4),

@@ -252,13 +252,11 @@ def entry_is_stale(entry: Dict[str, Any]) -> bool:
 
     The resume index is keyed on the *stored* fingerprint, so a line
     whose ``fingerprint`` field no longer matches a recomputation over
-    its own recorded ``(experiment_id, kwargs, seed)`` would be trusted
-    for a task it never actually ran.  Detect and re-run.
+    its own recorded ``(experiment_id, kwargs)`` would be trusted for a
+    task it never actually ran.  Detect and re-run.
     """
     expected = task_fingerprint(
-        entry.get("experiment_id", ""),
-        entry.get("kwargs") or {},
-        entry.get("seed"),
+        entry.get("experiment_id", ""), entry.get("kwargs") or {}
     )
     return expected != entry.get("fingerprint")
 
@@ -329,7 +327,6 @@ class Scheduler:
             task_id=task.task_id,
             experiment_id=task.experiment_id,
             fingerprint=task.fingerprint,
-            seed=task.seed,
             kwargs=dict(task.kwargs),
             attempt=attempt,
             timeout_s=config.task_timeout_s,
@@ -357,7 +354,7 @@ class Scheduler:
                 raise ValueError(
                     f"tasks {other!r} and {task.task_id!r} share "
                     f"fingerprint {task.fingerprint[:12]}; identical "
-                    f"(experiment, kwargs, seed) may be submitted once"
+                    f"(experiment, kwargs) may be submitted once"
                 )
             seen_fps[task.fingerprint] = task.task_id
 
@@ -732,7 +729,6 @@ class Scheduler:
             task_id=task.task_id,
             experiment_id=task.experiment_id,
             fingerprint=lease.fingerprint,
-            seed=task.seed,
             kwargs=dict(task.kwargs),
             attempt=lease.attempt,
             elapsed_s=0.0,
@@ -786,7 +782,6 @@ class Scheduler:
                 task_id=item.task.task_id,
                 experiment_id=item.task.experiment_id,
                 fingerprint=item.task.fingerprint,
-                seed=item.task.seed,
                 kwargs=dict(item.task.kwargs),
                 attempt=item.attempt,
                 elapsed_s=0.0,
@@ -830,7 +825,6 @@ class Scheduler:
             status=outcome["status"],
             attempt=int(outcome.get("attempt", 0)),
             final=final,
-            seed=outcome.get("seed"),
             kwargs=outcome.get("kwargs"),
             elapsed_s=outcome.get("elapsed_s", 0.0),
             error=outcome.get("error"),

@@ -1,10 +1,10 @@
 """Campaign task model: what one supervised worker executes.
 
 A :class:`CampaignTask` pins down one experiment invocation completely —
-artifact id, keyword arguments, and RNG seed — and derives a stable
-fingerprint from those three, so the journal can recognize "this exact
-task already completed" across processes and machines, and any journaled
-failure can be re-run in isolation bit-for-bit.
+artifact id and keyword arguments — and derives a stable fingerprint
+from the two, so the journal can recognize "this exact task already
+completed" across processes and machines, and any journaled failure can
+be re-run in isolation bit-for-bit.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class CampaignTask:
         task_id: Unique id within the campaign (defaults to the
             experiment id).
         experiment_id: Registered artifact to run.
-        kwargs: Keyword arguments forwarded to the experiment.
-        seed: RNG seed the worker applies before running, or None.
+        kwargs: Keyword arguments forwarded to the experiment (a
+            ``seed`` among them reaches the experiment like any other).
         registry_spec: ``"module.path:ATTRIBUTE"`` the worker imports to
             resolve ``experiment_id`` (tests point this at fixture
             registries; campaigns use the paper registry).
@@ -41,13 +41,12 @@ class CampaignTask:
     task_id: str
     experiment_id: str
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
     registry_spec: str = DEFAULT_REGISTRY_SPEC
 
     @property
     def fingerprint(self) -> str:
-        """Stable hash of (experiment_id, kwargs, seed)."""
-        return task_fingerprint(self.experiment_id, self.kwargs, self.seed)
+        """Stable hash of (experiment_id, kwargs)."""
+        return task_fingerprint(self.experiment_id, self.kwargs)
 
     def to_spec(self) -> Dict[str, Any]:
         """JSON-serializable description for the worker process."""
@@ -55,7 +54,6 @@ class CampaignTask:
             "task_id": self.task_id,
             "experiment_id": self.experiment_id,
             "kwargs": dict(self.kwargs),
-            "seed": self.seed,
             "registry_spec": self.registry_spec,
             "fingerprint": self.fingerprint,
         }
@@ -64,7 +62,6 @@ class CampaignTask:
 def select_tasks(
     patterns: Sequence[str],
     kwargs: Optional[Dict[str, Any]] = None,
-    seed: Optional[int] = None,
     registry: Optional[ExperimentRegistry] = None,
     registry_spec: str = DEFAULT_REGISTRY_SPEC,
 ) -> List[CampaignTask]:
@@ -74,9 +71,6 @@ def select_tasks(
         patterns: ``fnmatch`` globs over registered ids (``figure-*``);
             an empty sequence selects everything.
         kwargs: Keyword arguments every selected task carries.
-        seed: Base RNG seed; each task gets ``seed + index`` so tasks
-            stay decorrelated but reproducible.  None leaves tasks
-            unseeded.
         registry: Registry to match against (paper registry by default).
         registry_spec: Import spec the workers use to find the same
             registry.
@@ -100,8 +94,7 @@ def select_tasks(
             task_id=experiment_id,
             experiment_id=experiment_id,
             kwargs=dict(kwargs or {}),
-            seed=None if seed is None else seed + index,
             registry_spec=registry_spec,
         )
-        for index, experiment_id in enumerate(selected)
+        for experiment_id in selected
     ]

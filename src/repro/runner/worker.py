@@ -3,8 +3,8 @@
 The supervisor never shares memory with a worker.  Everything crosses
 the boundary through three files named in the spec:
 
-* **spec** (read) — the task: experiment id, kwargs, seed, registry
-  import spec, chaos directive.
+* **spec** (read) — the task: experiment id, kwargs, registry import
+  spec, chaos directive.
 * **heartbeat** (written) — touched every :data:`HEARTBEAT_EVERY_S` by a
   daemon thread started *before* the heavy simulation imports, so the
   supervisor's watchdog can tell "still importing" from "dead".
@@ -138,7 +138,6 @@ def run_spec(spec: Dict[str, Any]) -> int:
         spec["experiment_id"],
         strict=False,
         registry=registry,
-        seed=spec.get("seed"),
         **spec.get("kwargs", {}),
     )
     _write_result(
@@ -151,7 +150,6 @@ def run_spec(spec: Dict[str, Any]) -> int:
             "error": outcome.error,
             "error_type": outcome.error_type,
             "partial": outcome.partial,
-            "seed": outcome.seed,
             "fingerprint": outcome.fingerprint,
             "oracles": outcome.oracles,
         },

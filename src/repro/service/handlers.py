@@ -9,7 +9,8 @@ Status-code contract (the chaos acceptance test pins this):
 
 * ``200`` — served: a job view, a verified result, health, or stats.
 * ``400`` — the request itself is malformed (bad JSON, unknown
-  experiment, non-dict kwargs).
+  experiment, non-dict kwargs, a ``seed`` that contradicts
+  ``kwargs.seed``).
 * ``404`` — unknown path or unknown job id.
 * ``429`` — the client is over its rate budget (``Retry-After`` set).
 * ``503`` — load shed: admission queue over its watermark, circuit
@@ -52,7 +53,6 @@ def _result_payload(entry: Dict[str, Any]) -> Dict[str, Any]:
         "status": "done",
         "experiment": entry.get("experiment_id"),
         "kwargs": entry.get("kwargs") or {},
-        "seed": entry.get("seed"),
         "attempt": entry.get("attempt", 0),
         "result": entry.get("result") or {},
         "oracles": entry.get("oracles") or {},
@@ -61,7 +61,12 @@ def _result_payload(entry: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _parse_submission(app: Any, request: Request) -> Dict[str, Any]:
-    """Validate a POST /jobs body; raises ValueError with the 400 text."""
+    """Validate a POST /jobs body; raises ValueError with the 400 text.
+
+    A top-level ``seed`` is shorthand for ``kwargs.seed``: it is folded
+    into the kwargs, so ``{"seed": 7}`` and ``{"kwargs": {"seed": 7}}``
+    are one job.
+    """
     body = request.json()
     if not isinstance(body, dict):
         raise ValueError("request body must be a JSON object")
@@ -79,9 +84,13 @@ def _parse_submission(app: Any, request: Request) -> Dict[str, Any]:
     ):
         raise ValueError("'kwargs' must be an object with string keys")
     seed = body.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ValueError("'seed' must be an integer or null")
-    return {"experiment": experiment_id, "kwargs": kwargs, "seed": seed}
+    if seed is not None:
+        if not isinstance(seed, int):
+            raise ValueError("'seed' must be an integer or null")
+        if kwargs.get("seed", seed) != seed:
+            raise ValueError("'seed' and 'kwargs.seed' disagree")
+        kwargs = dict(kwargs, seed=seed)
+    return {"experiment": experiment_id, "kwargs": kwargs}
 
 
 def handle_submit(app: Any, request: Request, now: float) -> Response:
@@ -91,9 +100,7 @@ def handle_submit(app: Any, request: Request, now: float) -> Response:
     except ValueError as exc:
         _bump(app.stats, "bad_requests")
         return Response(400, {"error": str(exc)})
-    fingerprint = task_fingerprint(
-        sub["experiment"], sub["kwargs"], sub["seed"]
-    )
+    fingerprint = task_fingerprint(sub["experiment"], sub["kwargs"])
 
     # Cache first: a verified artifact is served unconditionally — no
     # rate-limited backend, open breaker, or full queue can block a
@@ -125,7 +132,6 @@ def handle_submit(app: Any, request: Request, now: float) -> Response:
         fingerprint,
         sub["experiment"],
         sub["kwargs"],
-        sub["seed"],
         app.registry_spec,
     )
     if not created:

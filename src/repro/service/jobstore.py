@@ -1,8 +1,8 @@
 """Job records and single-flight admission for the simulation service.
 
 A **job** is one fingerprint's worth of work: the service keys jobs on
-the sha256 task fingerprint over ``(experiment, kwargs, seed)``, so N
-concurrent submissions of the same triple **coalesce** onto one record
+the sha256 task fingerprint over ``(experiment, kwargs)``, so N
+concurrent submissions of the same pair **coalesce** onto one record
 and exactly one scheduler submission (single-flight).  The job id *is*
 the fingerprint — the API is content-addressed end to end.
 
@@ -49,7 +49,6 @@ class Job:
     fingerprint: str
     experiment_id: str
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
     registry_spec: str = "repro.core.experiments:REGISTRY"
     state: str = QUEUED
     #: Service-level dispatch attempts (each may wrap scheduler retries).
@@ -63,8 +62,6 @@ class Job:
     requeues: int = 0
     error: Optional[str] = None
     error_type: Optional[str] = None
-    submitted_seq: int = 0
-    updated_seq: int = 0
 
     def public_view(self) -> Dict[str, Any]:
         """JSON shape for polling responses (no result payload)."""
@@ -73,7 +70,6 @@ class Job:
             "fingerprint": self.fingerprint,
             "experiment": self.experiment_id,
             "kwargs": dict(self.kwargs),
-            "seed": self.seed,
             "status": self.state,
             "attempts": self.attempts,
         }
@@ -109,7 +105,6 @@ class JobStore:
         fingerprint: str,
         experiment_id: str,
         kwargs: Dict[str, Any],
-        seed: Optional[int],
         registry_spec: str,
     ) -> tuple[Job, bool]:
         """``(job, created)`` — the single-flight gate.
@@ -129,10 +124,9 @@ class JobStore:
                 fingerprint=fingerprint,
                 experiment_id=experiment_id,
                 kwargs=dict(kwargs),
-                seed=seed,
                 registry_spec=registry_spec,
-                submitted_seq=self._next_seq(),
             )
+            self._next_seq()
             self._jobs[fingerprint] = job
             self._journal_event(job, "submitted")
             return job, True
@@ -163,7 +157,7 @@ class JobStore:
         with self._lock:
             job.state = RUNNING
             job.attempts += 1
-            job.updated_seq = self._next_seq()
+            self._next_seq()
             self._journal_event(job, "started")
 
     def mark_simulated(self, job: Job) -> None:
@@ -175,7 +169,7 @@ class JobStore:
         with self._lock:
             job.state = DONE
             job.error = job.error_type = None
-            job.updated_seq = self._next_seq()
+            self._next_seq()
             self._journal_event(job, "completed")
 
     def mark_failed(
@@ -185,7 +179,7 @@ class JobStore:
             job.state = FAILED
             job.error = error
             job.error_type = error_type
-            job.updated_seq = self._next_seq()
+            self._next_seq()
             self._journal_event(job, "failed", error=error)
 
     def mark_requeued(self, job: Job, why: str) -> None:
@@ -193,7 +187,7 @@ class JobStore:
         with self._lock:
             job.state = QUEUED
             job.requeues += 1
-            job.updated_seq = self._next_seq()
+            self._next_seq()
             self._journal_event(job, "requeued", error=why)
 
     def reset_for_retry(self, job: Job) -> None:
@@ -202,7 +196,7 @@ class JobStore:
             job.state = QUEUED
             job.attempts = 0
             job.error = job.error_type = None
-            job.updated_seq = self._next_seq()
+            self._next_seq()
             self._journal_event(job, "resubmitted")
 
     # -- bookkeeping ---------------------------------------------------------
@@ -242,7 +236,6 @@ class JobStore:
             "fingerprint": job.fingerprint,
             "experiment_id": job.experiment_id,
             "kwargs": dict(job.kwargs),
-            "seed": job.seed,
             "state": job.state,
             "attempt": job.attempts,
             "seq": self._seq,

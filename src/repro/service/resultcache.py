@@ -1,7 +1,7 @@
 """Content-addressed, verify-before-serve simulation result store.
 
-One entry per task fingerprint (the sha256 over ``(experiment, kwargs,
-seed)`` that :func:`repro.core.experiments.task_fingerprint` computes),
+One entry per task fingerprint (the sha256 over ``(experiment, kwargs)``
+that :func:`repro.core.experiments.task_fingerprint` computes),
 stored as an integrity-enveloped checkpoint file
 (:mod:`repro.resilience.checkpoint`): ``MAGIC`` + pickled envelope
 carrying the payload sha256 + the payload.  The payload is the winning

@@ -222,7 +222,6 @@ class ReproService:
                 fingerprint,
                 str(entry.get("experiment_id")),
                 entry.get("kwargs") or {},
-                entry.get("seed"),
                 self.registry_spec,
             )
             if created:
@@ -523,7 +522,6 @@ class ReproService:
             task_id=job.fingerprint,
             experiment_id=job.experiment_id,
             kwargs=dict(job.kwargs),
-            seed=job.seed,
             registry_spec=job.registry_spec,
         )
         campaign = CampaignConfig(

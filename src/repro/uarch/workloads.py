@@ -176,12 +176,6 @@ def workload_suite(seed: int = 20061209) -> List[WorkloadProfile]:
     return list(_suite_profiles(seed))
 
 
-def suite_by_category(seed: int = 20061209) -> Dict[str, List[WorkloadProfile]]:
-    """The suite grouped by category."""
-    grouped: Dict[str, List[WorkloadProfile]] = {}
-    for profile in workload_suite(seed):
-        grouped.setdefault(profile.category, []).append(profile)
-    return grouped
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,6 @@ import pytest
 from repro.analysis.compare import RENDERERS, ComparisonRow, compare_to_paper
 from repro.analysis.heatmap import ascii_heatmap
 from repro.analysis.tables import (
-    format_dict,
     format_figure5,
     format_table,
     format_table5,
@@ -37,10 +36,6 @@ class TestFormatTable:
     def test_empty_rows(self):
         text = format_table(["col"], [])
         assert "col" in text
-
-    def test_format_dict(self):
-        text = format_dict({"alpha": 1, "beta": 2.5}, title="t")
-        assert "alpha" in text and "2.50" in text
 
     def test_format_figure5(self):
         cpma = {"svm": {"2D 4MB": 3.0, "3D 12MB": 3.0, "3D 32MB": 1.0,

@@ -51,7 +51,8 @@ class TestRun:
         outcome = json.loads(proc.stdout)
         assert outcome["ok"] is True
         assert outcome["experiment_id"] == "table-4"
-        assert outcome["seed"] == 5
+        assert outcome["kwargs"] == {"seed": 5}
+        assert "seed" not in outcome
         assert outcome["fingerprint"]
         assert "total_gain_pct" in outcome["result"]
 

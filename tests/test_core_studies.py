@@ -24,8 +24,8 @@ from repro.core.memory_on_logic import (
     build_memory_configs,
     run_performance_study,
     run_thermal_study,
-    stack_for_config,
 )
+from repro.core.stack import build_stack
 from repro.floorplan import core2duo_floorplan
 from repro.memsim.replay import replay_trace
 from repro.oracles.config import get_oracle_config, oracle_mode, set_oracle_mode
@@ -52,9 +52,9 @@ class TestMemoryConfigs:
 
     def test_stack_objects(self):
         configs = {c.name: c for c in build_memory_configs()}
-        assert stack_for_config(configs["2D 4MB"]) is None
-        stack = stack_for_config(configs["3D 32MB"])
-        assert stack is not None
+        assert configs["2D 4MB"].cache_die is None
+        dram = configs["3D 32MB"]
+        stack = build_stack(dram.cpu_die, dram.cache_die, bumps_kind="dram")
         assert stack.die_near_bumps.kind == "dram"
         assert stack.hot_die_near_sink()
         assert stack.validate() == []

@@ -32,10 +32,8 @@ from repro.coupled import (
     bursty_load_spikes,
     calibrate,
     constant_load,
-    make_policy,
     run_coupled_loop,
     run_coupled_policies,
-    step_load,
 )
 from repro.coupled.drivers import SPIKE_JITTER
 from repro.oracles.config import oracle_mode
@@ -91,12 +89,6 @@ class TestDrivers:
     def test_constant_load_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             constant_load(-0.1)
-
-    def test_step_load(self):
-        load = step_load(0.5, 1.2, t_step_s=10.0)
-        assert load(0, 0.0) == 0.5
-        assert load(5, 10.0) == 1.2
-        assert load(9, 99.0) == 1.2
 
     def test_bursty_deterministic(self):
         a = bursty_load_spikes(seed=7)
@@ -232,20 +224,6 @@ class TestPredictiveDtm:
 
 
 class TestPolicyFactory:
-    def test_known_names(self):
-        assert isinstance(make_policy("none"), NoDtm)
-        assert isinstance(make_policy("threshold"), ThresholdDtm)
-        assert isinstance(make_policy("pid"), PidDtm)
-        assert isinstance(make_policy("predictive"), PredictiveDtm)
-
-    def test_kwargs_forwarded(self):
-        policy = make_policy("threshold", vcc_step=0.05)
-        assert policy.vcc_step == 0.05
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown DTM policy"):
-            make_policy("bangbang")
-
     def test_no_dtm_holds(self):
         assert NoDtm().decide(mkobs(peak_c=120.0, vcc=0.95)) == 0.95
 

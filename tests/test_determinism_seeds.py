@@ -8,6 +8,9 @@ exact trace bytes (and changing the seed does not).
 
 import hashlib
 
+from repro.cli import _run_kwargs, build_parser
+from repro.core.experiments import run_experiment
+from repro.runner.tasks import select_tasks
 from repro.traces.generator import generate_trace
 from repro.traces.record import write_trace
 from repro.uarch.workloads import make_profile, workload_suite
@@ -62,3 +65,36 @@ class TestWorkloadSuiteSeeds:
         a = make_profile("specint", 3, seed=42)
         b = make_profile("specint", 3, seed=42)
         assert a == b
+
+
+#: Figure 5 at test size: one kernel, 12 k records, four configs.
+SMALL_FIGURE5 = dict(workloads=["conj"], scale=16, length_factor=0.02)
+
+
+class TestExperimentSeed:
+    """``seed`` is an experiment kwarg that reaches the trace generator."""
+
+    def test_seed_changes_figure5(self):
+        default = run_experiment("figure-5", **SMALL_FIGURE5)
+        seeded = run_experiment("figure-5", seed=7, **SMALL_FIGURE5)
+        assert default.ok and seeded.ok
+        assert seeded.kwargs["seed"] == 7
+        assert seeded.result["cpma"] != default.result["cpma"]
+        assert seeded.fingerprint != default.fingerprint
+
+    def test_default_seed_is_1234(self):
+        default = run_experiment("figure-5", **SMALL_FIGURE5)
+        pinned = run_experiment("figure-5", seed=1234, **SMALL_FIGURE5)
+        assert pinned.result == default.result
+
+    def test_cli_seed_zero_reaches_kwargs(self):
+        parser = build_parser()
+        for argv in (["run", "figure-5", "--seed", "0"],
+                     ["sweep", "figure-*", "--seed", "0"]):
+            assert _run_kwargs(parser.parse_args(argv)) == {"seed": 0}
+        assert _run_kwargs(parser.parse_args(["run", "figure-5"])) == {}
+
+    def test_every_sweep_task_carries_the_seed(self):
+        args = build_parser().parse_args(["sweep", "--seed", "0"])
+        tasks = select_tasks(args.experiments, kwargs=_run_kwargs(args))
+        assert tasks and all(t.kwargs["seed"] == 0 for t in tasks)

@@ -138,7 +138,7 @@ class TestHistories:
                    for line in history.events_log)
 
     def test_workload_results_are_pure(self):
-        for task in make_tasks(4, seed=3):
+        for task in make_tasks(4):
             expected = expected_result(task.experiment_id, task.kwargs)
             assert expected == expected_result(
                 task.experiment_id, task.kwargs

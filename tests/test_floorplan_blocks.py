@@ -9,7 +9,6 @@ from repro.floorplan.blocks import (
     Block,
     Floorplan,
     FloorplanError,
-    grid_floorplan,
     stack_outline_matches,
     uniform_floorplan,
 )
@@ -176,19 +175,6 @@ class TestRasterize:
 
 
 class TestHelpers:
-    def test_grid_floorplan(self):
-        plan = grid_floorplan("g", 4, 4, [[1.0, 2.0], [3.0, 4.0]])
-        assert plan.total_power == pytest.approx(10.0)
-        assert len(plan) == 4
-
-    def test_grid_floorplan_rejects_ragged(self):
-        with pytest.raises(FloorplanError):
-            grid_floorplan("g", 4, 4, [[1.0], [2.0, 3.0]])
-
-    def test_grid_floorplan_rejects_empty(self):
-        with pytest.raises(FloorplanError):
-            grid_floorplan("g", 4, 4, [])
-
     def test_stack_outline_matches(self):
         a = Floorplan("a", 10, 10)
         b = Floorplan("b", 10, 10)

@@ -95,7 +95,6 @@ def _entry(task, status="ok", **overrides):
         status=status,
         attempt=0,
         final=True,
-        seed=task.seed,
         kwargs=task.kwargs,
         result={"value": 42},
     )
@@ -108,7 +107,6 @@ def _task(task_id, **kwargs):
         task_id=task_id,
         experiment_id="quick",
         kwargs=kwargs,
-        seed=7,
         registry_spec=FAST_REGISTRY_SPEC,
     )
 

@@ -30,7 +30,6 @@ def _task(task_id, experiment_id="quick", **kwargs):
         task_id=task_id,
         experiment_id=experiment_id,
         kwargs=kwargs,
-        seed=7,
         registry_spec=FAST_REGISTRY_SPEC,
     )
 

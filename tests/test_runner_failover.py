@@ -31,7 +31,6 @@ def _task(task_id, experiment_id="quick", **kwargs):
         task_id=task_id,
         experiment_id=experiment_id,
         kwargs=kwargs,
-        seed=7,
         registry_spec=FAST_REGISTRY_SPEC,
     )
 
@@ -119,7 +118,7 @@ class TestNodesBackendFailover:
         """A genuine kill -9, aimed at a node that holds leases."""
         _tasks, reference = clean_reference
         # The quick tasks carry the bit-identity check (same
-        # experiment/kwargs/seed as the reference set); two slow decoys
+        # experiment/kwargs as the reference set); two slow decoys
         # with distinct kwargs widen the window for killing a node that
         # is mid-task.
         tasks = [_task(f"t{i}", value=i) for i in range(4)] + [

@@ -25,7 +25,6 @@ def _task(task_id, experiment_id=None, **kwargs):
         task_id=task_id,
         experiment_id=experiment_id or task_id,
         kwargs=kwargs,
-        seed=7,
         registry_spec=FAST_REGISTRY_SPEC,
     )
 

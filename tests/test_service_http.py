@@ -89,7 +89,7 @@ class TestRoundtrip:
             # Two requests for the same fingerprint: byte-identical.
             _s, _h, second = request(svc.port, "GET", f"/jobs/{job_id}")
             assert first == second
-            # Re-POSTing the same triple is a cache hit, same bytes.
+            # Re-POSTing the same pair is a cache hit, same bytes.
             status, _h, third = submit(svc.port, "quick", seed=7)
             assert status == 200 and third == first
 
@@ -98,6 +98,29 @@ class TestRoundtrip:
             _s, _h, a = submit(svc.port, "quick", seed=1)
             _s, _h, b = submit(svc.port, "quick", seed=2)
             assert json.loads(a)["job_id"] != json.loads(b)["job_id"]
+
+    def test_top_level_seed_is_kwargs_seed(self, tmp_path):
+        with service(tmp_path) as svc:
+            _s, _h, a = submit(svc.port, "quick", seed=7)
+            _s, _h, b = submit(svc.port, "quick", kwargs={"seed": 7})
+            _s, _h, c = submit(svc.port, "quick", seed=7,
+                               kwargs={"seed": 7})
+            views = [json.loads(raw) for raw in (a, b, c)]
+            assert len({v["job_id"] for v in views}) == 1
+            assert views[0]["kwargs"] == {"seed": 7}
+            assert "seed" not in views[0]
+            view, _raw = poll_until(svc.port, views[0]["job_id"])
+            assert view["kwargs"] == {"seed": 7} and "seed" not in view
+            stats = json.loads(request(svc.port, "GET", "/stats")[2])
+            assert stats["jobs"]["simulations"] == 1
+
+    def test_conflicting_seeds_rejected(self, tmp_path):
+        with service(tmp_path) as svc:
+            status, _h, raw = submit(svc.port, "quick", seed=7,
+                                     kwargs={"seed": 8})
+            assert status == 400 and b"seed" in raw
+            status, _h, _raw = submit(svc.port, "quick", seed="7")
+            assert status == 400
 
     def test_experiment_error_fails_cleanly(self, tmp_path):
         with service(tmp_path) as svc:
@@ -237,12 +260,14 @@ class TestShedding:
                     shed_seed = i
                     break
             assert shed_seed is not None
-            fp = task_fingerprint("slow", {"sleep_s": 1.0}, shed_seed)
+            fp = task_fingerprint(
+                "slow", {"sleep_s": 1.0, "seed": shed_seed}
+            )
             # A shed submission was never admitted: no ghost record
             # that a later coalesce could wait on forever.
             status, _h, _raw = request(svc.port, "GET", f"/jobs/{fp}")
             assert status == 404
-            # Once load drains, the same triple is admissible again
+            # Once load drains, the same pair is admissible again
             # and runs to completion.
             deadline = time.monotonic() + POLL_DEADLINE_S
             while time.monotonic() < deadline:
@@ -405,7 +430,7 @@ class TestDispatcherRevalidation:
         svc = ReproService(config)
         try:
             job, created = svc.jobs.get_or_create(
-                "fp-reval", "quick", {}, 7, FAST_REGISTRY_SPEC
+                "fp-reval", "quick", {"seed": 7}, FAST_REGISTRY_SPEC
             )
             assert created
             svc.breaker.record_failure(svc.now())  # threshold=1: opens
@@ -454,9 +479,9 @@ class TestHalfOpenProbeRelease:
         try:
             jobs = {}
             for name in ("boom", "quick"):
-                fingerprint = task_fingerprint(name, {}, None)
+                fingerprint = task_fingerprint(name, {})
                 jobs[name], _ = svc.jobs.get_or_create(
-                    fingerprint, name, {}, None, FAST_REGISTRY_SPEC
+                    fingerprint, name, {}, FAST_REGISTRY_SPEC
                 )
             boom, quick = jobs["boom"], jobs["quick"]
             svc.breaker.record_failure(svc.now())  # threshold=1: opens

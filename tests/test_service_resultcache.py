@@ -21,7 +21,6 @@ def make_entry(fingerprint=FP, status="ok", violations=(), **overrides):
         "fingerprint": fingerprint,
         "experiment_id": "quick",
         "kwargs": {"value": 3},
-        "seed": 11,
         "status": status,
         "attempt": 1,
         "result": {"value": 3},

@@ -33,7 +33,6 @@ from repro.uarch.pipeline import (
 from repro.uarch.workloads import (
     SuiteColumns,
     make_profile,
-    suite_by_category,
     workload_suite,
 )
 
@@ -163,15 +162,6 @@ class TestSuiteMemo:
         assert workload_suite() == expected
         first.clear()
         assert workload_suite() == expected
-
-    def test_mutating_grouped_suite_does_not_leak(self):
-        expected = {k: list(v) for k, v in suite_by_category().items()}
-        grouped = suite_by_category()
-        grouped["specint"].append(grouped["specfp"][0])
-        grouped["server"].clear()
-        assert suite_by_category() == expected
-        grouped.clear()
-        assert suite_by_category() == expected
 
 
 class TestCycleSimulator:

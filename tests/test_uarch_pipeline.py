@@ -21,9 +21,16 @@ from repro.uarch.power import (
 from repro.uarch.workloads import (
     CATEGORY_COUNTS,
     make_profile,
-    suite_by_category,
     workload_suite,
 )
+
+
+def _by_category():
+    """The suite grouped by its profiles' categories."""
+    grouped = {}
+    for profile in workload_suite():
+        grouped.setdefault(profile.category, []).append(profile)
+    return grouped
 
 
 class TestPipelineConfig:
@@ -103,7 +110,7 @@ class TestWorkloadSuite:
         assert len(workload_suite()) > 650
 
     def test_all_eight_categories(self):
-        categories = suite_by_category()
+        categories = _by_category()
         assert set(categories) == {
             "specint", "specfp", "kernels", "multimedia",
             "internet", "productivity", "server", "workstation",
@@ -118,7 +125,7 @@ class TestWorkloadSuite:
     def test_category_character(self):
         # SPECFP must be FP-heavy relative to SPECINT, and SPECINT
         # branch-heavy relative to SPECFP (category archetypes).
-        categories = suite_by_category()
+        categories = _by_category()
 
         def mean(ws, attr):
             return sum(getattr(w, attr) for w in ws) / len(ws)
