@@ -365,7 +365,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             data_dir=args.data_dir,
             registry_spec=args.registry,
             backend=args.backend,
-            workers=args.workers,
             parallel_jobs=args.parallel_jobs,
             job_timeout_s=args.job_timeout,
             max_job_attempts=args.max_attempts,
@@ -588,8 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="{local,inproc,nodes:N}",
                        help="executor backend: 'local' (worker pool in "
                             "this process), 'inproc' (synchronous, "
-                            "deterministic), or 'nodes:N' (N node "
-                            "processes over a control socket; survives "
+                            "deterministic, no chaos), or 'nodes:N' (N "
+                            "node processes over a control socket; survives "
                             "losing any one of them)")
     sweep.add_argument("--lease-ttl", type=float, default=15.0,
                        help="seconds a claimed task may go without its "
@@ -656,9 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--backend", default="inproc",
                        metavar="{local,inproc,nodes:N}",
                        help="executor backend jobs are scheduled onto")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker concurrency inside each job's "
-                            "campaign run")
     serve.add_argument("--parallel-jobs", type=int, default=2,
                        help="jobs simulated concurrently")
     serve.add_argument("--job-timeout", type=float, default=60.0,

@@ -8,6 +8,10 @@ through the same :func:`~repro.runner.backends.inproc.execute_assignment`
 path the inproc backend uses, and *when* things happen is dictated by
 the virtual clock plus the fault schedule, never by the host.
 
+It is the one simulator of executor faults: the DST harness drives it
+from seed-derived schedules, and the scheduler's fault tests
+(``tests/test_runner_backends.py``) drive it from hand-written ones.
+
 Faults the fabric realizes (addressed to site ``executor:<slot>``):
 
 * ``crash`` — the incarnation dies, in-flight work vanishes; a new

@@ -174,14 +174,15 @@ class FaultInjector:
     def executor_fault(self, executor_id: str) -> Optional[str]:
         """Chaos directive for one executor, or None.
 
-        Consulted by a backend when it brings an executor up (the
-        ``nodes:N`` backend passes the directive on the node's command
-        line; the inproc backend simulates it).  Budgets come from
-        ``forced_failures`` with stage names ``"<mode>"`` (any
-        executor) or ``"<mode>:<executor_id>"`` (one executor), mode
-        from :data:`EXECUTOR_FAULT_MODES` — so ``{"executor-crash": 1}``
-        dooms exactly one executor per campaign, deterministically the
-        first to ask.
+        Consulted by the ``nodes:N`` backend when it brings an
+        executor up; it passes the directive on the node's command
+        line.  (The ``inproc`` backend takes no injector; simulated
+        executor faults come from the DST fault schedule instead.)
+        Budgets come from ``forced_failures`` with stage names
+        ``"<mode>"`` (any executor) or ``"<mode>:<executor_id>"`` (one
+        executor), mode from :data:`EXECUTOR_FAULT_MODES` — so
+        ``{"executor-crash": 1}`` dooms exactly one executor per
+        campaign, deterministically the first to ask.
         """
         for mode in EXECUTOR_FAULT_MODES:
             if self.should_fail(f"{mode}:{executor_id}"):

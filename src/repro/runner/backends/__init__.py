@@ -10,9 +10,10 @@ reports events back.  Three implementations cover the space:
   own process tree.
 * :class:`~repro.runner.backends.inproc.InprocBackend` (``inproc``) —
   runs experiments synchronously in the scheduler process.  No
-  subprocesses, no clocks in the data path: the fast deterministic
-  backend for scheduler tests (and chaos *simulation*, including
-  duplicate completion delivery).
+  subprocesses, no clocks in the data path, no fault injection: the
+  default backend of ``repro serve``.  Deterministic executor faults
+  are simulated by :class:`repro.dst.fabric.SimFabric`, which
+  implements this same interface.
 * :class:`~repro.runner.backends.nodes.NodesBackend` (``nodes:N``) — N
   separate **node** processes, each owning a pool of workers, driven
   over a control socket.  A node stands in for a remote host: it can be

@@ -4,8 +4,8 @@ The scheduler owns everything an executor backend must not: the task
 queue, the **lease table** (:mod:`repro.runner.leases`), retry/backoff,
 and the journal — the single source of truth a campaign resumes from.
 Backends (:mod:`repro.runner.backends`) own mechanism only; the same
-scheduler drives the local subprocess pool, the in-process test
-backend, and N socket-connected node processes.
+scheduler drives the local subprocess pool, the in-process backend,
+and N socket-connected node processes.
 
 Scheduling is lease-based:
 
@@ -106,14 +106,14 @@ class CampaignConfig:
     """Knobs for one campaign run (CLI: ``repro sweep``).
 
     ``backend`` picks the executor backend: ``local`` (subprocess pool),
-    ``inproc`` (synchronous, deterministic), or ``nodes:N`` (N node
-    processes over a control socket).  ``workers`` is the concurrency
-    *per executor*; a ``nodes:3`` campaign with ``workers=2`` runs up to
-    6 tasks at once.  ``lease_ttl_s`` is how long a claimed task may go
-    without its executor proving itself alive before the scheduler
-    reclaims the lease and lets a surviving executor steal the work;
-    ``lease_reclaim_budget`` bounds how many times one task may be
-    reclaimed before it is finalized as failed.
+    ``inproc`` (synchronous, deterministic; takes no ``injector``), or
+    ``nodes:N`` (N node processes over a control socket).  ``workers``
+    is the concurrency *per executor*; a ``nodes:3`` campaign with
+    ``workers=2`` runs up to 6 tasks at once.  ``lease_ttl_s`` is how
+    long a claimed task may go without its executor proving itself
+    alive before the scheduler reclaims the lease and lets a surviving
+    executor steal the work; ``lease_reclaim_budget`` bounds how many
+    times one task may be reclaimed before it is finalized as failed.
 
     The last three knobs exist for deterministic simulation
     (:mod:`repro.dst`): ``clock`` swaps the scheduler's time source
@@ -158,7 +158,12 @@ class CampaignConfig:
             raise ValueError("lease_reclaim_budget must be >= 0")
         # Fail on a malformed backend spec at config time, not after
         # the campaign scratch dir is already on disk.
-        parse_backend_spec(self.backend)
+        backend = parse_backend_spec(self.backend)["name"]
+        if backend == "inproc" and self.injector is not None:
+            raise ValueError(
+                "the inproc backend injects no faults; chaos needs the "
+                "local or nodes:N backend"
+            )
 
 
 @dataclass

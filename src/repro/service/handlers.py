@@ -84,6 +84,10 @@ def _parse_submission(app: Any, request: Request) -> Dict[str, Any]:
     ):
         raise ValueError("'kwargs' must be an object with string keys")
     seed = body.get("seed")
+    if isinstance(seed, bool) or isinstance(kwargs.get("seed"), bool):
+        # JSON true would pass as the integer 1 under its own
+        # fingerprint: one computation cached twice.
+        raise ValueError("'seed' must be an integer, not a boolean")
     if seed is not None:
         if not isinstance(seed, int):
             raise ValueError("'seed' must be an integer or null")

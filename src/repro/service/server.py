@@ -92,8 +92,6 @@ class ServiceConfig:
     data_dir: str = "service-data"
     registry_spec: str = DEFAULT_REGISTRY_SPEC
     backend: str = "inproc"
-    #: Worker concurrency inside each job's campaign run.
-    workers: int = 1
     #: Dispatcher coroutines = jobs simulated concurrently.
     parallel_jobs: int = 2
     #: Wall-clock budget for one job run (service-level timeout).
@@ -121,8 +119,8 @@ class ServiceConfig:
             raise ValueError("rate_per_s must be > 0 and burst >= 1")
         if not 1 <= self.shed_watermark <= self.queue_depth:
             raise ValueError("shed_watermark must be in [1, queue_depth]")
-        if self.parallel_jobs < 1 or self.workers < 1:
-            raise ValueError("parallel_jobs and workers must be >= 1")
+        if self.parallel_jobs < 1:
+            raise ValueError("parallel_jobs must be >= 1")
         if self.job_timeout_s <= 0:
             raise ValueError("job_timeout_s must be positive")
         if self.max_job_attempts < 1:
@@ -525,7 +523,7 @@ class ReproService:
             registry_spec=job.registry_spec,
         )
         campaign = CampaignConfig(
-            workers=max(1, cfg.workers),
+            workers=1,
             task_timeout_s=cfg.job_timeout_s,
             retry=RetryPolicy(max_retries=SCHEDULER_RETRIES),
             journal_path=str(self._attempt_journal(job)),

@@ -1,10 +1,14 @@
-"""Backend interface + scheduler behavior over the inproc backend.
+"""Backend interface + scheduler fault behavior.
 
-The inproc backend runs experiments synchronously in the test process,
-so every scheduler-level property — lease reclaim, work stealing,
-duplicate-completion idempotence, executor-crash failover — is exercised
-here deterministically and fast.  The subprocess backends get the same
-acceptance treatment (plus a real SIGKILL) in
+The scheduler's executor-fault properties — lease reclaim, work
+stealing, the reclaim budget, fenced zombie completions, stalled
+renewals and chaos-then-resume bit-identity — run on the deterministic
+simulation fabric (:class:`repro.dst.fabric.SimFabric`) under a
+hand-written :class:`~repro.dst.schedule.FaultSchedule` and a
+:class:`~repro.dst.clock.SimClock`: exact and fast, with executor ids
+``sim<slot>.g<incarnation>``.  The scheduler-injected duplicate
+delivery runs on the ``local`` pool.  The subprocess backends get the
+same acceptance treatment (plus a real SIGKILL) in
 ``tests/test_runner_failover.py``.
 """
 
@@ -13,6 +17,10 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.dst.clock import SimClock
+from repro.dst.fabric import SimFabric, SimWorld
+from repro.dst.mutations import apply_mutation
+from repro.dst.schedule import FaultEvent, FaultSchedule
 from repro.resilience.faults import FaultInjector
 from repro.runner.backends import make_backend, parse_backend_spec
 from repro.runner.journal import read_journal
@@ -45,6 +53,21 @@ def _config(tmp_path, **overrides):
     )
     base.update(overrides)
     return CampaignConfig(**base)
+
+
+def _run_on_fabric(tasks, config, events, n_executors=1):
+    """Run *tasks* on a SimFabric that realizes *events* on virtual time.
+
+    *events* are ``(poll, executor slot, kind[, arg])`` tuples.
+    """
+    config.clock = SimClock()
+    schedule = FaultSchedule([
+        FaultEvent(step, f"executor:{slot}", kind, *arg)
+        for step, slot, kind, *arg in events
+    ])
+    world = SimWorld(seed=0, schedule=schedule, clock=config.clock)
+    fabric = SimFabric(config, world, n_executors=n_executors)
+    return run_campaign(tasks, config, backend=fabric)
 
 
 class TestBackendSpec:
@@ -86,12 +109,27 @@ class TestInprocHappyPath:
         assert not report.degraded
         assert report.per_executor["inproc-0"]["ok"] == 3
 
+    def test_injector_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="inproc backend injects no"):
+            _config(tmp_path, injector=FaultInjector(
+                forced_failures={"worker-crash": 1},
+            ))
+
+    def test_sweep_chaos_on_inproc_is_usage_error(self, tmp_path, capsys):
+        code = cli_main([
+            "sweep", "table-4", "--backend", "inproc",
+            "--chaos-crash", "0.5",
+            "--journal", str(tmp_path / "j.jsonl"),
+        ])
+        assert code == 2
+        assert "injects no faults" in capsys.readouterr().err
+        assert not (tmp_path / "j.jsonl").exists()
+
+
+class TestWorkerChaos:
     def test_worker_chaos_simulated_and_retried(self, tmp_path):
-        injector = FaultInjector(
-            forced_failures={"worker-crash:flaky": 1}
-        )
-        report = run_campaign(
-            [_task("flaky")], _config(tmp_path, injector=injector)
+        report = _run_on_fabric(
+            [_task("flaky")], _config(tmp_path), [(1, 0, "flaky")],
         )
         assert report.counts == {"ok": 1, "failed": 0, "skipped": 0}
         assert report.taxonomy == {"crash": 1}
@@ -101,9 +139,8 @@ class TestInprocHappyPath:
 class TestExecutorCrashFailover:
     def test_crash_reclaims_and_steals_onto_new_incarnation(self, tmp_path):
         tasks = [_task(f"t{i}", value=i) for i in range(3)]
-        injector = FaultInjector(forced_failures={"executor-crash": 1})
-        report = run_campaign(
-            tasks, _config(tmp_path, workers=1, injector=injector)
+        report = _run_on_fabric(
+            tasks, _config(tmp_path, workers=1), [(1, 0, "crash")],
         )
         # Every task completes despite the executor dying with work.
         assert report.counts == {"ok": 3, "failed": 0, "skipped": 0}
@@ -114,16 +151,14 @@ class TestExecutorCrashFailover:
         # Losing an executor is degraded even though nothing failed.
         assert report.degraded and report.counts["failed"] == 0
         # The stolen work landed on the next incarnation.
-        assert report.per_executor["inproc-1"]["ok"] >= 1
+        assert report.per_executor["sim0.g1"]["ok"] >= 1
 
     def test_reclaim_budget_finalizes_unlucky_task(self, tmp_path):
-        injector = FaultInjector(forced_failures={"executor-crash": -1})
-        report = run_campaign(
+        # Every incarnation crashes on its first poll, with the task on it.
+        report = _run_on_fabric(
             [_task("doomed")],
-            _config(
-                tmp_path, workers=1, injector=injector,
-                lease_reclaim_budget=2,
-            ),
+            _config(tmp_path, workers=1, lease_reclaim_budget=2),
+            [(poll, 0, "crash") for poll in range(1, 11)],
         )
         entry = report.tasks[0]
         assert entry["status"] == "executor-lost"
@@ -133,27 +168,24 @@ class TestExecutorCrashFailover:
 
 
 class TestDuplicateCompletionIdempotence:
-    """Two executors complete the same fingerprint; it counts once.
+    """Two attempts complete the same fingerprint; it counts once.
 
-    Since lease fencing landed, a completion flushed by a healing
-    partition *after* its lease was reclaimed carries a stale epoch and
-    is journaled ``fenced`` (a zombie write, rejected), not
-    ``duplicate`` — the fresh attempt's ``ok`` is the one that counts.
+    A completion flushed by a healing partition *after* its lease was
+    reclaimed carries a stale epoch and is journaled ``fenced`` (a
+    zombie write, rejected), not ``duplicate`` — the fresh attempt's
+    ``ok`` is the one that counts.
     """
 
     def _partition_campaign(self, tmp_path):
         tasks = [_task(f"t{i}", value=i) for i in range(2)]
-        injector = FaultInjector(forced_failures={"partition": 1})
-        config = _config(
-            tmp_path,
-            workers=1,
-            injector=injector,
-            # TTL far shorter than the simulated partition, so leases
-            # expire mid-blackhole and the work is re-run before the
-            # partitioned executor's completions flush.
-            lease_ttl_s=0.001,
-        )
-        return tasks, run_campaign(tasks, config)
+        # t0 is on the one executor when the partition starts.  The TTL
+        # is far shorter than one poll, so its lease expires at once;
+        # the partition (3 virtual seconds) outlasts the longest
+        # simulated service time, so the stale completion is flushed
+        # at the heal, before the re-grant is even dispatched.
+        config = _config(tmp_path, workers=1, lease_ttl_s=0.001)
+        events = [(1, 0, "partition", 60)]
+        return tasks, _run_on_fabric(tasks, config, events)
 
     def test_first_fresh_journaled_ok_wins(self, tmp_path):
         tasks, report = self._partition_campaign(tmp_path)
@@ -163,6 +195,12 @@ class TestDuplicateCompletionIdempotence:
         # The report counts each task exactly once, all ok.
         assert report.counts == {"ok": 2, "failed": 0, "skipped": 0}
         assert len(report.tasks) == 2
+
+    def test_unfenced_scheduler_fails_the_port(self, tmp_path):
+        # The port still bites: with fencing patched out, the zombie's
+        # stale completion is accepted and the test above fails.
+        with apply_mutation("drop-fencing"), pytest.raises(AssertionError):
+            self.test_first_fresh_journaled_ok_wins(tmp_path)
 
     def test_fenced_journaled_for_audit_not_resume(self, tmp_path):
         tasks, report = self._partition_campaign(tmp_path)
@@ -199,11 +237,16 @@ class TestDuplicateCompletionIdempotence:
 
 class TestDuplicateDelivery:
     def test_ghost_delivery_discarded_from_aggregation(self, tmp_path):
-        tasks = [_task("twice"), _task("once", value=2)]
+        # The scheduler submits "twice" a second time, whatever the
+        # backend; on the local pool both copies run in real workers.
+        # "once" waits for a free worker and then outlasts the ghost.
+        tasks = [_task("twice"), _task("once", "slow", sleep_s=0.3)]
         injector = FaultInjector(
             forced_failures={"duplicate-delivery:twice": 1}
         )
-        report = run_campaign(tasks, _config(tmp_path, injector=injector))
+        report = run_campaign(tasks, _config(
+            tmp_path, backend="local", injector=injector,
+        ))
         assert report.counts == {"ok": 2, "failed": 0, "skipped": 0}
         assert report.duplicate_completions == 1
         assert not report.degraded  # both copies agreed; nothing lost
@@ -211,17 +254,15 @@ class TestDuplicateDelivery:
 
 class TestLeaseStall:
     def test_stalled_renewals_expire_and_work_is_rerun(self, tmp_path):
-        # t0 sleeps for well over the lease TTL, so with renewals
-        # stalled the queued t1's lease is guaranteed to expire while
-        # t0 executes (workers=2 claims both leases up front; the
-        # backend runs one task per poll).
-        tasks = [_task("t0", "slow", sleep_s=0.05), _task("t1", value=1)]
-        injector = FaultInjector(forced_failures={"lease-stall": 1})
-        report = run_campaign(
+        # t0 lands on sim0, t1 on sim1; sim1 stops renewing at its
+        # first poll.  The TTL is shorter than one poll, so t1's lease
+        # expires and the work is re-run on sim0, which keeps renewing.
+        tasks = [_task("t0"), _task("t1", value=1)]
+        report = _run_on_fabric(
             tasks,
-            _config(
-                tmp_path, workers=2, injector=injector, lease_ttl_s=0.01,
-            ),
+            _config(tmp_path, workers=1, lease_ttl_s=0.01),
+            [(1, 1, "stall")],
+            n_executors=2,
         )
         assert report.counts == {"ok": 2, "failed": 0, "skipped": 0}
         assert report.leases_reclaimed >= 1
@@ -237,20 +278,19 @@ class TestBitIdenticalResume:
             for t in report.tasks
         }
 
-    def test_inproc_crash_then_resume_matches_clean_run(self, tmp_path):
+    def test_crash_then_resume_matches_clean_run(self, tmp_path):
         tasks = [_task(f"t{i}", value=i) for i in range(3)]
         clean = run_campaign(tasks, _config(tmp_path / "clean"))
 
-        injector = FaultInjector(forced_failures={
-            "executor-crash": 1,
-            "worker-crash:t1": 1,
-        })
-        faulted = run_campaign(
+        # The executor crashes with t0 on it; its next incarnation
+        # drops the first result it finishes, and no retry is left.
+        faulted = _run_on_fabric(
             tasks,
             _config(
-                tmp_path / "chaos", workers=1, injector=injector,
+                tmp_path / "chaos", workers=1,
                 retry=RetryPolicy(max_retries=0),
             ),
+            [(1, 0, "crash"), (1, 0, "flaky")],
         )
         assert faulted.degraded  # executor loss and/or the failed task
         resumed = run_campaign(
@@ -262,7 +302,6 @@ class TestBitIdenticalResume:
         assert {t["fingerprint"] for t in resumed.tasks} == {
             t["fingerprint"] for t in clean.tasks
         }
-
 
 class TestNodeClose:
     """Node.close() releases the control socket deterministically.

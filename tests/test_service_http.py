@@ -122,6 +122,19 @@ class TestRoundtrip:
             status, _h, _raw = submit(svc.port, "quick", seed="7")
             assert status == 400
 
+    def test_boolean_seed_rejected(self, tmp_path):
+        # JSON true is not the integer 1: admitting it would cache one
+        # computation under two fingerprints.
+        with service(tmp_path) as svc:
+            for body in ({"seed": True}, {"kwargs": {"seed": True}}):
+                status, _h, raw = request(
+                    svc.port, "POST", "/jobs", dict(body, experiment="quick"),
+                )
+                assert status == 400 and b"boolean" in raw
+            status, _h, raw = submit(svc.port, "quick", seed=1)
+            assert status == 200
+            assert json.loads(raw)["kwargs"] == {"seed": 1}
+
     def test_experiment_error_fails_cleanly(self, tmp_path):
         with service(tmp_path) as svc:
             _s, _h, raw = submit(svc.port, "boom")
