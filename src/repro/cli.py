@@ -114,12 +114,12 @@ def _parse_chaos_force(specs: List[str]) -> dict:
 
     Worker modes (``crash``, ``hang``, ...) target a task id and map to
     ``worker-<mode>[:<task>]`` stages.  Executor modes
-    (``executor-crash``, ``partition``, ``lease-stall``) target an
-    executor id, and ``duplicate-delivery`` targets a task id; those map
-    to their stage names unprefixed.  Service modes (``slow-client``,
-    ``request-flood``, ``corrupt-cached-result``, ``backend-partition``)
-    target a client id or task fingerprint and are unprefixed too
-    (``repro serve --chaos-force``).
+    (``executor-crash``, ``partition``, ``lease-stall``; ``nodes:N``
+    only) target an executor id, and ``duplicate-delivery`` targets a
+    task id; those map to their stage names unprefixed.  Service modes
+    (``slow-client``, ``request-flood``, ``corrupt-cached-result``,
+    ``backend-partition``) target a client id or task fingerprint and
+    are unprefixed too (``repro serve --chaos-force``).
     """
     from repro.resilience.faults import (
         EXECUTOR_FAULT_MODES,
@@ -614,7 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force a fault: worker modes crash|hang|stall|"
                             "corrupt-result|flip-operator (target: task "
                             "id) or backend modes executor-crash|"
-                            "partition|lease-stall (target: executor id) "
+                            "partition|lease-stall (nodes:N only; target: "
+                            "executor id) "
                             "and duplicate-delivery (target: task id), "
                             "N times (-1 = always)")
     sweep.add_argument("--oracles", choices=("off", "sample", "strict"),

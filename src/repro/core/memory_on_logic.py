@@ -15,10 +15,11 @@ bus power, Figure 5) and in the thermal model (Figure 8).
 from __future__ import annotations
 
 import os
+import shutil
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from repro.traces.generator import TraceGenerator, WorkloadSpec
 from repro.traces.kernels.registry import kernel_names
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future
+
     from repro.thermal.solver import SolverConfig
 
 #: Configuration names in Figure 5/7/8 order.
@@ -187,43 +190,41 @@ class MemoryOnLogicResult:
         return 1.0 - new / base if base else 0.0
 
 
-#: The trace a replay worker process was started with (see
-#: :func:`_start_cell_worker`); None outside worker processes.
-_CELL_TRACE: Optional[np.ndarray] = None
-
 #: How often a replay worker checks that its caller is still alive, s.
 _ORPHAN_POLL_S = 0.2
 
 
-def _start_cell_worker(caller_pid: int, records: np.ndarray) -> None:
-    """Pool initializer: keep the trace, and die with the caller.
+def _start_cell_worker(caller_pid: int, study_dir: str) -> None:
+    """Pool initializer: die with the caller, and clean up after it.
 
-    Under ``fork`` the initializer's arguments are inherited, not
-    pickled, so every worker shares the caller's trace pages.  A
-    SIGKILLed caller cannot shut its pool down, and the sibling workers
-    keep the call queue's write end open, so no worker would ever see
-    EOF; the watchdog exits once the worker is reparented instead.
+    A SIGKILLed caller cannot shut its pool down or remove its study
+    directory, and the sibling workers keep the call queue's write end
+    open, so no worker would ever see EOF; the watchdog removes the
+    directory and exits once the worker is reparented instead.
     """
-    global _CELL_TRACE
-    _CELL_TRACE = records
     threading.Thread(
-        target=_exit_when_orphaned, args=(caller_pid,), daemon=True
+        target=_exit_when_orphaned, args=(caller_pid, study_dir), daemon=True
     ).start()
 
 
-def _exit_when_orphaned(caller_pid: int) -> None:
+def _exit_when_orphaned(caller_pid: int, study_dir: str) -> None:
     while os.getppid() == caller_pid:
         time.sleep(_ORPHAN_POLL_S)
+    shutil.rmtree(study_dir, ignore_errors=True)
     os._exit(1)
 
 
 def _replay_cell(
-    hierarchy: HierarchyConfig, warmup: float, oracles: OracleConfig
+    trace_path: str,
+    hierarchy: HierarchyConfig,
+    warmup: float,
+    oracles: OracleConfig,
 ) -> Tuple[ReplayStats, OracleReport]:
     """One (workload, config) cell, run in a replay worker process."""
     set_oracle_mode(oracles)
     reset_oracles()
-    stats = replay_trace(_CELL_TRACE, hierarchy, warmup_fraction=warmup)
+    records = np.load(trace_path, mmap_mode="r")
+    stats = replay_trace(records, hierarchy, warmup_fraction=warmup)
     return stats, oracle_report()
 
 
@@ -243,10 +244,14 @@ def run_performance_study(
 ) -> MemoryOnLogicResult:
     """Run the Figure 5 sweep: every workload on every configuration.
 
-    Each workload's trace is generated here, then its four
-    configurations replay in parallel worker processes (forked, so they
-    share the trace); their results and oracle scoreboards are taken in
-    configuration order before the next trace is generated.
+    One pool of forked replay workers serves the whole study.  Traces
+    are generated here, longest first, each saved once to a ``.npy``
+    file in a study temp dir that its four cells map read-only; the
+    next trace is generated while earlier cells replay, as long as
+    fewer than two cells per worker are pending, and a trace's file is
+    deleted once its cells are done.  Results and oracle scoreboards
+    are taken in ``workloads`` x configuration order, whatever order
+    the cells ran in.
 
     Args:
         workloads: Subset of RMS kernels (default: all twelve).
@@ -263,41 +268,72 @@ def run_performance_study(
     # Imported here: this module is imported by every ``repro.core``
     # user, and only this function needs a process pool.
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import tempfile
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     workloads = workloads or kernel_names()
     configs = build_memory_configs(scale)
     oracles = get_oracle_config()
-    context = multiprocessing.get_context("fork")
-    n_workers = min(len(os.sched_getaffinity(0)), len(configs))
+    n_workers = min(
+        len(os.sched_getaffinity(0)), len(workloads) * len(configs)
+    )
+    cells: Dict[Tuple[str, str], Future] = {}
+    trace_of: Dict[Future, str] = {}
+    cells_left: Dict[str, int] = {}
+    pending: Set[Future] = set()
+
+    def settle() -> None:
+        """Wait for a cell; delete traces whose cells are all done."""
+        done = wait(pending, return_when=FIRST_COMPLETED).done
+        pending.difference_update(done)
+        for future in done:
+            future.result()  # a failed cell fails the study here
+            path = trace_of.pop(future)
+            cells_left[path] -= 1
+            if not cells_left[path]:
+                os.remove(path)
+
+    with tempfile.TemporaryDirectory(prefix="repro-figure5-") as study_dir:
+        pool = ProcessPoolExecutor(
+            n_workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_cell_worker,
+            initargs=(os.getpid(), study_dir),
+        )
+        try:
+            longest_first = sorted(workloads, key=lambda n: -TRACE_PLAN[n][0])
+            for index, name in enumerate(longest_first):
+                while len(pending) >= 2 * n_workers:
+                    settle()
+                n_records, warmup = TRACE_PLAN[name]
+                n_records = max(10_000, int(n_records * length_factor))
+                spec = WorkloadSpec(name=name, n_records=n_records, seed=seed)
+                path = os.path.join(study_dir, f"{index}-{name}.npy")
+                np.save(path, TraceGenerator(spec, scale=scale).arrays())
+                cells_left[path] = len(configs)
+                for config in configs:
+                    future = pool.submit(
+                        _replay_cell, path, config.hierarchy, warmup, oracles
+                    )
+                    cells[name, config.name] = future
+                    trace_of[future] = path
+                    pending.add(future)
+            while pending:
+                settle()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
     cpma: Dict[str, Dict[str, float]] = {}
     bandwidth: Dict[str, Dict[str, float]] = {}
     bus_power: Dict[str, Dict[str, float]] = {}
     replay: Dict[str, Dict[str, ReplayStats]] = {}
     for name in workloads:
-        n_records, warmup = TRACE_PLAN[name]
-        n_records = max(10_000, int(n_records * length_factor))
-        spec = WorkloadSpec(name=name, n_records=n_records, seed=seed)
-        records = TraceGenerator(spec, scale=scale).arrays()
-        pool = ProcessPoolExecutor(
-            n_workers,
-            mp_context=context,
-            initializer=_start_cell_worker,
-            initargs=(os.getpid(), records),
-        )
-        try:
-            futures = [
-                pool.submit(_replay_cell, config.hierarchy, warmup, oracles)
-                for config in configs
-            ]
-            cells = [future.result() for future in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
         cpma[name] = {}
         bandwidth[name] = {}
         bus_power[name] = {}
         replay[name] = {}
-        for config, (stats, report) in zip(configs, cells):
+        for config in configs:
+            stats, report = cells[name, config.name].result()
             _merge_oracle_report(report)
             cpma[name][config.name] = stats.cpma
             bandwidth[name][config.name] = stats.bandwidth_gbps

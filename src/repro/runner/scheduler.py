@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.experiments import task_fingerprint
-from repro.resilience.faults import FaultInjector
+from repro.resilience.faults import EXECUTOR_FAULT_MODES, FaultInjector
 from repro.runner.backends import (
     Assignment,
     ExecutorBackend,
@@ -107,7 +107,8 @@ class CampaignConfig:
 
     ``backend`` picks the executor backend: ``local`` (subprocess pool),
     ``inproc`` (synchronous, deterministic; takes no ``injector``), or
-    ``nodes:N`` (N node processes over a control socket).  ``workers``
+    ``nodes:N`` (N node processes over a control socket; the only one
+    that takes forced executor faults).  ``workers``
     is the concurrency *per executor*; a ``nodes:3`` campaign with
     ``workers=2`` runs up to 6 tasks at once.  ``lease_ttl_s`` is how
     long a claimed task may go without its executor proving itself
@@ -164,6 +165,19 @@ class CampaignConfig:
                 "the inproc backend injects no faults; chaos needs the "
                 "local or nodes:N backend"
             )
+        if backend != "nodes" and self.injector is not None:
+            # Only node executors act on executor faults; anywhere else
+            # a forced one would be accepted and never injected.
+            executor_stages = sorted(
+                stage
+                for stage in self.injector.forced_failures
+                if stage.partition(":")[0] in EXECUTOR_FAULT_MODES
+            )
+            if executor_stages:
+                raise ValueError(
+                    f"executor chaos {', '.join(executor_stages)} acts "
+                    f"only on the nodes:N backend, not {self.backend!r}"
+                )
 
 
 @dataclass

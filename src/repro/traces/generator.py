@@ -20,6 +20,7 @@ representation.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -46,6 +47,9 @@ TRACE_DTYPE = np.dtype(
         ("dep_uid", np.int64),
     ]
 )
+
+#: Rows :meth:`TraceGenerator.arrays` packs per block of row tuples.
+_BLOCK_ROWS = 8192
 
 #: One trace row as a plain tuple: (uid, cpu, kind, address, ip, dep_uid).
 TraceRow = Tuple[int, int, int, int, int, int]
@@ -141,9 +145,8 @@ class TraceGenerator:
 
         ifetch_kind = int(AccessType.IFETCH)
         uid = 0
-        live = list(range(spec.n_threads))
-        while uid < spec.n_records and live:
-            for cpu in list(live):
+        while True:
+            for cpu in range(spec.n_threads):
                 # Small random burst per turn: SMP interleaving is not
                 # perfectly alternating.
                 burst = master_rng.randint(1, 4)
@@ -155,8 +158,12 @@ class TraceGenerator:
                             threads[cpu]
                         )
                     except StopIteration:
-                        live.remove(cpu)
-                        break
+                        # Kernels loop forever; one that ends would
+                        # shorten the trace under its warmup split.
+                        raise RuntimeError(
+                            f"kernel {spec.name!r} cpu {cpu} ended after "
+                            f"{uid} of {spec.n_records} records"
+                        ) from None
                     tracker = trackers[cpu]
                     ip = _IP_BASE + site * 4
                     if (
@@ -191,12 +198,23 @@ class TraceGenerator:
 
         Row *i* equals the *i*-th record from :meth:`records` field for
         field; building the batch form skips per-record ``TraceRecord``
-        construction, which dominates generation time at scale.
+        construction, which dominates generation time at scale.  The
+        array is preallocated and filled :data:`_BLOCK_ROWS` rows at a
+        time, so building it holds at most one block of row tuples on
+        top of the array itself.
         """
-        rows = list(self._stream())
-        if not rows:
-            return np.empty(0, dtype=TRACE_DTYPE)
-        return np.array(rows, dtype=TRACE_DTYPE)
+        n_records = self.spec.n_records
+        array = np.empty(n_records, dtype=TRACE_DTYPE)
+        stream = self._stream()
+        filled = 0
+        while True:
+            block = list(itertools.islice(stream, _BLOCK_ROWS))
+            if not block:
+                break
+            array[filled:filled + len(block)] = block
+            filled += len(block)
+        assert filled == n_records, (filled, n_records)
+        return array
 
 
 def generate_trace(

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -29,7 +30,11 @@ from repro.core.stack import build_stack
 from repro.floorplan import core2duo_floorplan
 from repro.memsim.replay import replay_trace
 from repro.oracles.config import get_oracle_config, oracle_mode, set_oracle_mode
-from repro.oracles.report import oracle_report, reset_oracles
+from repro.oracles.report import (
+    oracle_report,
+    record_violation,
+    reset_oracles,
+)
 from repro.thermal import simulate_planar
 from repro.thermal.solver import SolverConfig
 from repro.traces.generator import TraceGenerator, WorkloadSpec
@@ -120,11 +125,11 @@ class CellFailure(Exception):
     """Raised inside a replay worker by TestReplayFanOut."""
 
 
-def _direct_cells():
+def _direct_cells(kernels=FANOUT_KERNELS):
     """The Figure 5 cells replayed one after another in this process."""
     configs = build_memory_configs(FANOUT_SCALE)
     cells = {}
-    for name in FANOUT_KERNELS:
+    for name in kernels:
         n_records, warmup = TRACE_PLAN[name]
         n_records = max(10_000, int(n_records * FANOUT_LENGTH))
         spec = WorkloadSpec(name=name, n_records=n_records, seed=1234)
@@ -168,7 +173,7 @@ def _children(pid):
 
 
 class TestReplayFanOut:
-    """run_performance_study replays each kernel's configs in workers."""
+    """run_performance_study replays every cell in one worker pool."""
 
     @pytest.fixture(autouse=True)
     def _clean_oracles(self):
@@ -177,6 +182,14 @@ class TestReplayFanOut:
         yield
         set_oracle_mode(previous)
         reset_oracles()
+
+    @pytest.fixture
+    def temp_root(self, tmp_path, monkeypatch):
+        """Where the study's temp dir goes (``tempfile.gettempdir()``)."""
+        root = tmp_path / "temp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
 
     def test_matches_direct_replay_loop(self):
         direct = _direct_cells()
@@ -189,6 +202,52 @@ class TestReplayFanOut:
             MEMORY_CONFIG_NAMES
         )
         assert checks == direct_checks
+
+    def test_cells_run_longest_first_but_report_in_caller_order(
+        self, monkeypatch, temp_root
+    ):
+        import repro.core.memory_on_logic as study
+
+        kernels = ["savif", "svd"]  # shortest first in TRACE_PLAN
+        direct = _direct_cells(kernels)
+        reset_oracles()
+        generated = []
+        real_arrays = TraceGenerator.arrays
+
+        def spy_arrays(generator):
+            generated.append(generator.spec.name)
+            return real_arrays(generator)
+
+        def tagged_replay(records, hierarchy, warmup_fraction):
+            stats = replay_trace(
+                records, hierarchy, warmup_fraction=warmup_fraction
+            )
+            record_violation(
+                "test.cell", "memsim", f"{stats.cpma!r} {records.filename}"
+            )
+            return stats
+
+        monkeypatch.setattr(TraceGenerator, "arrays", spy_arrays)
+        monkeypatch.setattr(study, "replay_trace", tagged_replay)
+        result = run_performance_study(
+            kernels, scale=FANOUT_SCALE, length_factor=FANOUT_LENGTH
+        )
+        assert generated == ["svd", "savif"]
+        assert list(result.replay) == kernels
+        assert result.replay == direct
+        cells = [
+            v.detail.split(" ", 1)
+            for v in oracle_report().violations
+            if v.oracle == "test.cell"
+        ]
+        assert [cpma for cpma, _ in cells] == [
+            repr(direct[name][config].cpma)
+            for name in kernels
+            for config in MEMORY_CONFIG_NAMES
+        ]
+        # Every cell mapped a trace file in the study dir, now removed.
+        assert all(Path(path).parent.parent == temp_root for _, path in cells)
+        assert list(temp_root.iterdir()) == []
 
     def test_worker_violation_reaches_the_caller(self, monkeypatch):
         import repro.memsim.replay as replay_module
@@ -242,7 +301,7 @@ class TestReplayFanOut:
         assert not bystander.is_alive()
         assert set(results[0].cpma) == set(FANOUT_KERNELS)
 
-    def test_worker_exception_keeps_its_type(self, monkeypatch):
+    def test_worker_exception_keeps_its_type(self, monkeypatch, temp_root):
         import repro.core.memory_on_logic as study
 
         def boom(*args, **kwargs):
@@ -252,12 +311,14 @@ class TestReplayFanOut:
         with pytest.raises(CellFailure, match="replay failed in a worker"):
             _fanout_study()
         assert multiprocessing.active_children() == []
+        assert list(temp_root.iterdir()) == []
 
-    def test_workers_exit_with_a_killed_caller(self):
+    def test_workers_exit_with_a_killed_caller(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
+        env["TMPDIR"] = str(tmp_path)
         # Full-length svd: each cell replays for seconds, so the caller
         # is killed while its workers are busy.
         code = (
@@ -274,6 +335,9 @@ class TestReplayFanOut:
                 time.sleep(0.05)
                 workers = _children(caller.pid)
             assert len(workers) == n_workers
+            assert [p.name[:14] for p in tmp_path.iterdir()] == [
+                "repro-figure5-"
+            ]
         finally:
             caller.send_signal(signal.SIGKILL)
             caller.wait()
@@ -281,6 +345,8 @@ class TestReplayFanOut:
         while any(_live(pid) for pid in workers) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(_live(pid) for pid in workers)
+        # The orphaned workers removed the study dir the caller left.
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMemoryThermals:

@@ -126,6 +126,35 @@ class TestInprocHappyPath:
         assert not (tmp_path / "j.jsonl").exists()
 
 
+class TestExecutorChaosNeedsNodes:
+    @pytest.mark.parametrize(
+        "stage", ["executor-crash", "partition:node-0", "lease-stall"]
+    )
+    def test_rejected_off_nodes(self, stage):
+        injector = FaultInjector(forced_failures={stage: 1})
+        with pytest.raises(ValueError, match="only on the nodes:N backend"):
+            CampaignConfig(injector=injector)
+
+    def test_accepted_on_nodes_and_worker_chaos_on_local(self):
+        CampaignConfig(backend="nodes:2", injector=FaultInjector(
+            forced_failures={"executor-crash": 1},
+        ))
+        CampaignConfig(injector=FaultInjector(
+            forced_failures={"worker-crash": 1, "duplicate-delivery": 1},
+        ))
+
+    def test_sweep_executor_chaos_on_local_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        code = cli_main([
+            "sweep", "table-4", "--chaos-force", "executor-crash::1",
+            "--journal", str(tmp_path / "j.jsonl"),
+        ])
+        assert code == 2
+        assert "only on the nodes:N backend" in capsys.readouterr().err
+        assert not (tmp_path / "j.jsonl").exists()
+
+
 class TestWorkerChaos:
     def test_worker_chaos_simulated_and_retried(self, tmp_path):
         report = _run_on_fabric(

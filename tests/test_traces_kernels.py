@@ -1,6 +1,10 @@
 """Tests for the RMS kernel generators and the SMP trace generator."""
 
+import dataclasses
+import hashlib
 import itertools
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -212,3 +216,70 @@ class TestTraceGenerator:
         span_big = len({r.address >> 6 for r in big})
         span_small = len({r.address >> 6 for r in small})
         assert span_small < span_big
+
+
+#: sha256 of ``arrays().tobytes()`` at seed 1234, 30 k records, scale 8
+#: (little-endian int64 rows): any change to how a trace is generated
+#: or packed moves one of these.
+PINNED_TRACE_SHA256 = {
+    "conj": "30898326662aeb9d233d065268a2d26dcd8bbe1db978b997704404dc9d63f650",
+    "dsym": "ccc83542ceb79897a39c2d0df05313c9392fae48dad5ebbc5bfd6b661cfa503f",
+    "gauss": "ec88609db9f141bc5d7bd97de367b79f259d7672454b82fcebe264a4f4992268",
+    "pcg": "f389554ac65c71412b0ab81f89b9dc4d1658a9c5dd9bb0512a66fd6b391ea4a7",
+    "smvm": "3dffbcb81904ad911b62186150935e315b88654d9571835e27927f980a3c9bad",
+    "ssym": "5d7dfe6044d091ac58c9bc435bca333d7c2f37020f0dd8f606adcb087c074691",
+    "strans": "9abc05e7a21f4680316a95120a1a214018c5d20cac1adb54abfebc55ff7b8842",
+    "savdf": "40973a2730914c9bbab7e42c326fe947d4e3c5815c7675592599564be7b2b4cb",
+    "savif": "1e3ea7b1da77c3325fe5567cf8e050c65165e6f0dd15081d3d5d3059cf705b11",
+    "sus": "5ebe396a206aba7bf0b85abd9aaed146c2a34895821eb6cefd0f9a7cb709591d",
+    "svd": "bc48a6fd7bafad555b96e582932adcac1d0680d4ef82147df4272cf5dca4d647",
+    "svm": "24fd7186588f9bcaea957a06356f55b16249c2092e5e73f8f2c15ef397be8b77",
+}
+#: The same for smvm with one instruction fetch every third record.
+PINNED_IFETCH_SHA256 = (
+    "c78475cb45ab6058a5a64fa5bfb1c79eea2360e9951166ee58d9967074d85df4"
+)
+
+
+def _pinned_digest(name, **spec):
+    spec = WorkloadSpec(name=name, n_records=30_000, seed=1234, **spec)
+    array = TraceGenerator(spec, scale=8).arrays()
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestTraceArrays:
+    """The batch trace form: pinned bytes and bounded build memory."""
+
+    @pytest.mark.skipif(sys.byteorder != "little", reason="pinned LE bytes")
+    @pytest.mark.parametrize("name", sorted(PINNED_TRACE_SHA256))
+    def test_bytes_are_pinned(self, name):
+        assert _pinned_digest(name) == PINNED_TRACE_SHA256[name]
+
+    @pytest.mark.skipif(sys.byteorder != "little", reason="pinned LE bytes")
+    def test_ifetch_bytes_are_pinned(self):
+        assert _pinned_digest("smvm", ifetch_every=3) == PINNED_IFETCH_SHA256
+
+    def test_pins_cover_every_kernel(self):
+        assert sorted(PINNED_TRACE_SHA256) == sorted(kernel_names())
+
+    def test_build_memory_is_bounded(self):
+        spec = WorkloadSpec(name="sus", n_records=200_000, seed=1234)
+        generator = TraceGenerator(spec, scale=8)
+        tracemalloc.start()
+        try:
+            array = generator.arrays()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(array) == 200_000
+        assert peak <= 1.5 * array.nbytes
+
+    def test_a_kernel_that_ends_raises(self):
+        generator = TraceGenerator(WorkloadSpec(name="svd", n_records=100))
+        endless = generator._entry.fn
+        generator._entry = dataclasses.replace(
+            generator._entry,
+            fn=lambda *args: itertools.islice(endless(*args), 10),
+        )
+        with pytest.raises(RuntimeError, match="'svd' cpu . ended after"):
+            generator.arrays()
