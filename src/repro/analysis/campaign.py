@@ -69,11 +69,6 @@ def render_campaign_report(report: Dict[str, Any]) -> str:
         lines.append(f"failure taxonomy (all attempts): {failures}")
     if report.get("retries_used"):
         lines.append(f"retries used: {report['retries_used']}")
-    if report.get("degraded_solves"):
-        lines.append(
-            f"thermal solves: {report['degraded_solves']} degraded "
-            f"(an oracle flagged the field)"
-        )
     if report.get("torn_journal_lines") or report.get("corrupt_journal_lines"):
         lines.append(
             f"journal: {report.get('torn_journal_lines', 0)} torn line(s), "

@@ -348,11 +348,10 @@ def render_all_figures(
          "figure11.svg"),
     ):
         experiment = get_experiment(experiment_id)
-        temps = experiment.run(nx=nx)
-        del temps["solver"]
         written.append(
             render_paper_comparison_bars(
-                temps, experiment.paper_values, title, "peak C", out / name,
+                experiment.run(nx=nx), experiment.paper_values, title,
+                "peak C", out / name,
             )
         )
     return written

@@ -30,7 +30,7 @@ from repro.core.logic_on_logic import (
     run_logic_study,
     thermal_map_3d_power,
 )
-from repro.core.experiments import EXPERIMENTS, get_experiment, list_experiments
+from repro.core.experiments import get_experiment, list_experiments
 
 __all__ = [
     "D2DInterface",
@@ -44,7 +44,6 @@ __all__ = [
     "LogicOnLogicResult",
     "run_logic_study",
     "thermal_map_3d_power",
-    "EXPERIMENTS",
     "get_experiment",
     "list_experiments",
 ]

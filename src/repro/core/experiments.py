@@ -190,7 +190,6 @@ def _run_figure6(**kwargs: Any) -> Dict[str, Any]:
         "coolest_c": solution.coolest_on_die(),
         "hottest_layer": solution.hottest_layer(),
         "peak_c_fine": fine.peak_temperature(),
-        "solver": solution.solver_info(),
     }
 
 
@@ -200,12 +199,7 @@ def _run_figure8(**kwargs: Any) -> Dict[str, Any]:
     from repro.thermal.solver import SolverConfig
 
     nx = kwargs.get("nx", 48)
-    meta: Dict[str, Dict[str, Any]] = {}
-    result: Dict[str, Any] = dict(
-        run_thermal_study(SolverConfig(nx=nx, ny=nx), solver_meta=meta)
-    )
-    result["solver"] = meta
-    return result
+    return run_thermal_study(SolverConfig(nx=nx, ny=nx))
 
 
 def _run_figure11(**kwargs: Any) -> Dict[str, Any]:
@@ -214,12 +208,7 @@ def _run_figure11(**kwargs: Any) -> Dict[str, Any]:
     from repro.thermal.solver import SolverConfig
 
     nx = kwargs.get("nx", 48)
-    meta: Dict[str, Dict[str, Any]] = {}
-    result: Dict[str, Any] = dict(
-        run_thermal_study(SolverConfig(nx=nx, ny=nx), solver_meta=meta)
-    )
-    result["solver"] = meta
-    return result
+    return run_thermal_study(SolverConfig(nx=nx, ny=nx))
 
 
 def _run_table4(**kwargs: Any) -> Dict[str, Any]:
@@ -387,26 +376,13 @@ def _run_dtm_policy_compare(**kwargs: Any) -> Dict[str, Any]:
 def _run_headlines(**kwargs: Any) -> Dict[str, Any]:
     """Section 3/4 headline numbers (perf gain, power saving, stages)."""
     from repro.core.logic_on_logic import run_performance_study
-    from repro.floorplan.core2duo import core2duo_floorplan
-    from repro.thermal.model import simulate_planar
-    from repro.thermal.solver import SolverConfig
 
     logic = run_performance_study()
-    headlines: Dict[str, Any] = {
+    return {
         "logic_perf_gain_pct": logic.total_gain_pct,
         "logic_power_reduction_pct": logic.power_reduction_pct,
         "stages_eliminated_pct": logic.stages_eliminated_pct,
     }
-    # One coarse baseline solve so campaign reports can headline the
-    # thermal engine's health (method/residual/degraded) cheaply.
-    if kwargs.get("thermal", True):
-        nx = kwargs.get("nx", 24)
-        solution = simulate_planar(
-            core2duo_floorplan(), SolverConfig(nx=nx, ny=nx)
-        )
-        headlines["baseline_peak_c"] = solution.peak_temperature()
-        headlines["thermal_solver"] = solution.solver_info()
-    return headlines
 
 
 REGISTRY = ExperimentRegistry()
@@ -532,9 +508,6 @@ for _experiment in [
         ),
 ]:
     REGISTRY.register(_experiment)
-
-#: Backward-compatible dict view of the registry.
-EXPERIMENTS: Dict[str, Experiment] = {e.id: e for e in REGISTRY}
 
 
 def get_experiment(experiment_id: str) -> Experiment:

@@ -139,13 +139,8 @@ def thermal_map_3d_power(
 
 def run_thermal_study(
     solver: Optional[SolverConfig] = None,
-    solver_meta: Optional[Dict[str, Dict[str, object]]] = None,
 ) -> Dict[str, float]:
-    """Figure 11: 2D baseline, repaired 3D, and worst-case peak temps.
-
-    If *solver_meta* is given, it is filled with each configuration's
-    solver provenance (residual/method/degraded).
-    """
+    """Figure 11: 2D baseline, repaired 3D, and worst-case peak temps."""
     from repro.thermal.model import simulate_planar, simulate_stack
 
     planar = pentium4_planar_floorplan()
@@ -158,9 +153,6 @@ def run_thermal_study(
             worst_b, worst_t, die2_metal="cu", config=solver
         ),
     }
-    if solver_meta is not None:
-        for name, solution in solutions.items():
-            solver_meta[name] = solution.solver_info()
     return {
         name: solution.peak_temperature()
         for name, solution in solutions.items()
@@ -170,13 +162,10 @@ def run_thermal_study(
 def run_logic_study(
     suite: Optional[List[WorkloadProfile]] = None,
     solver: Optional[SolverConfig] = None,
-    with_thermals: bool = True,
     solve_temp_point: bool = False,
 ) -> LogicOnLogicResult:
     """The complete Section 4 study."""
     result = run_performance_study(suite)
-    if not with_thermals:
-        return result
     temps = run_thermal_study(solver)
     result.peak_temp_2d = temps["2D Baseline"]
     result.peak_temp_3d = temps["3D"]

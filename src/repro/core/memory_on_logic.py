@@ -361,14 +361,10 @@ def run_performance_study(
 
 def run_thermal_study(
     solver: Optional[SolverConfig] = None,
-    solver_meta: Optional[Dict[str, Dict[str, object]]] = None,
 ) -> Dict[str, float]:
     """Solve the four configurations thermally (Figure 8a).
 
-    Returns peak temperature per configuration name.  If *solver_meta*
-    is given, it is filled with each configuration's solver provenance
-    (residual/method/degraded) so degraded fallback solves stay visible
-    in campaign reports.
+    Returns peak temperature per configuration name.
     """
     # Imported here, not at module level: only a heat solve pays for
     # scipy, so the performance study and ``repro.core`` stay light.
@@ -386,8 +382,6 @@ def run_thermal_study(
                 config=solver,
             )
         temps[config.name] = solution.peak_temperature()
-        if solver_meta is not None:
-            solver_meta[config.name] = solution.solver_info()
     return temps
 
 
@@ -396,10 +390,8 @@ def run_memory_study(
     scale: int = 8,
     length_factor: float = 1.0,
     solver: Optional[SolverConfig] = None,
-    with_thermals: bool = True,
 ) -> MemoryOnLogicResult:
     """The complete Section 3 study: performance plus thermals."""
     result = run_performance_study(workloads, scale, length_factor)
-    if with_thermals:
-        result.peak_temps = run_thermal_study(solver)
+    result.peak_temps = run_thermal_study(solver)
     return result

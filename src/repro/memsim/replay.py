@@ -242,17 +242,22 @@ class TraceReplayer:
         if not self.warmup_until:
             return False
         if self.index == self.warmup_until:
-            self.hierarchy.reset_stats()
-            self._measure_start = max(
-                max(self._next_free),
-                max((r[-1] for r in self._robs if r), default=0.0),
-            )
-            self._measured = 0
-            self._latency_sum = 0.0
-            self._level_latency_sum.clear()
-            self._level_latency_n.clear()
+            self._end_warmup()
             return True
         return self.index < self.warmup_until
+
+    def _end_warmup(self) -> None:
+        """The warmup boundary: discard warmup statistics, then measure
+        from the cycle the warmed pipeline has actually reached."""
+        self.hierarchy.reset_stats()
+        self._measure_start = max(
+            max(self._next_free),
+            max((r[-1] for r in self._robs if r), default=0.0),
+        )
+        self._measured = 0
+        self._latency_sum = 0.0
+        self._level_latency_sum.clear()
+        self._level_latency_n.clear()
 
     def feed_many(self, records: Iterable[TraceRecord]) -> int:
         """Feed a stream of records; returns how many were consumed."""
@@ -337,18 +342,7 @@ class TraceReplayer:
                 self._feed_span(array, start, stop, measure=False)
                 return
             self._feed_span(array, start, boundary, measure=False)
-            # The warmup boundary, exactly as _maybe_end_warmup does it:
-            # discard warmup statistics, then measure from the cycle the
-            # warmed pipeline has actually reached.
-            self.hierarchy.reset_stats()
-            self._measure_start = max(
-                max(self._next_free),
-                max((r[-1] for r in self._robs if r), default=0.0),
-            )
-            self._measured = 0
-            self._latency_sum = 0.0
-            self._level_latency_sum.clear()
-            self._level_latency_n.clear()
+            self._end_warmup()
             start = boundary
         if start < stop:
             self._feed_span(array, start, stop, measure=True)

@@ -197,7 +197,6 @@ class CampaignReport:
     retries_used: int = 0
     wall_clock_s: float = 0.0
     degraded: bool = False
-    degraded_solves: int = 0
     journal_path: str = ""
     resumed_ok: int = 0
     torn_journal_lines: int = 0
@@ -246,24 +245,6 @@ class CampaignReport:
         out = {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
         out["backend_tallies"] = self.backend_tallies()
         return out
-
-
-def solver_meta_counts(node: Any) -> int:
-    """Count the degraded solver-info dicts nested in a result.
-
-    The thermal experiments attach ``{"residual", "method", "degraded"}``
-    dicts (see :meth:`ThermalSolution.solver_info`); surfacing them here
-    keeps a solve an oracle flagged visible in campaign reports instead
-    of silently blending with clean solves.
-    """
-    if isinstance(node, dict):
-        own = {"residual", "method", "degraded"} <= set(node) and bool(
-            node["degraded"]
-        )
-        return int(own) + sum(solver_meta_counts(v) for v in node.values())
-    if isinstance(node, (list, tuple)):
-        return sum(solver_meta_counts(v) for v in node)
-    return 0
 
 
 def entry_is_stale(entry: Dict[str, Any]) -> bool:
@@ -480,9 +461,6 @@ class Scheduler:
         }
         report.degraded = report.counts["failed"] > 0
         for entry in report.tasks:
-            report.degraded_solves += solver_meta_counts(
-                entry.get("result", {})
-            )
             if entry.get("resumed"):
                 # Oracle tallies belong to the run that produced them: a
                 # resumed-ok task's violations were surfaced (and its

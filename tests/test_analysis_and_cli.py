@@ -185,8 +185,7 @@ def _policy(name, exceeded=0):
 _EPOCH = {"epoch": 0, "t_s": 2.0, "activity": 1.0, "vcc": 0.92,
           "power_w": 97.0, "perf_pct": 108.0, "peak_c": 98.5,
           "throttled": True}
-_THERMAL = {"peak_c": 88.5, "coolest_c": 59.2, "hottest_layer": "metal-1",
-            "solver": {"method": "cg"}}
+_THERMAL = {"peak_c": 88.5, "coolest_c": 59.2, "hottest_layer": "metal-1"}
 _T5_ROW = {"name": "Same Temp", "vcc": 0.92, "freq": 0.92, "power_w": 97.3,
            "power_pct": 66.2, "perf_pct": 108.0, "temp_c": 99.0}
 _CONFIGS = ("2D 4MB", "3D 12MB", "3D 32MB", "3D 64MB")
@@ -203,10 +202,9 @@ CANNED = {
                   "bus_power_reduction_32mb": 0.6},
                  ["Figure 5", "Avg", "max_cpma_reduction_32mb"]),
     "figure-6": (_THERMAL, ["peak_c", "coolest_c", "paper"]),
-    "figure-8": ({**dict.fromkeys(_CONFIGS, 89.0), "solver": {}},
-                 ["3D 12MB", "paper"]),
-    "figure-11": ({"2D Baseline": 98.0, "3D": 108.0, "3D Worstcase": 124.0,
-                   "solver": {}}, ["3D Worstcase", "paper"]),
+    "figure-8": (dict.fromkeys(_CONFIGS, 89.0), ["3D 12MB", "paper"]),
+    "figure-11": ({"2D Baseline": 98.0, "3D": 108.0, "3D Worstcase": 124.0},
+                  ["3D Worstcase", "paper"]),
     "table-4": ({"per_row_gains_pct": {"front_end": 0.2, "fp_wire": 4.1},
                  "total_gain_pct": 15.2, "stages_eliminated_pct": 25.1},
                 ["front_end", "total_gain_pct", "stages_eliminated_pct"]),

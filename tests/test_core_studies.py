@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.experiments import EXPERIMENTS, get_experiment, list_experiments
+from repro.core.experiments import get_experiment, list_experiments
 from repro.core.logic_on_logic import (
     run_logic_study,
     run_performance_study as run_logic_perf,
@@ -442,7 +442,7 @@ class TestLogicStudy:
         assert ambient_rise_100 == pytest.approx(2 * ambient_rise_50)
 
     def test_perf_only_study_skips_thermals(self):
-        result = run_logic_study(with_thermals=False)
+        result = run_logic_perf()
         assert result.peak_temp_2d == 0.0
         assert result.table5 == []
 

@@ -37,6 +37,10 @@ NO_HEAT_PROBES = {
         "from repro.core.experiments import run_experiment\n"
         "assert run_experiment('table-4').ok"
     ),
+    "headlines": (
+        "from repro.core.experiments import run_experiment\n"
+        "assert run_experiment('headlines').ok"
+    ),
     "dst-harness": "import repro.dst.harness",
     "validation": "import repro.validation",
     "memory-performance": (

@@ -170,7 +170,7 @@ class TestBackendTallies:
     def test_report_to_dict_key_order(self):
         assert list(CampaignReport().to_dict()) == [
             "tasks", "counts", "taxonomy", "retries_used", "wall_clock_s",
-            "degraded", "degraded_solves", "journal_path", "resumed_ok",
+            "degraded", "journal_path", "resumed_ok",
             "torn_journal_lines", "corrupt_journal_lines", "stale_resume",
             "oracle_checks", "oracle_violations", "backend",
             "executors_lost", "leases_reclaimed", "duplicate_completions",
