@@ -152,15 +152,18 @@ class TestMemoryInStackAblation:
 class TestThermalGridAblation:
     def test_peak_converges_with_resolution(self, benchmark):
         from repro.floorplan import core2duo_floorplan
-        from repro.thermal import simulate_planar
+        from repro.thermal import DieSpec, build_stack, solve_steady_state
         from repro.thermal.solver import SolverConfig
 
-        die = core2duo_floorplan()
+        stack = build_stack([DieSpec(core2duo_floorplan())])
         coarse = run_once(
-            benchmark, simulate_planar, die, SolverConfig(nx=16, ny=16)
+            benchmark, solve_steady_state, stack, SolverConfig(nx=16, ny=16)
         ).peak_temperature()
-        medium = simulate_planar(die, SolverConfig(nx=32, ny=32)).peak_temperature()
-        fine = simulate_planar(die, SolverConfig(nx=48, ny=48)).peak_temperature()
+        medium, fine = (
+            solve_steady_state(stack, SolverConfig(nx=n, ny=n))
+            .peak_temperature()
+            for n in (32, 48)
+        )
         print(f"\nthermal grid: 16={coarse:.2f} 32={medium:.2f} "
               f"48={fine:.2f} C")
         # Successive refinements must converge.
@@ -172,7 +175,7 @@ class TestHotspotRepairAblation:
     def test_repair_loop_saves_degrees(self, benchmark):
         from repro.floorplan.blocks import Block, Floorplan
         from repro.floorplan.stacking import power_density_map, repair_hotspots
-        from repro.thermal import simulate_stack
+        from repro.thermal import DieSpec, build_stack, solve_steady_state
         from repro.thermal.solver import SolverConfig
 
         grid = SolverConfig(nx=32, ny=32)
@@ -185,14 +188,15 @@ class TestHotspotRepairAblation:
             Block("rest2", 3, 3, 6, 6, 15.0),
         ])
         naive_temp = run_once(
-            benchmark, simulate_stack, bottom, naive_top, config=grid
+            benchmark, solve_steady_state,
+            build_stack([DieSpec(bottom), DieSpec(naive_top)]), grid,
         ).peak_temperature()
         peak = power_density_map(bottom, naive_top).max()
         repaired, moves = repair_hotspots(
             bottom, naive_top, target_peak_density=peak * 0.7
         )
-        repaired_temp = simulate_stack(
-            bottom, repaired, config=grid
+        repaired_temp = solve_steady_state(
+            build_stack([DieSpec(bottom), DieSpec(repaired)]), grid
         ).peak_temperature()
         print(f"\nhotspot repair: naive={naive_temp:.1f} C "
               f"repaired={repaired_temp:.1f} C ({moves} moves)")

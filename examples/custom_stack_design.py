@@ -6,15 +6,12 @@ Walks through what a downstream architect would do with this toolkit:
 1. describe a custom two-core accelerator die as a block floorplan;
 2. propose a naive second logic die, observe the combined power-density
    problem, and run the paper's iterative hotspot repair;
-3. validate the physical stack (die placement rules, d2d interface
-   budget);
-4. solve the repaired stack thermally and compare against the naive
+3. solve the repaired stack thermally and compare against the naive
    placement;
-5. size a stacked DRAM cache for the design and estimate its benefit on
+4. size a stacked DRAM cache for the design and estimate its benefit on
    a pointer-chasing workload.
 """
 
-from repro.core.stack import build_stack
 from repro.floorplan import (
     Block,
     Floorplan,
@@ -27,7 +24,7 @@ from repro.memsim import (
     HierarchyConfig,
     replay_trace,
 )
-from repro.thermal import simulate_stack
+from repro.thermal import DieSpec, build_stack, solve_steady_state
 from repro.traces import generate_trace
 
 KB, MB = 1 << 10, 1 << 20
@@ -75,17 +72,15 @@ def floorplan_study() -> Floorplan:
     print(f"  peak density      {fixed.peak_density:6.2f} W/mm^2 "
           f"(target {target:.2f})")
 
-    naive_temp = simulate_stack(bottom, naive_top).peak_temperature()
-    fixed_temp = simulate_stack(bottom, repaired).peak_temperature()
+    naive_temp, fixed_temp = (
+        solve_steady_state(
+            build_stack([DieSpec(bottom), DieSpec(top)])
+        ).peak_temperature()
+        for top in (naive_top, repaired)
+    )
     print(f"\nThermal check: naive {naive_temp:.1f} C -> "
           f"repaired {fixed_temp:.1f} C "
           f"({fixed_temp - naive_temp:+.1f} C)")
-
-    stack = build_stack(bottom, repaired)
-    issues = stack.validate()
-    print(f"Stack design rules: {'clean' if not issues else issues}")
-    print(f"d2d interface: {stack.interface_bandwidth_gbps():,.0f} GB/s "
-          f"available across the bonded area")
     return repaired
 
 

@@ -18,8 +18,7 @@ from repro.memsim import replay_trace, stacked_dram_config
 from repro.thermal import (
     DieSpec,
     SolverConfig,
-    build_multi_stack,
-    build_planar_stack,
+    build_stack,
     solve_steady_state,
     solve_transient,
 )
@@ -34,14 +33,14 @@ def thermal_scaling() -> None:
     cpu = core2duo_floorplan(with_l2=False)
     dram = stacked_cache_die("dram-32mb", cpu)
     baseline = solve_steady_state(
-        build_planar_stack(core2duo_floorplan()), GRID
+        build_stack([DieSpec(core2duo_floorplan())]), GRID
     ).peak_temperature()
     print(f"  2D baseline: {baseline:6.2f} C")
     for n_dram in (1, 2, 3, 4):
         dies = [DieSpec(cpu)] + [
             DieSpec(dram, metal="al") for _ in range(n_dram)
         ]
-        stack = build_multi_stack(dies)
+        stack = build_stack(dies)
         peak = solve_steady_state(stack, GRID).peak_temperature()
         print(f"  CPU + {n_dram} DRAM die(s) = {32 * n_dram:3d} MB: "
               f"{peak:6.2f} C  ({peak - baseline:+.2f} C, "
@@ -71,7 +70,7 @@ def transient_behaviour() -> None:
     print("\n=== 4-die stack: power-on warm-up and a DVFS step ===")
     cpu = core2duo_floorplan(with_l2=False)
     dram = stacked_cache_die("dram-32mb", cpu)
-    stack = build_multi_stack(
+    stack = build_stack(
         [DieSpec(cpu)] + [DieSpec(dram, metal="al") for _ in range(4)]
     )
     run = solve_transient(stack, GRID, duration_s=120.0, dt_s=2.0)

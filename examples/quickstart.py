@@ -12,10 +12,8 @@ Runs in under a minute:
 from repro.core.experiments import get_experiment
 from repro.core.memory_on_logic import build_memory_configs
 from repro.core.logic_on_logic import run_performance_study
-from repro.core.stack import build_stack
-from repro.floorplan import core2duo_floorplan, stacked_cache_die
 from repro.memsim import replay_trace
-from repro.thermal import simulate_planar, simulate_stack
+from repro.thermal import build_stack, solve_steady_state
 from repro.traces import generate_trace
 
 SCALE = 16  # capacities and footprints divided by 16 (shape-preserving)
@@ -39,22 +37,12 @@ def memory_demo() -> None:
 def thermal_demo() -> None:
     print("\n=== Thermals: stacking a 32 MB DRAM cache ===")
     paper = get_experiment("figure-8").paper_values
-    base_die = core2duo_floorplan()
-    planar = simulate_planar(base_die)
-    print(f"  2D baseline   peak {planar.peak_temperature():6.2f} C "
-          f"(paper: {paper['2D 4MB']:.2f} C)")
-
-    cpu_die = core2duo_floorplan(with_l2=False)
-    dram_die = stacked_cache_die("dram-32mb", cpu_die)
-    stacked = simulate_stack(cpu_die, dram_die, die2_metal="al")
-    print(f"  3D 32MB DRAM  peak {stacked.peak_temperature():6.2f} C "
-          f"(paper: {paper['3D 32MB']:.2f} C)")
-
-    stack = build_stack(cpu_die, dram_die, bumps_kind="dram")
-    print(f"  d2d interface bandwidth: "
-          f"{stack.interface_bandwidth_gbps():,.0f} GB/s available")
-    issues = stack.validate()
-    print(f"  stack design rules: {'clean' if not issues else issues}")
+    configs = {c.name: c for c in build_memory_configs()}
+    for name, label in (("2D 4MB", "2D baseline"), ("3D 32MB", "3D 32MB DRAM")):
+        # Each configuration lists its dies, CPU die (nearest the sink) first.
+        solution = solve_steady_state(build_stack(configs[name].dies))
+        print(f"  {label:13} peak {solution.peak_temperature():6.2f} C "
+              f"(paper: {paper[name]:.2f} C)")
 
 
 def logic_demo() -> None:

@@ -12,7 +12,7 @@ import argparse
 from repro.analysis import ascii_heatmap, format_table
 from repro.core.experiments import get_experiment
 from repro.floorplan import core2duo_floorplan, stacked_cache_die
-from repro.thermal import simulate_planar, simulate_stack
+from repro.thermal import DieSpec, build_stack, solve_steady_state
 from repro.thermal.solver import SolverConfig
 
 
@@ -39,7 +39,7 @@ def thermal_maps(nx: int) -> None:
 
     print("\nFigure 6b: baseline Core 2 Duo thermal map (active layer)")
     base_die = core2duo_floorplan()
-    planar = simulate_planar(base_die, config)
+    planar = solve_steady_state(build_stack([DieSpec(base_die)]), config)
     print(ascii_heatmap(planar.die_map("metal-1"), width=56))
     print(f"  peak {planar.peak_temperature():.2f} C "
           f"(paper {fig6['peak_c']:.2f}), coolest "
@@ -48,7 +48,9 @@ def thermal_maps(nx: int) -> None:
     print("\nFigure 8b: 3D 32MB stack thermal map (CPU active layer)")
     cpu_die = core2duo_floorplan(with_l2=False)
     dram_die = stacked_cache_die("dram-32mb", cpu_die)
-    stacked = simulate_stack(cpu_die, dram_die, die2_metal="al", config=config)
+    stacked = solve_steady_state(
+        build_stack([DieSpec(cpu_die), DieSpec(dram_die, "al")]), config
+    )
     print(ascii_heatmap(stacked.die_map("metal-1"), width=56))
     print(f"  peak {stacked.peak_temperature():.2f} C "
           f"(paper {fig8['3D 32MB']:.2f}); the "

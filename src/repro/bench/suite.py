@@ -55,7 +55,7 @@ from repro.thermal.solver import (
     clear_operator_cache,
     solve_steady_state,
 )
-from repro.thermal.stack import build_planar_stack
+from repro.thermal.stack import DieSpec, build_stack
 from repro.thermal.transient import solve_transient
 from repro.traces.generator import (
     TraceGenerator,
@@ -187,7 +187,7 @@ def bench_thermal_steady(nx: int, pairs: int) -> BenchResult:
     the steady path used before CG, kept inline here as the reference
     implementation; the fields must agree within :data:`_STEADY_TOL_C`.
     """
-    stack = build_planar_stack(core2duo_floorplan())
+    stack = build_stack([DieSpec(core2duo_floorplan())])
     config = SolverConfig(nx=nx, ny=nx)
 
     def run_reference() -> np.ndarray:
@@ -215,7 +215,7 @@ def bench_thermal_transient(
     nx: int, steps: int, pairs: int
 ) -> BenchResult:
     """Cold backward-Euler setup vs the cached (geometry, dt) LU."""
-    stack = build_planar_stack(core2duo_floorplan())
+    stack = build_stack([DieSpec(core2duo_floorplan())])
     config = SolverConfig(nx=nx, ny=nx)
     dt_s = 0.05
     duration_s = steps * dt_s
@@ -344,7 +344,7 @@ def bench_oracle_replay(
 
 def bench_oracle_steady(nx: int, pairs: int) -> BenchResult:
     """The warm cached-operator solve with oracles off vs ``sample``."""
-    stack = build_planar_stack(core2duo_floorplan())
+    stack = build_stack([DieSpec(core2duo_floorplan())])
     config = SolverConfig(nx=nx, ny=nx)
 
     def run_off():

@@ -4,8 +4,6 @@ design and evaluation.
 This package ties the substrates together into the two studies of the
 paper:
 
-* :mod:`repro.core.stack` — the physical 3D stack model: dies, the
-  face-to-face die-to-die via interface, and its electrical properties.
 * :mod:`repro.core.memory_on_logic` — Section 3: the four Memory+Logic
   configurations (4 MB baseline, +8 MB SRAM, 32 MB DRAM, 64 MB DRAM),
   their memory-hierarchy performance on the RMS workloads, and their
@@ -15,9 +13,12 @@ paper:
   Table 5 DVFS trade-offs.
 * :mod:`repro.core.experiments` — the registry mapping every table and
   figure in the paper to a runnable experiment.
+
+Both studies describe their physical stacks (Figure 1) as lists of
+:class:`repro.thermal.stack.DieSpec`, heat-sink die first, for the one
+stack builder, :func:`repro.thermal.stack.build_stack`.
 """
 
-from repro.core.stack import D2DInterface, Die, DieStack
 from repro.core.memory_on_logic import (
     MemoryOnLogicConfig,
     MemoryOnLogicResult,
@@ -33,9 +34,6 @@ from repro.core.logic_on_logic import (
 from repro.core.experiments import get_experiment, list_experiments
 
 __all__ = [
-    "D2DInterface",
-    "Die",
-    "DieStack",
     "MemoryOnLogicConfig",
     "MemoryOnLogicResult",
     "MEMORY_CONFIG_NAMES",

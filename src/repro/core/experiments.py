@@ -131,12 +131,12 @@ def _run_figure3(**kwargs: Any) -> Dict[str, Any]:
     """Figure 3: peak temperature vs. Cu-metal / bond-layer conductivity."""
     from repro.floorplan.pentium4 import pentium4_3d_floorplans
     from repro.thermal.solver import SolverConfig, solve_steady_state
-    from repro.thermal.stack import build_3d_stack
+    from repro.thermal.stack import DieSpec, build_stack
 
     nx = kwargs.get("nx", 48)
     sweep = kwargs.get("conductivities", [60.0, 30.0, 12.0, 6.0, 3.0])
     bottom, top = pentium4_3d_floorplans()
-    base = build_3d_stack(bottom, top, die2_metal="cu")
+    base = build_stack([DieSpec(bottom), DieSpec(top)])
     config = SolverConfig(nx=nx, ny=nx)
     cu_curve: Dict[float, float] = {}
     bond_curve: Dict[float, float] = {}
@@ -144,7 +144,7 @@ def _run_figure3(**kwargs: Any) -> Dict[str, Any]:
         s_cu = base.replace_layer(base.layer("metal-1").with_conductivity(k))
         s_cu = s_cu.replace_layer(s_cu.layer("metal-2").with_conductivity(k))
         cu_curve[k] = solve_steady_state(s_cu, config).peak_temperature()
-        s_bond = base.replace_layer(base.layer("bond").with_conductivity(k))
+        s_bond = base.replace_layer(base.layer("bond-1").with_conductivity(k))
         bond_curve[k] = solve_steady_state(s_bond, config).peak_temperature()
     return {"cu_metal": cu_curve, "bond": bond_curve}
 
@@ -175,16 +175,13 @@ def _run_figure6(**kwargs: Any) -> Dict[str, Any]:
     (``2 * nx``): its distance from ``peak_c`` is the grid error.
     """
     from repro.floorplan.core2duo import core2duo_floorplan
-    from repro.thermal.model import simulate_planar
-    from repro.thermal.solver import SolverConfig
+    from repro.thermal.solver import SolverConfig, solve_steady_state
+    from repro.thermal.stack import DieSpec, build_stack
 
     nx = kwargs.get("nx", 48)
-    solution = simulate_planar(
-        core2duo_floorplan(), SolverConfig(nx=nx, ny=nx)
-    )
-    fine = simulate_planar(
-        core2duo_floorplan(), SolverConfig(nx=2 * nx, ny=2 * nx)
-    )
+    stack = build_stack([DieSpec(core2duo_floorplan())])
+    solution = solve_steady_state(stack, SolverConfig(nx=nx, ny=nx))
+    fine = solve_steady_state(stack, SolverConfig(nx=2 * nx, ny=2 * nx))
     return {
         "peak_c": solution.peak_temperature(),
         "coolest_c": solution.coolest_on_die(),

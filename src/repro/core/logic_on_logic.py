@@ -22,6 +22,7 @@ from repro.floorplan.pentium4 import (
     pentium4_worstcase_3d,
 )
 from repro.floorplan.stacking import power_density_report
+from repro.thermal.stack import DieSpec, build_stack
 from repro.uarch.dvfs import ScalingPoint, table5_points
 from repro.uarch.interval import geomean_ipc
 from repro.uarch.pipeline import (
@@ -121,11 +122,13 @@ def thermal_map_3d_power(
     """
     # Imported here, not at module level: only a heat solve pays for
     # scipy, so the Table 4 performance study never loads it.
-    from repro.thermal.model import simulate_stack
+    from repro.thermal.solver import solve_steady_state
 
     bottom, top = pentium4_3d_floorplans()
     nominal = bottom.total_power + top.total_power
-    solution = simulate_stack(bottom, top, die2_metal="cu", config=solver)
+    solution = solve_steady_state(
+        build_stack([DieSpec(bottom), DieSpec(top)]), solver
+    )
     ambient = solution.config.ambient_c
     rise = solution.peak_temperature() - ambient
 
@@ -141,21 +144,18 @@ def run_thermal_study(
     solver: Optional[SolverConfig] = None,
 ) -> Dict[str, float]:
     """Figure 11: 2D baseline, repaired 3D, and worst-case peak temps."""
-    from repro.thermal.model import simulate_planar, simulate_stack
+    from repro.thermal.solver import solve_steady_state
 
-    planar = pentium4_planar_floorplan()
-    bottom, top = pentium4_3d_floorplans()
-    worst_b, worst_t = pentium4_worstcase_3d()
-    solutions = {
-        "2D Baseline": simulate_planar(planar, solver),
-        "3D": simulate_stack(bottom, top, die2_metal="cu", config=solver),
-        "3D Worstcase": simulate_stack(
-            worst_b, worst_t, die2_metal="cu", config=solver
-        ),
+    stacks = {
+        "2D Baseline": [pentium4_planar_floorplan()],
+        "3D": pentium4_3d_floorplans(),
+        "3D Worstcase": pentium4_worstcase_3d(),
     }
     return {
-        name: solution.peak_temperature()
-        for name, solution in solutions.items()
+        name: solve_steady_state(
+            build_stack([DieSpec(plan) for plan in plans]), solver
+        ).peak_temperature()
+        for name, plans in stacks.items()
     }
 
 

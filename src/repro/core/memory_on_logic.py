@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.floorplan.blocks import Floorplan
 from repro.floorplan.core2duo import core2duo_floorplan, stacked_cache_die
 from repro.memsim.config import (
     HierarchyConfig,
@@ -45,6 +44,7 @@ from repro.oracles.report import (
     record_violation,
     reset_oracles,
 )
+from repro.thermal.stack import DieSpec, build_stack
 from repro.traces.generator import TraceGenerator, WorkloadSpec
 from repro.traces.kernels.registry import kernel_names
 
@@ -83,24 +83,19 @@ class MemoryOnLogicConfig:
     Attributes:
         name: Figure 7 label.
         hierarchy: Memory-hierarchy configuration (Table 3 derived).
-        cpu_die: CPU die floorplan.
-        cache_die: Stacked cache die floorplan, or None for the planar
-            baseline.
-        cache_die_metal: ``"cu"`` (SRAM die) or ``"al"`` (DRAM die).
+        dies: The die stack, CPU die first (see
+            :func:`repro.thermal.stack.build_stack`); the planar baseline
+            has the CPU die alone, a stacked cache die has ``"cu"`` metal
+            (SRAM) or ``"al"`` (DRAM).
     """
 
     name: str
     hierarchy: HierarchyConfig
-    cpu_die: Floorplan
-    cache_die: Optional[Floorplan]
-    cache_die_metal: str = "cu"
+    dies: Tuple[DieSpec, ...]
 
     @property
     def total_power_w(self) -> float:
-        power = self.cpu_die.total_power
-        if self.cache_die is not None:
-            power += self.cache_die.total_power
-        return power
+        return sum(die.floorplan.total_power for die in self.dies)
 
 
 def build_memory_configs(scale: int = 1) -> List[MemoryOnLogicConfig]:
@@ -116,33 +111,33 @@ def build_memory_configs(scale: int = 1) -> List[MemoryOnLogicConfig]:
         MemoryOnLogicConfig(
             name="2D 4MB",
             hierarchy=baseline_config(scale),
-            cpu_die=base_die,
-            cache_die=None,
+            dies=(DieSpec(base_die),),
         ),
         MemoryOnLogicConfig(
             name="3D 12MB",
             hierarchy=stacked_sram_config(scale),
-            cpu_die=base_die,
-            cache_die=stacked_cache_die("sram-8mb", base_die),
-            cache_die_metal="cu",
+            dies=(
+                DieSpec(base_die),
+                DieSpec(stacked_cache_die("sram-8mb", base_die), "cu"),
+            ),
         ),
         MemoryOnLogicConfig(
             name="3D 32MB",
             hierarchy=stacked_dram_config(32, scale),
-            cpu_die=nol2_die,
-            cache_die=stacked_cache_die("dram-32mb", nol2_die),
-            cache_die_metal="al",
+            dies=(
+                DieSpec(nol2_die),
+                DieSpec(stacked_cache_die("dram-32mb", nol2_die), "al"),
+            ),
         ),
         MemoryOnLogicConfig(
             name="3D 64MB",
             hierarchy=stacked_dram_config(64, scale),
-            cpu_die=base_die,
-            cache_die=stacked_cache_die("dram-64mb", base_die),
-            cache_die_metal="al",
+            dies=(
+                DieSpec(base_die),
+                DieSpec(stacked_cache_die("dram-64mb", base_die), "al"),
+            ),
         ),
     ]
-
-
 
 
 @dataclass
@@ -368,21 +363,14 @@ def run_thermal_study(
     """
     # Imported here, not at module level: only a heat solve pays for
     # scipy, so the performance study and ``repro.core`` stay light.
-    from repro.thermal.model import simulate_planar, simulate_stack
+    from repro.thermal.solver import solve_steady_state
 
-    temps: Dict[str, float] = {}
-    for config in build_memory_configs():
-        if config.cache_die is None:
-            solution = simulate_planar(config.cpu_die, solver)
-        else:
-            solution = simulate_stack(
-                config.cpu_die,
-                config.cache_die,
-                die2_metal=config.cache_die_metal,
-                config=solver,
-            )
-        temps[config.name] = solution.peak_temperature()
-    return temps
+    return {
+        config.name: solve_steady_state(
+            build_stack(config.dies), solver
+        ).peak_temperature()
+        for config in build_memory_configs()
+    }
 
 
 def run_memory_study(

@@ -42,17 +42,16 @@ from repro.floorplan.pentium4 import (
     pentium4_3d_floorplans,
     pentium4_planar_floorplan,
 )
-from repro.thermal.model import simulate_planar
 from repro.thermal.solver import (
     SolverConfig,
     assemble_system,
     solve_steady_state,
 )
-from repro.thermal.stack import ThermalStack, build_3d_stack
+from repro.thermal.stack import DieSpec, ThermalStack, build_stack
 from repro.thermal.transient import (
     BackwardEuler,
     solve_transient,
-    transient_bounds_hold,
+    check_transient_bounds,
     whole_steps,
 )
 from repro.uarch.interval import geomean_ipc
@@ -281,7 +280,7 @@ def _power_at(
 def build_coupled_stack() -> Tuple[ThermalStack, float]:
     """The Logic+Logic 3D stack and its floorplan's nominal watts."""
     bottom, top = pentium4_3d_floorplans()
-    stack = build_3d_stack(bottom, top, die2_metal="cu")
+    stack = build_stack([DieSpec(bottom), DieSpec(top)])
     return stack, bottom.total_power + top.total_power
 
 
@@ -289,9 +288,8 @@ def planar_baseline_peak_c(config: SolverConfig) -> float:
     """Peak temperature of the planar Pentium 4 baseline at this grid
     resolution — the default thermal ceiling (Table 5's Same Temp
     target)."""
-    return simulate_planar(
-        pentium4_planar_floorplan(), config
-    ).peak_temperature()
+    stack = build_stack([DieSpec(pentium4_planar_floorplan())])
+    return solve_steady_state(stack, config).peak_temperature()
 
 
 @dataclass(frozen=True)
@@ -509,7 +507,7 @@ def run_coupled_policies(
             field_c = temperature[row]
             # Epochs start from a carried-over field, which may sit below
             # ambient: no lower bound, as for solve_transient(initial=...).
-            transient_bounds_hold(field_c, float("-inf"))
+            check_transient_bounds(field_c, float("-inf"))
             key = round(vcc, _FREQ_KEY_DIGITS)
             if key not in perf_by_key[row]:
                 perf_by_key[row][key] = calibration.perf_model.perf_pct(vcc)

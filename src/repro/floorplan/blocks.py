@@ -186,17 +186,6 @@ class Floorplan:
         """Sum of block powers, W."""
         return sum(b.power for b in self._blocks.values())
 
-    @property
-    def block_area(self) -> float:
-        """Sum of block areas, mm^2 (may be < die area if there are gaps)."""
-        return sum(b.area for b in self._blocks.values())
-
-    def peak_power_density(self) -> float:
-        """Highest block power density, W/mm^2 (0 for an empty floorplan)."""
-        if not self._blocks:
-            return 0.0
-        return max(b.power_density for b in self._blocks.values())
-
     # -- rasterization -----------------------------------------------------
 
     def rasterize(self, nx: int, ny: int) -> np.ndarray:
@@ -304,13 +293,3 @@ def uniform_floorplan(
     block = Block(name=f"{name}-uniform", x=0.0, y=0.0,
                   width=die_width, height=die_height, power=power)
     return Floorplan(name, die_width, die_height, [block])
-
-
-
-
-def stack_outline_matches(a: Floorplan, b: Floorplan, tol: float = 1e-6) -> bool:
-    """True if two floorplans have the same die outline (stackable face-to-face)."""
-    return (
-        abs(a.die_width - b.die_width) <= tol
-        and abs(a.die_height - b.die_height) <= tol
-    )

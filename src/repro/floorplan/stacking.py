@@ -21,8 +21,8 @@ from repro.floorplan.blocks import Block, Floorplan, FloorplanError
 # -- die-to-die interface technology constants ---------------------------
 # The electrical side of face-to-face stacking (Section 3): the d2d via
 # path is far closer to an on-die via stack than to an I/O pad.  These
-# live with the physical stacking substrate so both the electrical model
-# (core.stack) and the wire-delay model (uarch.wires) draw on one source.
+# live with the physical stacking substrate; the wire-delay model
+# (uarch.wires) draws on them.
 
 #: RC of a full first-to-last-metal via stack, normalized to 1.0.
 VIA_STACK_RC = 1.0

@@ -29,9 +29,7 @@ _EXPORTS: Dict[str, str] = {
     "DieSpec": "stack",
     "Layer": "stack",
     "ThermalStack": "stack",
-    "build_multi_stack": "stack",
-    "build_planar_stack": "stack",
-    "build_3d_stack": "stack",
+    "build_stack": "stack",
     "DiscreteSystem": "solver",
     "SolverConfig": "solver",
     "ThermalOperator": "solver",
@@ -43,8 +41,6 @@ _EXPORTS: Dict[str, str] = {
     "operator_cache_stats": "solver",
     "solve_steady_state": "solver",
     "solve_transient": "transient",
-    "simulate_planar": "model",
-    "simulate_stack": "model",
 }
 
 __all__ = list(_EXPORTS)

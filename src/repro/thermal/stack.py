@@ -7,17 +7,17 @@ a material inside the die footprint and a (usually low-conductivity) fill
 material outside it — the paper's thermal maps show the epoxy fillet around
 the die edge, which this two-region scheme reproduces.
 
-Two builders are provided: :func:`build_planar_stack` for the 2D baseline
-(single die) and :func:`build_3d_stack` for a face-to-face two-die stack.
-Per Figure 1 and Table 2, die #1 (750 um bulk Si) is adjacent to the heat
-sink and die #2 (thinned to 20 um) is adjacent to the C4 bumps; power is
-dissipated in the active/metal layer of each die.
+One builder, :func:`build_stack`, covers the 2D baseline (one die), the
+face-to-face two-die stack and N-die stacks.  Per Figure 1 and Table 2,
+die #1 (750 um bulk Si) is adjacent to the heat sink and every further die
+(thinned to 20 um) sits below it toward the C4 bumps; power is dissipated
+in the active/metal layer of each die.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.floorplan.blocks import Floorplan
 from repro.thermal.materials import (
@@ -34,18 +34,16 @@ MM = 1e-3
 
 @dataclass(frozen=True)
 class DieSpec:
-    """One die of a multi-die stack (see :func:`build_multi_stack`).
+    """One die of a stack (see :func:`build_stack`).
 
     Attributes:
         floorplan: Power map of the die.
-        metal: ``"cu"`` (logic) or ``"al"`` (DRAM), per Table 2.
-        bulk_um: Bulk Si thickness; 0 selects the Table 2 default (750 um
-            for the heat-sink die, 20 um thinned otherwise).
+        metal: ``"cu"`` (logic, 12 um) or ``"al"`` (DRAM, 2 um), per
+            Table 2.
     """
 
     floorplan: Floorplan
     metal: str = "cu"
-    bulk_um: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -172,176 +170,71 @@ def _package_bottom_layers() -> List[Layer]:
     ]
 
 
-def build_planar_stack(die: Floorplan, name: Optional[str] = None) -> ThermalStack:
-    """The 2D reference configuration: a single die in a desktop package.
-
-    Power is dissipated in the die's Cu metal/active layer, which sits face
-    down toward the package (flip-chip), with the 750 um bulk Si toward the
-    heat sink.
-    """
-    t = TABLE2_CONSTANTS
-    layers = _package_top_layers()
-    layers += [
-        Layer("bulk-si-1", t["si1_thickness_um"] * UM, get_material("bulk-si"),
-              get_material("epoxy-fillet"), divisions=2),
-        Layer("metal-1", t["cu_metal_thickness_um"] * UM, get_material("cu-metal"),
-              get_material("epoxy-fillet"), power_plan=die),
-    ]
-    layers += _package_bottom_layers()
-    return ThermalStack(
-        name or f"planar: {die.name}",
-        die.die_width * MM,
-        die.die_height * MM,
-        layers,
-    )
+#: Die metal -> (its Table 2 thickness key, its material).
+_METALS = {
+    "cu": ("cu_metal_thickness_um", "cu-metal"),
+    "al": ("al_metal_thickness_um", "al-metal"),
+}
 
 
-def build_multi_stack(
-    dies: List["DieSpec"],
-    name: Optional[str] = None,
-) -> ThermalStack:
-    """An N-die stack (the paper's "it is also possible to stack many
-    die" extension; N = 2 reduces to :func:`build_3d_stack`).
+def build_stack(dies: Sequence[DieSpec]) -> ThermalStack:
+    """The die stack of Figure 1 in the desktop package of Figure 2.
 
-    Die ordering is heat-sink side first.  Die #1 keeps its full-thickness
-    bulk Si toward the sink and bonds face-to-face with die #2; each
-    further die is thinned and bonded back-to-face through a TSV/bond
-    layer, the construction of multi-die DRAM stacks (and what production
-    HBM later standardized).
-
-    Args:
-        dies: Heat-sink side first.  Each entry gives the die's floorplan,
-            metal ("cu"/"al"), and bulk thickness (defaults: 750 um for
-            die #1, 20 um for the rest).
-        name: Optional stack name.
-
-    Returns:
-        The assembled :class:`ThermalStack`.
+    Dies are listed heat-sink side first ("the highest power die is
+    placed closest to the heat sink", Section 3).  Die #1 keeps its
+    750 um bulk Si toward the sink; one die alone is the 2D baseline.
+    Each further die is thinned to 20 um and joined through a bond
+    layer: die #2 face to face (Figure 1), later dies back to face, the
+    construction of multi-die DRAM stacks (and what production HBM later
+    standardized).  Layers are named ``bulk-si-i``, ``metal-i`` (where
+    die *i*'s power is dissipated) and ``bond-i`` (below die *i*).
 
     Raises:
-        ValueError: On fewer than two dies or mismatched outlines.
+        ValueError: On no dies, mismatched outlines (bonding requires
+            matching footprints), or an unknown metal.
     """
-    if len(dies) < 2:
-        raise ValueError("a stack needs at least two dies")
+    if not dies:
+        raise ValueError("a stack needs at least one die")
     first = dies[0].floorplan
-    for spec in dies[1:]:
+    for spec in dies:
+        plan = spec.floorplan
         if (
-            abs(first.die_width - spec.floorplan.die_width) > 1e-9
-            or abs(first.die_height - spec.floorplan.die_height) > 1e-9
+            abs(first.die_width - plan.die_width) > 1e-9
+            or abs(first.die_height - plan.die_height) > 1e-9
         ):
-            raise ValueError("all dies in a stack must share an outline")
+            raise ValueError(
+                "stacked dies must share an outline: "
+                f"{first.die_width}x{first.die_height} vs "
+                f"{plan.die_width}x{plan.die_height} mm"
+            )
+        if spec.metal not in _METALS:
+            raise ValueError(
+                f"die metal must be 'cu' or 'al', got {spec.metal!r}"
+            )
 
     t = TABLE2_CONSTANTS
+    bulk_si = get_material("bulk-si")
     epoxy = get_material("epoxy-fillet")
-
-    def metal_layer(index: int, spec: "DieSpec") -> Layer:
-        if spec.metal == "cu":
-            return Layer(
-                f"metal-{index}", t["cu_metal_thickness_um"] * UM,
-                get_material("cu-metal"), epoxy, power_plan=spec.floorplan,
-            )
-        if spec.metal == "al":
-            return Layer(
-                f"metal-{index}", t["al_metal_thickness_um"] * UM,
-                get_material("al-metal"), epoxy, power_plan=spec.floorplan,
-            )
-        raise ValueError(f"die metal must be 'cu' or 'al', got {spec.metal!r}")
-
     layers = _package_top_layers()
-    bulk1 = dies[0].bulk_um if dies[0].bulk_um else t["si1_thickness_um"]
-    layers.append(
-        Layer("bulk-si-1", bulk1 * UM, get_material("bulk-si"), epoxy,
-              divisions=2)
-    )
-    layers.append(metal_layer(1, dies[0]))
-    for index, spec in enumerate(dies[1:], start=2):
-        layers.append(
-            Layer(f"bond-{index - 1}", t["bond_thickness_um"] * UM,
-                  get_material("bond"), epoxy)
-        )
-        layers.append(metal_layer(index, spec))
-        bulk = spec.bulk_um if spec.bulk_um else t["si2_thickness_um"]
-        layers.append(
-            Layer(f"bulk-si-{index}", bulk * UM, get_material("bulk-si"),
-                  epoxy)
-        )
+    for index, spec in enumerate(dies, start=1):
+        if index == 1:
+            layers.append(Layer("bulk-si-1", t["si1_thickness_um"] * UM,
+                                bulk_si, epoxy, divisions=2))
+        else:
+            layers.append(Layer(f"bond-{index - 1}",
+                                t["bond_thickness_um"] * UM,
+                                get_material("bond"), epoxy))
+        thickness, material = _METALS[spec.metal]
+        layers.append(Layer(f"metal-{index}", t[thickness] * UM,
+                            get_material(material), epoxy,
+                            power_plan=spec.floorplan))
+        if index > 1:
+            layers.append(Layer(f"bulk-si-{index}",
+                                t["si2_thickness_um"] * UM, bulk_si, epoxy))
     layers += _package_bottom_layers()
     return ThermalStack(
-        name or f"{len(dies)}-die stack: {first.name}",
+        " + ".join(spec.floorplan.name for spec in dies),
         first.die_width * MM,
         first.die_height * MM,
-        layers,
-    )
-
-
-def build_3d_stack(
-    die_near_sink: Floorplan,
-    die_near_bumps: Floorplan,
-    die2_metal: str = "cu",
-    die2_bulk_um: Optional[float] = None,
-    name: Optional[str] = None,
-) -> ThermalStack:
-    """A face-to-face two-die stack per Figure 1.
-
-    Args:
-        die_near_sink: Die #1 — the high-power die placed closest to the
-            heat sink (the CPU die in every configuration in the paper).
-        die_near_bumps: Die #2 — thinned die next to the C4 bumps (the
-            cache die in Memory+Logic, the second logic die in
-            Logic+Logic).
-        die2_metal: ``"cu"`` for a logic die (12 um Cu stack) or ``"al"``
-            for a DRAM die (2 um Al stack), per Table 2.
-        die2_bulk_um: Bulk Si thickness of die #2; defaults to Table 2's
-            20 um.
-        name: Optional stack name.
-
-    Returns:
-        The assembled :class:`ThermalStack`.
-
-    Raises:
-        ValueError: If the two dies' outlines differ (face-to-face bonding
-            requires matching footprints) or die2_metal is unknown.
-    """
-    if (
-        abs(die_near_sink.die_width - die_near_bumps.die_width) > 1e-9
-        or abs(die_near_sink.die_height - die_near_bumps.die_height) > 1e-9
-    ):
-        raise ValueError(
-            "face-to-face stacking requires matching die outlines: "
-            f"{die_near_sink.die_width}x{die_near_sink.die_height} vs "
-            f"{die_near_bumps.die_width}x{die_near_bumps.die_height} mm"
-        )
-    t = TABLE2_CONSTANTS
-    if die2_metal == "cu":
-        metal2 = Layer(
-            "metal-2", t["cu_metal_thickness_um"] * UM, get_material("cu-metal"),
-            get_material("epoxy-fillet"), power_plan=die_near_bumps,
-        )
-    elif die2_metal == "al":
-        metal2 = Layer(
-            "metal-2", t["al_metal_thickness_um"] * UM, get_material("al-metal"),
-            get_material("epoxy-fillet"), power_plan=die_near_bumps,
-        )
-    else:
-        raise ValueError(f"die2_metal must be 'cu' or 'al', got {die2_metal!r}")
-    bulk2_um = t["si2_thickness_um"] if die2_bulk_um is None else die2_bulk_um
-
-    layers = _package_top_layers()
-    layers += [
-        Layer("bulk-si-1", t["si1_thickness_um"] * UM, get_material("bulk-si"),
-              get_material("epoxy-fillet"), divisions=2),
-        Layer("metal-1", t["cu_metal_thickness_um"] * UM, get_material("cu-metal"),
-              get_material("epoxy-fillet"), power_plan=die_near_sink),
-        Layer("bond", t["bond_thickness_um"] * UM, get_material("bond"),
-              get_material("epoxy-fillet")),
-        metal2,
-        Layer("bulk-si-2", bulk2_um * UM, get_material("bulk-si"),
-              get_material("epoxy-fillet")),
-    ]
-    layers += _package_bottom_layers()
-    return ThermalStack(
-        name or f"3D: {die_near_sink.name} + {die_near_bumps.name}",
-        die_near_sink.die_width * MM,
-        die_near_sink.die_height * MM,
         layers,
     )

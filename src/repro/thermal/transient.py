@@ -195,8 +195,8 @@ class BackwardEuler:
         return out
 
 
-def transient_bounds_hold(field: np.ndarray, floor_c: float) -> bool:
-    """Bounds oracle on a transient's end field; False on a violation.
+def check_transient_bounds(field: np.ndarray, floor_c: float) -> None:
+    """Bounds oracle on a transient's end field.
 
     A transient may legitimately pass through any trajectory, but its
     end state must still be physical (>= *floor_c*, ambient for a cold
@@ -204,14 +204,12 @@ def transient_bounds_hold(field: np.ndarray, floor_c: float) -> bool:
     one ``thermal.transient-bounds`` check when oracles are on.
     """
     if not get_oracle_config().enabled:
-        return True
+        return
     record_check("thermal.transient-bounds")
-    problems = check_temperature_bounds(
+    for problem in check_temperature_bounds(
         float(field.min()), float(field.max()), floor_c, TEMP_SLACK_C
-    )
-    for problem in problems:
+    ):
         record_violation("thermal.transient-bounds", "thermal", problem)
-    return not problems
 
 
 def solve_transient(
@@ -292,7 +290,7 @@ def solve_transient(
     # A caller-supplied initial field may legitimately start (and end)
     # below ambient; only ambient starts get the lower bound.
     floor = ambient if initial is None else float("-inf")
-    transient_bounds_hold(final.temperature, floor)
+    check_transient_bounds(final.temperature, floor)
     return TransientResult(
         times_s=times,
         peak_c=peaks,

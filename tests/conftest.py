@@ -9,7 +9,7 @@ import pytest
 
 from repro.floorplan import core2duo_floorplan, stacked_cache_die
 from repro.thermal.solver import SolverConfig, solve_steady_state
-from repro.thermal.stack import build_3d_stack, build_planar_stack
+from repro.thermal.stack import DieSpec, build_stack
 
 #: Coarse grid for fast thermal tests.
 FAST_GRID = SolverConfig(nx=24, ny=24)
@@ -27,11 +27,11 @@ def baseline_die():
 
 @pytest.fixture(scope="session")
 def planar_solution(baseline_die):
-    return solve_steady_state(build_planar_stack(baseline_die), FAST_GRID)
+    return solve_steady_state(build_stack([DieSpec(baseline_die)]), FAST_GRID)
 
 
 @pytest.fixture(scope="session")
 def stacked_solution(baseline_die):
     cache = stacked_cache_die("sram-8mb", baseline_die)
-    stack = build_3d_stack(baseline_die, cache, die2_metal="cu")
+    stack = build_stack([DieSpec(baseline_die), DieSpec(cache)])
     return solve_steady_state(stack, FAST_GRID)

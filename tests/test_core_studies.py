@@ -26,7 +26,6 @@ from repro.core.memory_on_logic import (
     run_performance_study,
     run_thermal_study,
 )
-from repro.core.stack import build_stack
 from repro.floorplan import core2duo_floorplan
 from repro.memsim.replay import replay_trace
 from repro.oracles.config import get_oracle_config, oracle_mode, set_oracle_mode
@@ -35,8 +34,8 @@ from repro.oracles.report import (
     record_violation,
     reset_oracles,
 )
-from repro.thermal import simulate_planar
-from repro.thermal.solver import SolverConfig
+from repro.thermal.solver import SolverConfig, solve_steady_state
+from repro.thermal.stack import DieSpec, build_stack
 from repro.traces.generator import TraceGenerator, WorkloadSpec
 
 FAST = SolverConfig(nx=24, ny=24)
@@ -57,12 +56,13 @@ class TestMemoryConfigs:
 
     def test_stack_objects(self):
         configs = {c.name: c for c in build_memory_configs()}
-        assert configs["2D 4MB"].cache_die is None
-        dram = configs["3D 32MB"]
-        stack = build_stack(dram.cpu_die, dram.cache_die, bumps_kind="dram")
-        assert stack.die_near_bumps.kind == "dram"
-        assert stack.hot_die_near_sink()
-        assert stack.validate() == []
+        assert len(configs["2D 4MB"].dies) == 1
+        for name in ("3D 12MB", "3D 32MB", "3D 64MB"):
+            cpu, cache = configs[name].dies
+            # "the highest power die is placed closest to the heat sink"
+            assert cpu.floorplan.total_power > cache.floorplan.total_power
+        assert [d.metal for d in configs["3D 32MB"].dies] == ["cu", "al"]
+        assert [d.metal for d in configs["3D 12MB"].dies] == ["cu", "cu"]
 
     def test_dram_configs_have_no_l2(self):
         configs = {c.name: c for c in build_memory_configs()}
@@ -374,8 +374,9 @@ class TestFigure6Map:
 
     @pytest.fixture(scope="class")
     def die_map(self):
-        solution = simulate_planar(
-            core2duo_floorplan(), SolverConfig(nx=48, ny=48)
+        solution = solve_steady_state(
+            build_stack([DieSpec(core2duo_floorplan())]),
+            SolverConfig(nx=48, ny=48),
         )
         return solution.die_map("metal-1")
 

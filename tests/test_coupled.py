@@ -13,7 +13,6 @@ from dataclasses import replace
 import pytest
 
 import repro.coupled.engine as engine
-import repro.thermal.model as thermal_model
 from repro.analysis.coupled import (
     format_epoch_trace,
     format_policy_comparison,
@@ -429,11 +428,10 @@ class TestCalibration:
 
         transient = engine.solve_transient
         monkeypatch.setattr(engine, "solve_transient", counted_transient)
-        for module in (engine, thermal_model):
-            monkeypatch.setattr(
-                module, "solve_steady_state",
-                counted_steady(module.solve_steady_state),
-            )
+        monkeypatch.setattr(
+            engine, "solve_steady_state",
+            counted_steady(engine.solve_steady_state),
+        )
         return counts
 
     @pytest.mark.parametrize(

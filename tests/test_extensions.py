@@ -18,12 +18,10 @@ from repro.floorplan.blocks import Block, Floorplan, FloorplanError
 from repro.thermal import (
     DieSpec,
     SolverConfig,
-    build_3d_stack,
-    build_multi_stack,
+    build_stack,
     solve_steady_state,
     solve_transient,
 )
-from repro.thermal.stack import build_planar_stack
 
 FAST = SolverConfig(nx=20, ny=20)
 
@@ -39,27 +37,13 @@ def dram_die(cpu_die):
 
 
 class TestMultiDieStacks:
-    def test_two_die_matches_dedicated_builder(self, cpu_die, dram_die):
-        dedicated = solve_steady_state(
-            build_3d_stack(cpu_die, dram_die, die2_metal="al"), FAST
-        )
-        multi = solve_steady_state(
-            build_multi_stack(
-                [DieSpec(cpu_die), DieSpec(dram_die, metal="al")]
-            ),
-            FAST,
-        )
-        assert multi.peak_temperature() == pytest.approx(
-            dedicated.peak_temperature(), abs=1e-6
-        )
-
     def test_more_dies_more_heat(self, cpu_die, dram_die):
         peaks = []
         for n_dram in (1, 2, 4):
             dies = [DieSpec(cpu_die)] + [
                 DieSpec(dram_die, metal="al") for _ in range(n_dram)
             ]
-            solution = solve_steady_state(build_multi_stack(dies), FAST)
+            solution = solve_steady_state(build_stack(dies), FAST)
             peaks.append(solution.peak_temperature())
         assert peaks[0] < peaks[1] < peaks[2]
 
@@ -67,24 +51,24 @@ class TestMultiDieStacks:
         # Four DRAM dies (128 MB at the paper's densities) must still be
         # within a few degrees of the baseline — the observation that
         # presaged HBM and 3D V-Cache.
-        baseline = solve_steady_state(build_planar_stack(cpu_die), FAST)
+        baseline = solve_steady_state(build_stack([DieSpec(cpu_die)]), FAST)
         dies = [DieSpec(cpu_die)] + [
             DieSpec(dram_die, metal="al") for _ in range(4)
         ]
-        stack = solve_steady_state(build_multi_stack(dies), FAST)
+        stack = solve_steady_state(build_stack(dies), FAST)
         assert stack.peak_temperature() - baseline.peak_temperature() < 6.0
 
     def test_energy_conserved(self, cpu_die, dram_die):
         dies = [DieSpec(cpu_die)] + [
             DieSpec(dram_die, metal="al") for _ in range(3)
         ]
-        solution = solve_steady_state(build_multi_stack(dies), FAST)
+        solution = solve_steady_state(build_stack(dies), FAST)
         assert solution.boundary_heat_flow() == pytest.approx(
             solution.stack.total_power, rel=1e-6
         )
 
     def test_layer_naming(self, cpu_die, dram_die):
-        stack = build_multi_stack(
+        stack = build_stack(
             [DieSpec(cpu_die), DieSpec(dram_die, metal="al"),
              DieSpec(dram_die, metal="al")]
         )
@@ -93,20 +77,16 @@ class TestMultiDieStacks:
                          "bond-2", "metal-3", "bulk-si-3"):
             assert expected in names
 
-    def test_rejects_single_die(self, cpu_die):
-        with pytest.raises(ValueError, match="at least two"):
-            build_multi_stack([DieSpec(cpu_die)])
-
     def test_rejects_mismatched_outlines(self, cpu_die):
         from repro.floorplan.blocks import uniform_floorplan
 
         small = uniform_floorplan("small", 5, 5, 1.0)
         with pytest.raises(ValueError, match="share an outline"):
-            build_multi_stack([DieSpec(cpu_die), DieSpec(small)])
+            build_stack([DieSpec(cpu_die), DieSpec(small)])
 
     def test_rejects_unknown_metal(self, cpu_die, dram_die):
         with pytest.raises(ValueError, match="metal"):
-            build_multi_stack(
+            build_stack(
                 [DieSpec(cpu_die), DieSpec(dram_die, metal="graphene")]
             )
 
@@ -114,7 +94,7 @@ class TestMultiDieStacks:
 class TestTransientSolver:
     @pytest.fixture(scope="class")
     def stack(self, cpu_die):
-        return build_planar_stack(cpu_die)
+        return build_stack([DieSpec(cpu_die)])
 
     def test_starts_at_ambient(self, stack):
         run = solve_transient(stack, FAST, duration_s=0.5, dt_s=0.25)
@@ -217,9 +197,9 @@ class TestBlockSplitting:
         bottom, top = auto_stack(planar, split=["L2"])
         report = power_density_report(bottom, top)
         assert report.total_power == pytest.approx(planar.total_power)
-        from repro.thermal import simulate_stack
-
-        solution = simulate_stack(bottom, top, config=FAST)
+        solution = solve_steady_state(
+            build_stack([DieSpec(bottom), DieSpec(top)]), FAST
+        )
         assert solution.peak_temperature() > FAST.ambient_c
 
 
@@ -256,12 +236,12 @@ class TestNumericsRegressionGuards:
     def test_transient_mass_positive(self, cpu_die):
         from repro.thermal.solver import assemble_system
 
-        system = assemble_system(build_planar_stack(cpu_die), FAST)
+        system = assemble_system(build_stack([DieSpec(cpu_die)]), FAST)
         assert np.all(system.mass > 0)
 
     def test_assembled_matrix_is_symmetric(self, cpu_die):
         from repro.thermal.solver import assemble_system
 
-        system = assemble_system(build_planar_stack(cpu_die), FAST)
+        system = assemble_system(build_stack([DieSpec(cpu_die)]), FAST)
         asym = abs(system.matrix - system.matrix.T)
         assert asym.max() < 1e-9

@@ -9,7 +9,6 @@ from repro.floorplan.blocks import (
     Block,
     Floorplan,
     FloorplanError,
-    stack_outline_matches,
     uniform_floorplan,
 )
 
@@ -91,14 +90,7 @@ class TestFloorplan:
         plan.add(make_block("a", power=3.0))
         plan.add(make_block("b", x=5, power=4.0))
         assert plan.total_power == pytest.approx(7.0)
-        assert plan.block_area == pytest.approx(8.0)
         assert plan.die_area == pytest.approx(100.0)
-
-    def test_peak_power_density(self):
-        plan = Floorplan("p", 10, 10)
-        plan.add(make_block("cool", power=1.0))              # 0.25 W/mm^2
-        plan.add(make_block("hot", x=5, w=1, h=1, power=4))  # 4 W/mm^2
-        assert plan.peak_power_density() == pytest.approx(4.0)
 
     def test_replace_block(self):
         plan = Floorplan("p", 10, 10)
@@ -123,8 +115,8 @@ class TestFloorplan:
         scaled = plan.scaled_geometry(2.0)
         assert scaled.die_width == pytest.approx(20.0)
         assert scaled.total_power == pytest.approx(4.0)
-        assert scaled.peak_power_density() == pytest.approx(
-            plan.peak_power_density() / 4.0
+        assert scaled.block("a").power_density == pytest.approx(
+            plan.block("a").power_density / 4.0
         )
 
     def test_copy_is_independent(self):
@@ -173,11 +165,3 @@ class TestRasterize:
         cell = (10 / nx) ** 2
         assert raster.sum() * cell == pytest.approx(power, rel=1e-6)
 
-
-class TestHelpers:
-    def test_stack_outline_matches(self):
-        a = Floorplan("a", 10, 10)
-        b = Floorplan("b", 10, 10)
-        c = Floorplan("c", 10, 9)
-        assert stack_outline_matches(a, b)
-        assert not stack_outline_matches(a, c)

@@ -23,7 +23,6 @@ HEAT_MODULES = (
     "scipy",
     "repro.thermal.solver",
     "repro.thermal.transient",
-    "repro.thermal.model",
 )
 
 NO_HEAT_PROBES = {
@@ -47,6 +46,11 @@ NO_HEAT_PROBES = {
         "from repro.core.memory_on_logic import run_performance_study"
     ),
     "thermal-materials": "import repro.thermal.materials",
+    "thermal-stack": (
+        "from repro.floorplan.pentium4 import pentium4_3d_floorplans\n"
+        "from repro.thermal import DieSpec, build_stack\n"
+        "build_stack([DieSpec(p) for p in pentium4_3d_floorplans()])"
+    ),
 }
 
 

@@ -25,8 +25,8 @@ from repro.thermal.solver import (
     operator_cache_stats,
     solve_steady_state,
 )
-from repro.thermal.stack import build_3d_stack, build_planar_stack
-from repro.thermal.transient import solve_transient
+from repro.thermal.stack import DieSpec, build_stack
+from repro.thermal.transient import check_transient_bounds, solve_transient
 
 
 @pytest.fixture(autouse=True)
@@ -42,7 +42,7 @@ def _clean_oracles():
 
 @pytest.fixture(scope="module")
 def stack():
-    return build_planar_stack(core2duo_floorplan())
+    return build_stack([DieSpec(core2duo_floorplan())])
 
 
 CFG = SolverConfig(nx=16, ny=16)
@@ -163,10 +163,22 @@ class TestTransientOracles:
         assert report.clean
         assert report.checks.get("thermal.transient-bounds", 0) >= 1
 
+    def test_field_below_floor_reaches_the_scoreboard(self):
+        field = np.full((2, 3, 3), 45.0)
+        field[1, 1, 1] = 39.0
+        with oracle_mode("sample"):
+            check_transient_bounds(field, 40.0)
+        report = oracle_report()
+        assert report.checks == {"thermal.transient-bounds": 1}
+        [violation] = report.violations
+        assert violation.oracle == "thermal.transient-bounds"
+        assert violation.engine == "thermal"
+        assert "39.000 C below ambient 40.000 C" in violation.detail
+
     def test_stacked_config_clean_under_strict(self):
         base = core2duo_floorplan()
         cache = stacked_cache_die("sram-8mb", base)
-        stacked = build_3d_stack(base, cache, die2_metal="cu")
+        stacked = build_stack([DieSpec(base), DieSpec(cache)])
         with oracle_mode("strict"):
             solve_steady_state(stacked, CFG)
             solve_steady_state(stacked, CFG)  # hit: crc checked every reuse

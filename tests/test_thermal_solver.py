@@ -20,7 +20,6 @@ from repro.oracles.report import oracle_report, reset_oracles
 from repro.resilience.errors import GuardViolation, SolverDivergenceError
 from repro.thermal import solver as solver_module
 from repro.thermal.materials import DOMAIN_SIZE_M, get_material
-from repro.thermal.model import simulate_planar
 from repro.thermal.solver import (
     SolverConfig,
     assemble_system,
@@ -34,8 +33,8 @@ from repro.thermal.solver import (
 from repro.thermal.stack import (
     Layer,
     ThermalStack,
-    build_3d_stack,
-    build_planar_stack,
+    DieSpec,
+    build_stack,
 )
 
 FAST = SolverConfig(nx=24, ny=24)
@@ -135,15 +134,15 @@ class TestSolverPhysics:
 
     def test_zero_power_gives_ambient_everywhere(self):
         die = uniform_floorplan("cold", 10.0, 10.0, 0.0)
-        solution = solve_steady_state(build_planar_stack(die), FAST)
+        solution = solve_steady_state(build_stack([DieSpec(die)]), FAST)
         assert np.allclose(solution.temperature, FAST.ambient_c, atol=1e-8)
 
     def test_linearity_in_power(self):
         # Steady conduction is linear: doubling power doubles the rise.
         die1 = uniform_floorplan("u", 10.0, 10.0, 50.0)
         die2 = uniform_floorplan("u", 10.0, 10.0, 100.0)
-        sol1 = solve_steady_state(build_planar_stack(die1), FAST)
-        sol2 = solve_steady_state(build_planar_stack(die2), FAST)
+        sol1 = solve_steady_state(build_stack([DieSpec(die1)]), FAST)
+        sol2 = solve_steady_state(build_stack([DieSpec(die2)]), FAST)
         rise1 = sol1.peak_temperature() - FAST.ambient_c
         rise2 = sol2.peak_temperature() - FAST.ambient_c
         assert rise2 == pytest.approx(2.0 * rise1, rel=1e-9)
@@ -154,14 +153,14 @@ class TestSolverPhysics:
         # mismatched parity the half-cell offset breaks exact symmetry.)
         die = uniform_floorplan("u", 10.0, 10.0, 60.0)
         config = SolverConfig(nx=25, ny=25)
-        solution = solve_steady_state(build_planar_stack(die), config)
+        solution = solve_steady_state(build_stack([DieSpec(die)]), config)
         field = solution.temperature[0]  # heat-sink plane
         assert np.allclose(field, field[:, ::-1], rtol=1e-9)
         assert np.allclose(field, field[::-1, :], rtol=1e-9)
 
     def test_better_cooling_is_cooler(self):
         die = uniform_floorplan("u", 10.0, 10.0, 80.0)
-        stack = build_planar_stack(die)
+        stack = build_stack([DieSpec(die)])
         weak = solve_steady_state(
             stack, SolverConfig(nx=24, ny=24, heatsink_h=2000.0)
         )
@@ -188,7 +187,7 @@ class TestSolverPhysics:
     def test_rise_scales_linearly_property(self, power):
         die = uniform_floorplan("u", 10.0, 10.0, power)
         tiny = SolverConfig(nx=12, ny=12)
-        solution = solve_steady_state(build_planar_stack(die), tiny)
+        solution = solve_steady_state(build_stack([DieSpec(die)]), tiny)
         rise = solution.peak_temperature() - tiny.ambient_c
         # Rise per watt is a constant of the geometry: 0.418-0.420 K/W
         # on every grid, the 4-cell die of nx=12 included, because the
@@ -208,7 +207,7 @@ class TestOperatorCache:
 
     def test_cached_solve_is_bit_identical_to_cold(self):
         die = uniform_floorplan("u", 10.0, 10.0, 60.0)
-        stack = build_planar_stack(die)
+        stack = build_stack([DieSpec(die)])
         cold = solve_steady_state(stack, FAST)
         warm = solve_steady_state(stack, FAST)
         assert np.array_equal(cold.temperature, warm.temperature)
@@ -220,8 +219,8 @@ class TestOperatorCache:
         # and the very same matrix object on both systems.
         die1 = uniform_floorplan("a", 10.0, 10.0, 50.0)
         die2 = uniform_floorplan("b", 10.0, 10.0, 125.0)
-        sys1 = assemble_system(build_planar_stack(die1), FAST)
-        sys2 = assemble_system(build_planar_stack(die2), FAST)
+        sys1 = assemble_system(build_stack([DieSpec(die1)]), FAST)
+        sys2 = assemble_system(build_stack([DieSpec(die2)]), FAST)
         assert sys1.matrix is sys2.matrix
         assert not np.array_equal(sys1.rhs, sys2.rhs)
         stats = operator_cache_stats()
@@ -230,13 +229,13 @@ class TestOperatorCache:
     def test_geometry_key_ignores_power(self):
         die1 = uniform_floorplan("a", 10.0, 10.0, 50.0)
         die2 = uniform_floorplan("b", 10.0, 10.0, 125.0)
-        assert geometry_key(build_planar_stack(die1), FAST) == geometry_key(
-            build_planar_stack(die2), FAST
-        )
+        assert geometry_key(
+            build_stack([DieSpec(die1)]), FAST
+        ) == geometry_key(build_stack([DieSpec(die2)]), FAST)
 
     def test_conductivity_change_is_a_new_key(self):
         die = uniform_floorplan("u", 10.0, 10.0, 60.0)
-        stack = build_planar_stack(die)
+        stack = build_stack([DieSpec(die)])
         swept = stack.replace_layer(
             stack.layer("metal-1").with_conductivity(24.0)
         )
@@ -248,7 +247,7 @@ class TestOperatorCache:
 
     def test_config_change_is_a_new_key(self):
         die = uniform_floorplan("u", 10.0, 10.0, 60.0)
-        stack = build_planar_stack(die)
+        stack = build_stack([DieSpec(die)])
         assemble_system(stack, FAST)
         assemble_system(
             stack, SolverConfig(nx=24, ny=24, heatsink_h=5000.0)
@@ -258,7 +257,7 @@ class TestOperatorCache:
 
     def test_reuse_can_be_disabled(self):
         die = uniform_floorplan("u", 10.0, 10.0, 60.0)
-        stack = build_planar_stack(die)
+        stack = build_stack([DieSpec(die)])
         assemble_system(stack, FAST, reuse_operator=False)
         assemble_system(stack, FAST, reuse_operator=False)
         stats = operator_cache_stats()
@@ -267,7 +266,7 @@ class TestOperatorCache:
 
     def test_cache_is_bounded(self):
         die = uniform_floorplan("u", 10.0, 10.0, 60.0)
-        stack = build_planar_stack(die)
+        stack = build_stack([DieSpec(die)])
         for ambient in range(30, 40):  # 10 distinct geometries
             assemble_system(
                 stack, SolverConfig(nx=12, ny=12, ambient_c=float(ambient))
@@ -282,7 +281,7 @@ class TestOperatorCache:
         from repro.thermal.transient import solve_transient
 
         die = uniform_floorplan("u", 10.0, 10.0, 60.0)
-        stack = build_planar_stack(die)
+        stack = build_stack([DieSpec(die)])
         tiny = SolverConfig(nx=12, ny=12)
         first = solve_transient(stack, tiny, duration_s=0.5, dt_s=0.05)
         again = solve_transient(stack, tiny, duration_s=0.5, dt_s=0.05)
@@ -295,8 +294,8 @@ class TestOperatorCache:
 def _figure3_stack(curve, k):
     """The figure-3 Logic+Logic stack with one layer family swept to k."""
     bottom, top = pentium4_3d_floorplans()
-    base = build_3d_stack(bottom, top, die2_metal="cu")
-    names = ("metal-1", "metal-2") if curve == "cu" else ("bond",)
+    base = build_stack([DieSpec(bottom), DieSpec(top)])
+    names = ("metal-1", "metal-2") if curve == "cu" else ("bond-1",)
     for name in names:
         base = base.replace_layer(base.layer(name).with_conductivity(k))
     return base
@@ -328,7 +327,7 @@ class TestSteadyCg:
         die = uniform_floorplan("u", 10.0, 10.0, 60.0)
         with pytest.raises(SolverDivergenceError,
                            match="did not converge") as info:
-            solve_steady_state(build_planar_stack(die), FAST)
+            solve_steady_state(build_stack([DieSpec(die)]), FAST)
         assert info.value.method == "cg"
 
     def test_nonfinite_cg_output_raises(self):
@@ -336,7 +335,7 @@ class TestSteadyCg:
         # iterates; the loop stops and the output check raises.
         die = uniform_floorplan("u", 10.0, 10.0, 60.0)
         system = assemble_system(
-            build_planar_stack(die), FAST, reuse_operator=False
+            build_stack([DieSpec(die)]), FAST, reuse_operator=False
         )
         matrix = system.matrix.tocoo()
         off_diagonal = np.flatnonzero(matrix.row != matrix.col)[0]
@@ -349,7 +348,7 @@ class TestSteadyCg:
     def test_nonpositive_diagonal_raises(self):
         die = uniform_floorplan("u", 10.0, 10.0, 60.0)
         system = assemble_system(
-            build_planar_stack(die), FAST, reuse_operator=False
+            build_stack([DieSpec(die)]), FAST, reuse_operator=False
         )
         system.matrix = system.matrix - sp.diags(system.matrix.diagonal())
         with pytest.raises(SolverDivergenceError, match="diagonal") as info:
@@ -387,8 +386,8 @@ class TestLateralGrid:
     def test_figure6_peak_is_stable_across_grids(self):
         # Snapping the die to whole uniform cells swung this 3.5 C.
         peaks = [
-            simulate_planar(core2duo_floorplan(),
-                            SolverConfig(nx=n, ny=n)).peak_temperature()
+            solve_steady_state(build_stack([DieSpec(core2duo_floorplan())]),
+                               SolverConfig(nx=n, ny=n)).peak_temperature()
             for n in (24, 32, 48, 64, 96)
         ]
         assert max(peaks) - min(peaks) <= 1.0
@@ -407,9 +406,10 @@ class TestLateralGrid:
 #: where OpenBLAS runs a dot product on several threads.
 _BLAS_PROBE = """
 from repro.floorplan import core2duo_floorplan
-from repro.thermal.model import simulate_planar
-from repro.thermal.solver import SolverConfig
-solution = simulate_planar(core2duo_floorplan(), SolverConfig(nx=48, ny=48))
+from repro.thermal.solver import SolverConfig, solve_steady_state
+from repro.thermal.stack import DieSpec, build_stack
+solution = solve_steady_state(build_stack([DieSpec(core2duo_floorplan())]),
+                              SolverConfig(nx=48, ny=48))
 assert solution.temperature.size > 10_000
 print(solution.peak_temperature().hex())
 """
@@ -431,7 +431,7 @@ def test_steady_peak_ignores_blas_thread_count():
 
 class TestSolverGuardsWired:
     def test_steady_state_records_residual(self):
-        stack = build_planar_stack(core2duo_floorplan())
+        stack = build_stack([DieSpec(core2duo_floorplan())])
         config = SolverConfig(nx=12, ny=12)
         reset_oracles()
         with oracle_mode("sample"):
@@ -451,7 +451,7 @@ class TestSolverGuardsWired:
         bad_plan = core2duo_floorplan().scaled_power(float("nan"))
         with pytest.raises(GuardViolation) as info:
             solve_steady_state(
-                build_planar_stack(bad_plan), SolverConfig(nx=12, ny=12)
+                build_stack([DieSpec(bad_plan)]), SolverConfig(nx=12, ny=12)
             )
         assert info.value.guard == "power-map"
 
@@ -478,7 +478,7 @@ class TestSolutionQueries:
         names = stacked_solution.die_layer_names
         assert "bulk-si-1" in names
         assert "metal-1" in names
-        assert "bond" in names
+        assert "bond-1" in names
         assert "metal-2" in names
         assert "heat-sink" not in names
         assert "package" not in names
@@ -496,7 +496,7 @@ class TestSolutionQueries:
 
     def test_hottest_layer_is_an_active_layer(self, stacked_solution):
         assert stacked_solution.hottest_layer() in (
-            "metal-1", "metal-2", "bond", "bulk-si-1", "bulk-si-2"
+            "metal-1", "metal-2", "bond-1", "bulk-si-1", "bulk-si-2"
         )
 
 
@@ -520,6 +520,6 @@ class TestPaperOperatingPoints:
         nol2 = core2duo_floorplan(with_l2=False)
         dram = stacked_cache_die("dram-32mb", nol2)
         sol32 = solve_steady_state(
-            build_3d_stack(nol2, dram, die2_metal="al"), FAST
+            build_stack([DieSpec(nol2), DieSpec(dram, "al")]), FAST
         )
         assert sol32.peak_temperature() < stacked_solution.peak_temperature()

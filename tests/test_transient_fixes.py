@@ -28,7 +28,7 @@ from repro.thermal.solver import (
     assemble_system,
     clear_operator_cache,
 )
-from repro.thermal.stack import build_planar_stack
+from repro.thermal.stack import DieSpec, build_stack
 from repro.thermal.transient import BackwardEuler
 
 FAST = SolverConfig(nx=12, ny=12)
@@ -36,7 +36,7 @@ FAST = SolverConfig(nx=12, ny=12)
 
 @pytest.fixture(scope="module")
 def stack():
-    return build_planar_stack(core2duo_floorplan())
+    return build_stack([DieSpec(core2duo_floorplan())])
 
 
 class TestDurationDivisibility:
