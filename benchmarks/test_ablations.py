@@ -18,7 +18,7 @@ from conftest import run_once
 from repro.core.memory_on_logic import TRACE_PLAN
 from repro.memsim import replay_trace, stacked_dram_config
 from repro.memsim.config import DramCacheConfig
-from repro.traces import generate_trace
+from repro.traces import TraceGenerator, WorkloadSpec
 
 SCALE = 16
 
@@ -28,7 +28,8 @@ def pcg_trace():
     # pcg: dependent-chain heavy, capacity sensitive — a good probe for
     # both the page-policy and the dependency ablations.
     n = TRACE_PLAN["pcg"][0] // 2
-    return generate_trace("pcg", n_records=n, scale=SCALE)
+    spec = WorkloadSpec("pcg", n_records=n)
+    return list(TraceGenerator(spec, scale=SCALE).records())
 
 
 class TestPagePolicyAblation:
@@ -48,9 +49,8 @@ class TestPagePolicyAblation:
         return replay_trace(trace, config, warmup_fraction=0.35).cpma
 
     def test_open_page_wins_for_streaming(self, benchmark):
-        trace = generate_trace(
-            "gauss", n_records=TRACE_PLAN["gauss"][0] // 2, scale=SCALE
-        )
+        spec = WorkloadSpec("gauss", n_records=TRACE_PLAN["gauss"][0] // 2)
+        trace = list(TraceGenerator(spec, scale=SCALE).records())
         open_cpma = run_once(benchmark, self._cpma, trace, "open")
         closed_cpma = self._cpma(trace, "closed")
         benchmark.extra_info["open"] = open_cpma
@@ -120,9 +120,8 @@ class TestMemoryInStackAblation:
     def test_dram_cache_approaches_memory_in_stack(self, benchmark):
         from repro.memsim import stacked_memory_config
 
-        trace = generate_trace(
-            "gauss", n_records=TRACE_PLAN["gauss"][0] // 2, scale=SCALE
-        )
+        spec = WorkloadSpec("gauss", n_records=TRACE_PLAN["gauss"][0] // 2)
+        trace = list(TraceGenerator(spec, scale=SCALE).records())
         from repro.memsim import baseline_config
 
         base = run_once(

@@ -25,7 +25,7 @@ from repro.memsim import (
     replay_trace,
 )
 from repro.thermal import DieSpec, build_stack, solve_steady_state
-from repro.traces import generate_trace
+from repro.traces import TraceGenerator, WorkloadSpec
 
 KB, MB = 1 << 10, 1 << 20
 
@@ -88,7 +88,8 @@ def cache_study() -> None:
     print("\nStacked DRAM cache sizing for the accelerator:")
     # A pointer-chasing workload (pcg's dependent gathers) over a 14 MB
     # working set, scaled by 8 like the paper sweep.
-    trace = generate_trace("pcg", n_records=600_000, scale=8)
+    spec = WorkloadSpec("pcg", n_records=600_000)
+    trace = list(TraceGenerator(spec, scale=8).records())
     small = HierarchyConfig(
         l2=CacheConfig(512 * KB, ways=16, latency=16)
     )

@@ -22,7 +22,7 @@ from repro.thermal import (
     solve_steady_state,
     solve_transient,
 )
-from repro.traces import generate_trace
+from repro.traces import TraceGenerator, WorkloadSpec
 from repro.traces.kernels.base import KernelParams
 
 GRID = SolverConfig(nx=40, ny=40)
@@ -55,9 +55,8 @@ def capacity_payoff() -> None:
     # 48 MB -> 3 MB vs 2 MB/4 MB stacked capacities).
     scale = 16
     params = KernelParams(footprint_bytes=48 << 20, scale=scale)
-    trace = generate_trace(
-        "gauss", n_records=1_200_000, scale=scale, params=params
-    )
+    spec = WorkloadSpec("gauss", n_records=1_200_000, params=params)
+    trace = list(TraceGenerator(spec, scale=scale).records())
     for capacity in (32, 64):
         stats = replay_trace(
             trace, stacked_dram_config(capacity, scale), warmup_fraction=0.35

@@ -14,14 +14,15 @@ from repro.core.memory_on_logic import build_memory_configs
 from repro.core.logic_on_logic import run_performance_study
 from repro.memsim import replay_trace
 from repro.thermal import build_stack, solve_steady_state
-from repro.traces import generate_trace
+from repro.traces import TraceGenerator, WorkloadSpec
 
 SCALE = 16  # capacities and footprints divided by 16 (shape-preserving)
 
 
 def memory_demo() -> None:
     print("=== Memory+Logic: svm on 4 MB baseline vs 32 MB stacked DRAM ===")
-    trace = generate_trace("svm", n_records=600_000, scale=SCALE)
+    spec = WorkloadSpec("svm", n_records=600_000)
+    trace = list(TraceGenerator(spec, scale=SCALE).records())
     configs = {c.name: c for c in build_memory_configs(SCALE)}
     for name in ("2D 4MB", "3D 32MB"):
         stats = replay_trace(

@@ -30,13 +30,12 @@ from repro.checks.diagnostics import Diagnostic, Explanation, PyFile
 #: Files (package-root-relative) allowed to read the wall clock.
 DEFAULT_CLOCK_ALLOWLIST = frozenset({
     "runner/worker.py",
-    # The scheduler/pool/node split of the runner: supervision *is*
-    # timing (lease TTLs, heartbeat watchdogs, wall-clock budgets), but
-    # the clock never enters result data (elapsed_s is excluded from
+    # The scheduler/pool split of the runner: supervision *is* timing
+    # (lease TTLs, heartbeat watchdogs, wall-clock budgets), but the
+    # clock never enters result data (elapsed_s is excluded from
     # fingerprints) and the lease table itself is clock-free.
     "runner/scheduler.py",
     "runner/pool.py",
-    "runner/node.py",
     # The benchmark harness exists to read the wall clock; suites hand
     # it callables and never time anything themselves.
     "bench/harness.py",

@@ -113,31 +113,25 @@ def _parse_chaos_force(specs: List[str]) -> dict:
     """``mode[:target[:count]]`` flags -> FaultInjector forced_failures.
 
     Worker modes (``crash``, ``hang``, ...) target a task id and map to
-    ``worker-<mode>[:<task>]`` stages.  Executor modes
-    (``executor-crash``, ``partition``, ``lease-stall``; ``nodes:N``
-    only) target an executor id, and ``duplicate-delivery`` targets a
-    task id; those map to their stage names unprefixed.  Service modes
+    ``worker-<mode>[:<task>]`` stages.  ``duplicate-delivery`` targets a
+    task id and maps to its stage name unprefixed.  Service modes
     (``slow-client``, ``request-flood``, ``corrupt-cached-result``,
     ``backend-partition``) target a client id or task fingerprint and
     are unprefixed too (``repro serve --chaos-force``).
     """
-    from repro.resilience.faults import (
-        EXECUTOR_FAULT_MODES,
-        SERVICE_FAULT_MODES,
-        WORKER_FAULT_MODES,
-    )
+    from repro.resilience.faults import SERVICE_FAULT_MODES, WORKER_FAULT_MODES
 
-    backend_modes = EXECUTOR_FAULT_MODES + ("duplicate-delivery",)
+    unprefixed = ("duplicate-delivery",) + SERVICE_FAULT_MODES
     forced = {}
     for spec in specs:
         parts = spec.split(":")
         mode = parts[0]
         if mode in WORKER_FAULT_MODES:
             prefix = f"worker-{mode}"
-        elif mode in backend_modes or mode in SERVICE_FAULT_MODES:
+        elif mode in unprefixed:
             prefix = mode
         else:
-            known = WORKER_FAULT_MODES + backend_modes + SERVICE_FAULT_MODES
+            known = WORKER_FAULT_MODES + unprefixed
             raise ValueError(
                 f"unknown chaos mode {mode!r}; known: {known}"
             )
@@ -390,6 +384,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.bench import (
         compare_to_baseline,
         load_report,
@@ -398,6 +394,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_report,
     )
 
+    if args.baseline and (
+        Path(args.out).resolve() == Path(args.baseline).resolve()
+    ):
+        # Writing the report first would compare a run against itself
+        # and replace the committed baseline with this host's numbers.
+        print(f"bench: --out {args.out!r} is the --baseline file; "
+              f"pass a different --out", file=sys.stderr)
+        return 2
     quick = not args.full
     results = run_suite(
         quick=quick,
@@ -584,12 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--nx", type=int, help="thermal grid resolution")
     sweep.add_argument("--scale", type=int, help="capacity/footprint scale")
     sweep.add_argument("--backend", default="local",
-                       metavar="{local,inproc,nodes:N}",
+                       metavar="{local,inproc}",
                        help="executor backend: 'local' (worker pool in "
-                            "this process), 'inproc' (synchronous, "
-                            "deterministic, no chaos), or 'nodes:N' (N "
-                            "node processes over a control socket; survives "
-                            "losing any one of them)")
+                            "this process) or 'inproc' (synchronous, "
+                            "deterministic, no chaos)")
     sweep.add_argument("--lease-ttl", type=float, default=15.0,
                        help="seconds a claimed task may go without its "
                             "executor heartbeating before the lease is "
@@ -612,11 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--chaos-force", action="append",
                        metavar="MODE[:TARGET[:N]]",
                        help="force a fault: worker modes crash|hang|stall|"
-                            "corrupt-result|flip-operator (target: task "
-                            "id) or backend modes executor-crash|"
-                            "partition|lease-stall (nodes:N only; target: "
-                            "executor id) "
-                            "and duplicate-delivery (target: task id), "
+                            "corrupt-result|flip-operator or "
+                            "duplicate-delivery (target: task id), "
                             "N times (-1 = always)")
     sweep.add_argument("--oracles", choices=("off", "sample", "strict"),
                        default="sample",
@@ -654,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MODULE:ATTR",
                        help="experiment registry the service runs from")
     serve.add_argument("--backend", default="inproc",
-                       metavar="{local,inproc,nodes:N}",
+                       metavar="{local,inproc}",
                        help="executor backend jobs are scheduled onto")
     serve.add_argument("--parallel-jobs", type=int, default=2,
                        help="jobs simulated concurrently")

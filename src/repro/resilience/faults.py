@@ -10,11 +10,11 @@ to survive, so tests can prove every degradation path actually engages:
   (:mod:`repro.runner`): crash a worker process, hang it past its
   wall-clock budget, stall its heartbeat, or corrupt its result file,
   deterministically per ``(seed, task, attempt)``.
-* **Executor faults** — backend-level chaos for the lease-based
-  scheduler: crash a whole executor (node process) with claimed work,
-  partition its control socket, stall its lease renewals, or deliver a
-  task twice, so failover (lease reclaim, work stealing, duplicate-
-  completion idempotence) is provable under test.
+* **Duplicate delivery** — the lease-based scheduler submits one
+  assignment twice, so duplicate-completion idempotence is provable
+  on a real backend.  Whole-executor faults (crash, partition, lease
+  stall) are not injected here: :class:`repro.dst.fabric.SimFabric`
+  simulates them from a fault schedule.
 * **Service faults** — chaos for the HTTP job service
   (:mod:`repro.service`): slow clients, request floods, corrupted
   cached results, and backend partitions, so admission control, the
@@ -43,16 +43,6 @@ import numpy as np
 #: one-shot bit flip in a cached thermal-operator array, modelling
 #: silent in-memory corruption the oracle layer must catch.
 WORKER_FAULT_MODES = ("crash", "hang", "stall", "corrupt-result", "flip-operator")
-
-#: Executor (backend-level) misbehaviors
-#: :meth:`FaultInjector.executor_fault` can direct, interpreted by the
-#: executor backends: ``executor-crash`` kills a whole executor with its
-#: claimed-and-completed work unreported; ``partition`` blackholes its
-#: control channel both ways until it heals; ``lease-stall`` stops its
-#: lease renewals while work keeps finishing.  (``duplicate-delivery``
-#: is scheduler-side — see :meth:`FaultInjector.duplicate_delivery` —
-#: because retransmitting an assignment needs no executor cooperation.)
-EXECUTOR_FAULT_MODES = ("executor-crash", "partition", "lease-stall")
 
 #: Service-level misbehaviors :meth:`FaultInjector.service_fault` can
 #: direct, interpreted by :mod:`repro.service`: ``slow-client`` treats a
@@ -166,28 +156,6 @@ class FaultInjector:
             cumulative += self.worker_fault_rates.get(mode, 0.0)
             if roll < cumulative:
                 self._note(f"worker:{mode}")
-                return mode
-        return None
-
-    # -- executor (backend-level) faults -------------------------------------
-
-    def executor_fault(self, executor_id: str) -> Optional[str]:
-        """Chaos directive for one executor, or None.
-
-        Consulted by the ``nodes:N`` backend when it brings an
-        executor up; it passes the directive on the node's command
-        line.  (The ``inproc`` backend takes no injector; simulated
-        executor faults come from the DST fault schedule instead.)
-        Budgets come from ``forced_failures`` with stage names
-        ``"<mode>"`` (any executor) or ``"<mode>:<executor_id>"`` (one
-        executor), mode from :data:`EXECUTOR_FAULT_MODES` — so
-        ``{"executor-crash": 1}`` dooms exactly one executor per
-        campaign, deterministically the first to ask.
-        """
-        for mode in EXECUTOR_FAULT_MODES:
-            if self.should_fail(f"{mode}:{executor_id}"):
-                return mode
-            if self.should_fail(mode):
                 return mode
         return None
 

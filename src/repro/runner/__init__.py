@@ -2,11 +2,10 @@
 
 The paper's evaluation is a campaign of independent artifacts; this
 package runs them under a lease-based scheduler over a pluggable
-executor backend (``local`` | ``inproc`` | ``nodes:N``), with wall-clock
-timeouts, heartbeat watchdogs, bounded retry with deterministic jitter,
-and an append-only JSONL journal that makes a killed campaign resumable
-(``repro sweep --resume``) — even when the thing that was killed is one
-of the executors.
+executor backend (``local`` | ``inproc``), with wall-clock timeouts,
+heartbeat watchdogs, bounded retry with deterministic jitter, and an
+append-only JSONL journal that makes a killed campaign resumable
+(``repro sweep --resume``).
 
 * :mod:`repro.runner.tasks` — task model + glob selection/fingerprints.
 * :mod:`repro.runner.journal` — torn-line-tolerant JSONL journal.
@@ -18,7 +17,6 @@ of the executors.
   retries, journal authority, idempotent completion).
 * :mod:`repro.runner.leases` — the clock-free lease table.
 * :mod:`repro.runner.backends` — executor backends (mechanism).
-* :mod:`repro.runner.node` — node-process entry point (``nodes:N``).
 """
 
 import importlib

@@ -3,7 +3,7 @@
 The scheduler (:mod:`repro.runner.scheduler`) owns *policy* — the task
 queue, the lease table, retries, and the journal.  A backend owns
 *mechanism*: it accepts task assignments, runs them somewhere, and
-reports events back.  Three implementations cover the space:
+reports events back.  Two implementations ship:
 
 * :class:`~repro.runner.backends.local.LocalBackend` (``local``) — the
   classic pool of crash-isolated worker subprocesses in the scheduler's
@@ -11,17 +11,14 @@ reports events back.  Three implementations cover the space:
 * :class:`~repro.runner.backends.inproc.InprocBackend` (``inproc``) —
   runs experiments synchronously in the scheduler process.  No
   subprocesses, no clocks in the data path, no fault injection: the
-  default backend of ``repro serve``.  Deterministic executor faults
-  are simulated by :class:`repro.dst.fabric.SimFabric`, which
-  implements this same interface.
-* :class:`~repro.runner.backends.nodes.NodesBackend` (``nodes:N``) — N
-  separate **node** processes, each owning a pool of workers, driven
-  over a control socket.  A node stands in for a remote host: it can be
-  SIGKILLed, partitioned, or stalled independently of the scheduler,
-  which is exactly what the failover tests do.
+  default backend of ``repro serve``.
+
+Executor faults (a whole executor crashing, partitioned or stalling
+its renewals) are simulated by :class:`repro.dst.fabric.SimFabric`,
+which implements this same interface.
 
 A backend never touches the journal and never decides what a failure
-*means* — it reports, the scheduler rules.  All three speak the same
+*means* — it reports, the scheduler rules.  All of them speak the same
 vocabulary:
 
 * :class:`Assignment` — one attempt of one task, with the fully built
@@ -39,9 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-#: Backend spec strings ``make_backend`` understands (``nodes`` takes a
-#: ``:N`` suffix).
-BACKEND_NAMES = ("local", "inproc", "nodes")
+#: Backend spec strings ``make_backend`` understands.
+BACKEND_NAMES = ("local", "inproc")
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ class ExecutorBackend(ABC):
     ``stop`` must be idempotent and safe after a partial ``start``.
     """
 
-    #: Human-readable backend spec (``local``, ``inproc``, ``nodes:2``).
+    #: Human-readable backend spec (``local``, ``inproc``).
     name: str = "?"
 
     @abstractmethod
@@ -128,30 +124,20 @@ class ExecutorBackend(ABC):
         self.stop()
 
 
-def parse_backend_spec(spec: str) -> Dict[str, Any]:
-    """Parse a ``--backend`` string: ``local`` | ``inproc`` | ``nodes:N``.
+def parse_backend_spec(spec: str) -> str:
+    """Parse a ``--backend`` string (``local`` | ``inproc``) to its name.
 
     Raises:
-        ValueError: unknown name or malformed node count.
+        ValueError: unknown name, or an argument after the name.
     """
     name, _, arg = (spec or "local").partition(":")
     if name not in BACKEND_NAMES:
         raise ValueError(
-            f"unknown backend {spec!r}; known: local, inproc, nodes:N"
+            f"unknown backend {spec!r}; known: {', '.join(BACKEND_NAMES)}"
         )
-    if name == "nodes":
-        try:
-            n_nodes = int(arg)
-        except ValueError:
-            raise ValueError(
-                f"backend {spec!r}: node count must be an integer"
-            ) from None
-        if n_nodes < 1:
-            raise ValueError(f"backend {spec!r}: need at least one node")
-        return {"name": "nodes", "n_nodes": n_nodes}
     if arg:
         raise ValueError(f"backend {name!r} takes no argument, got {spec!r}")
-    return {"name": name}
+    return name
 
 
 def make_backend(spec: str, config: Any) -> ExecutorBackend:
@@ -161,18 +147,13 @@ def make_backend(spec: str, config: Any) -> ExecutorBackend:
     (duck-typed here to keep this package import-light: backends are
     mechanism, the config dataclass lives with the policy layer).
     """
-    parsed = parse_backend_spec(spec)
-    if parsed["name"] == "local":
+    if parse_backend_spec(spec) == "local":
         from repro.runner.backends.local import LocalBackend
 
         return LocalBackend(config)
-    if parsed["name"] == "inproc":
-        from repro.runner.backends.inproc import InprocBackend
+    from repro.runner.backends.inproc import InprocBackend
 
-        return InprocBackend(config)
-    from repro.runner.backends.nodes import NodesBackend
-
-    return NodesBackend(config, n_nodes=parsed["n_nodes"])
+    return InprocBackend(config)
 
 
 __all__ = [

@@ -9,8 +9,8 @@ tasks, the same cadence a real backend produces.
 It injects no faults: a campaign config pairing it with a fault
 injector is rejected.  Executor faults run on the deterministic
 simulation fabric (:mod:`repro.dst.fabric`), which executes through
-the same :func:`execute_assignment`; real worker and executor faults
-run on the ``local`` and ``nodes:N`` backends.
+the same :func:`execute_assignment`; real worker faults run on the
+``local`` backend.
 """
 
 from __future__ import annotations

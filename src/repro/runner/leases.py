@@ -117,8 +117,8 @@ class LeaseTable:
         """Push out the deadline of every lease *executor_id* holds.
 
         A renewal is executor-scoped, not task-scoped: one heartbeat
-        from a node proves the whole node alive, so all of its claims
-        stay good.  Returns the number of leases renewed.
+        proves the whole executor alive, so all of its claims stay
+        good.  Returns the number of leases renewed.
         """
         renewed = 0
         for lease in self._by_fp.values():
@@ -134,8 +134,8 @@ class LeaseTable:
         """Drop the lease on *fingerprint*; returns it, or None.
 
         With *executor_id* given, only a lease held by that executor is
-        released — a late completion from a partitioned node must not
-        evict the lease of the executor the task was re-granted to.
+        released — a late completion from a partitioned executor must
+        not evict the lease of the executor the task was re-granted to.
         """
         lease = self._by_fp.get(fingerprint)
         if lease is None:

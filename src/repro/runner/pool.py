@@ -1,12 +1,8 @@
 """Supervised pool of ``repro.runner.worker`` subprocesses.
 
 This is the one place a worker subprocess is launched, watched, and
-reaped.  Both executor backends that own real workers use it: the local
-backend (:mod:`repro.runner.backends.local`) runs a pool inside the
-scheduler process, and every node process (:mod:`repro.runner.node`)
-runs its own pool on the far side of a control socket.  Module-level
-imports are stdlib-only so the node entry point stays as cheap to start
-as the worker itself.
+reaped: the local backend (:mod:`repro.runner.backends.local`) runs a
+pool inside the scheduler process.
 
 Per worker it enforces:
 
@@ -284,8 +280,8 @@ class WorkerPool:
         """Number of live workers."""
         return len(self._running)
 
-    def kill_all(self, grace_s: float = KILL_GRACE_S) -> None:
+    def kill_all(self) -> None:
         """Reap every worker (campaign abort / shutdown)."""
         for handle in self._running:
-            kill_process(handle.proc, grace_s)
+            kill_process(handle.proc, KILL_GRACE_S)
         self._running = []

@@ -5,21 +5,21 @@ queue, the **lease table** (:mod:`repro.runner.leases`), retry/backoff,
 and the journal — the single source of truth a campaign resumes from.
 Backends (:mod:`repro.runner.backends`) own mechanism only; the same
 scheduler drives the local subprocess pool, the in-process backend,
-and N socket-connected node processes.
+and the simulated executors of :class:`repro.dst.fabric.SimFabric`.
 
 Scheduling is lease-based:
 
 * Before work is handed to an executor, the scheduler **claims** the
   task fingerprint under a TTL lease for that executor.
 * Backend events translate executor liveness into **renewals**; an
-  executor that stops proving itself alive (SIGKILLed node, partitioned
-  control socket, stalled heartbeat) lets its leases **expire**.
+  executor that stops proving itself alive (crashed, partitioned, or
+  with a stalled heartbeat) lets its leases **expire**.
 * Expired (or evicted — the backend *knows* the executor died) leases
   are reclaimed: the attempt is journaled ``executor-lost`` and the
   task re-queued immediately, so a surviving executor **steals** it.
 * Completions are matched by fingerprint and resolved
   **idempotently**: the first journaled ``ok`` wins; later completions
-  of the same fingerprint (a partitioned node healing, an injected
+  of the same fingerprint (a partitioned executor healing, an injected
   duplicate delivery) are journaled as ``duplicate`` for audit but
   discarded from aggregation — the sha256 task fingerprints make the
   match exact.
@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.experiments import task_fingerprint
-from repro.resilience.faults import EXECUTOR_FAULT_MODES, FaultInjector
+from repro.resilience.faults import FaultInjector
 from repro.runner.backends import (
     Assignment,
     ExecutorBackend,
@@ -105,16 +105,14 @@ class RetryPolicy:
 class CampaignConfig:
     """Knobs for one campaign run (CLI: ``repro sweep``).
 
-    ``backend`` picks the executor backend: ``local`` (subprocess pool),
-    ``inproc`` (synchronous, deterministic; takes no ``injector``), or
-    ``nodes:N`` (N node processes over a control socket; the only one
-    that takes forced executor faults).  ``workers``
-    is the concurrency *per executor*; a ``nodes:3`` campaign with
-    ``workers=2`` runs up to 6 tasks at once.  ``lease_ttl_s`` is how
-    long a claimed task may go without its executor proving itself
-    alive before the scheduler reclaims the lease and lets a surviving
-    executor steal the work; ``lease_reclaim_budget`` bounds how many
-    times one task may be reclaimed before it is finalized as failed.
+    ``backend`` picks the executor backend: ``local`` (subprocess pool)
+    or ``inproc`` (synchronous, deterministic; takes no ``injector``).
+    ``workers`` caps the tasks one executor runs at once.  ``lease_ttl_s``
+    is how long a claimed task may go without its executor proving
+    itself alive before the scheduler reclaims the lease and re-queues
+    the work for any live executor; ``lease_reclaim_budget`` bounds how
+    many times one task may be reclaimed before it is finalized as
+    failed.
 
     The last three knobs exist for deterministic simulation
     (:mod:`repro.dst`): ``clock`` swaps the scheduler's time source
@@ -159,25 +157,12 @@ class CampaignConfig:
             raise ValueError("lease_reclaim_budget must be >= 0")
         # Fail on a malformed backend spec at config time, not after
         # the campaign scratch dir is already on disk.
-        backend = parse_backend_spec(self.backend)["name"]
+        backend = parse_backend_spec(self.backend)
         if backend == "inproc" and self.injector is not None:
             raise ValueError(
                 "the inproc backend injects no faults; chaos needs the "
-                "local or nodes:N backend"
+                "local backend"
             )
-        if backend != "nodes" and self.injector is not None:
-            # Only node executors act on executor faults; anywhere else
-            # a forced one would be accepted and never injected.
-            executor_stages = sorted(
-                stage
-                for stage in self.injector.forced_failures
-                if stage.partition(":")[0] in EXECUTOR_FAULT_MODES
-            )
-            if executor_stages:
-                raise ValueError(
-                    f"executor chaos {', '.join(executor_stages)} acts "
-                    f"only on the nodes:N backend, not {self.backend!r}"
-                )
 
 
 @dataclass

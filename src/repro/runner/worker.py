@@ -48,8 +48,7 @@ from typing import Any, Dict
 #: Exit code for an injected crash (distinctive in supervisor logs).
 CRASH_EXIT_CODE = 23
 
-#: Seconds between liveness beats: a worker's heartbeat-file touches,
-#: and a node's heartbeat lines to the scheduler.  A campaign's
+#: Seconds between a worker's heartbeat-file touches.  A campaign's
 #: ``heartbeat_timeout_s`` must exceed it.
 HEARTBEAT_EVERY_S = 0.2
 

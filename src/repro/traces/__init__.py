@@ -17,11 +17,7 @@ the paper's trace format.
 
 from repro.traces.record import AccessType, TraceRecord, read_trace, write_trace
 from repro.traces.deps import DependencyTracker
-from repro.traces.generator import (
-    TraceGenerator,
-    WorkloadSpec,
-    generate_trace,
-)
+from repro.traces.generator import TraceGenerator, WorkloadSpec
 
 __all__ = [
     "AccessType",
@@ -31,5 +27,4 @@ __all__ = [
     "DependencyTracker",
     "TraceGenerator",
     "WorkloadSpec",
-    "generate_trace",
 ]

@@ -215,22 +215,3 @@ class TraceGenerator:
             filled += len(block)
         assert filled == n_records, (filled, n_records)
         return array
-
-
-def generate_trace(
-    name: str,
-    n_records: int = 100_000,
-    n_threads: int = 2,
-    scale: int = 1,
-    seed: int = 1234,
-    params: Optional[KernelParams] = None,
-) -> List[TraceRecord]:
-    """Generate a complete trace as a list (convenience wrapper)."""
-    spec = WorkloadSpec(
-        name=name,
-        n_records=n_records,
-        n_threads=n_threads,
-        seed=seed,
-        params=params,
-    )
-    return list(TraceGenerator(spec, scale=scale).records())

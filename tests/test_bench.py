@@ -3,6 +3,7 @@ report round-trip, and the baseline regression gate's arithmetic."""
 
 import pytest
 
+import repro.bench
 from repro.bench.harness import (
     BENCH_SCHEMA,
     BenchResult,
@@ -11,6 +12,7 @@ from repro.bench.harness import (
     time_pairs,
     write_report,
 )
+from repro.cli import main as cli_main
 
 
 def _result(name, reference_s, optimized_s, equivalent=True):
@@ -137,3 +139,24 @@ class TestRegressionGate:
             compare_to_baseline(report, report, threshold=0.0)
         with pytest.raises(ValueError):
             compare_to_baseline(report, report, threshold=1.0)
+
+
+class TestBenchCommand:
+    def test_out_equal_to_baseline_is_refused_before_running(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_suite(**_kwargs):
+            raise AssertionError("run_suite must not run")
+
+        monkeypatch.setattr(repro.bench, "run_suite", no_suite)
+        baseline = tmp_path / "BENCH_repro.json"
+        write_report([_result("a", 2.0, 1.0)], str(baseline))
+        before = baseline.read_bytes()
+        # The same file, spelled two ways.
+        code = cli_main([
+            "bench", "--quick", "--out", str(baseline),
+            "--baseline", str(tmp_path / "." / baseline.name),
+        ])
+        assert code == 2
+        assert "is the --baseline file" in capsys.readouterr().err
+        assert baseline.read_bytes() == before

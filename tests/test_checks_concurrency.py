@@ -199,8 +199,8 @@ class TestRPL503Resources:
         assert codes(pf) == []
 
     def test_self_attr_without_class_close(self):
-        # the pre-fix repro.runner.node.Node shape: socket stored on
-        # self in __init__, no close anywhere in the class
+        # a socket stored on self in __init__, no close anywhere in
+        # the class
         pf = pf_of("""
             import socket
 
@@ -294,11 +294,13 @@ class TestMutationsOnRealSources:
         )
         assert "RPL502" in codes(mutant)
 
-    def test_node_without_close_triggers_rpl503(self):
-        text = (SRC / "runner" / "node.py").read_text()
-        assert "self.sock.close()" in text, "node close moved; update test"
+    def test_journal_without_close_triggers_rpl503(self):
+        text = (SRC / "runner" / "journal.py").read_text()
+        assert "self._handle.close()" in text, (
+            "journal close moved; update test"
+        )
         mutant = self._pf_from_source(
-            "runner/node.py", text.replace("self.sock.close()", "pass")
+            "runner/journal.py", text.replace("self._handle.close()", "pass")
         )
         assert "RPL503" in codes(mutant)
 

@@ -94,11 +94,12 @@ class TestRun:
 class TestReplay:
     @pytest.fixture(scope="class")
     def trace_path(self, tmp_path_factory):
-        from repro.traces.generator import generate_trace
+        from repro.traces.generator import TraceGenerator, WorkloadSpec
         from repro.traces.record import write_trace
 
         path = tmp_path_factory.mktemp("traces") / "small.trace"
-        write_trace(generate_trace("gauss", n_records=4000, seed=3), path)
+        spec = WorkloadSpec("gauss", n_records=4000, seed=3)
+        write_trace(TraceGenerator(spec).records(), path)
         return str(path)
 
     def test_replay_success(self, trace_path):

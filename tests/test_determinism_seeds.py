@@ -11,7 +11,7 @@ import hashlib
 from repro.cli import _run_kwargs, build_parser
 from repro.core.experiments import run_experiment
 from repro.runner.tasks import select_tasks
-from repro.traces.generator import generate_trace
+from repro.traces.generator import TraceGenerator, WorkloadSpec
 from repro.traces.record import write_trace
 from repro.uarch.workloads import make_profile, workload_suite
 
@@ -28,20 +28,24 @@ def trace_fingerprint(records):
 
 class TestTraceSeeds:
     def test_same_seed_same_fingerprint(self):
-        a = generate_trace("gauss", n_records=2000, seed=7)
-        b = generate_trace("gauss", n_records=2000, seed=7)
+        spec = WorkloadSpec("gauss", n_records=2000, seed=7)
+        a = TraceGenerator(spec).records()
+        b = TraceGenerator(spec).records()
         assert trace_fingerprint(a) == trace_fingerprint(b)
 
     def test_different_seed_different_fingerprint(self):
-        a = generate_trace("gauss", n_records=2000, seed=7)
-        b = generate_trace("gauss", n_records=2000, seed=8)
-        assert trace_fingerprint(a) != trace_fingerprint(b)
+        a = TraceGenerator(WorkloadSpec("gauss", n_records=2000, seed=7))
+        b = TraceGenerator(WorkloadSpec("gauss", n_records=2000, seed=8))
+        assert trace_fingerprint(a.records()) != trace_fingerprint(
+            b.records()
+        )
 
     def test_same_seed_identical_on_disk(self, tmp_path):
         paths = []
         for run in ("a", "b"):
             path = tmp_path / f"{run}.trace"
-            write_trace(generate_trace("smvm", n_records=1500, seed=11), path)
+            spec = WorkloadSpec("smvm", n_records=1500, seed=11)
+            write_trace(TraceGenerator(spec).records(), path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -49,8 +53,9 @@ class TestTraceSeeds:
         from repro.traces.kernels.registry import KERNELS
 
         for name in KERNELS:
-            a = generate_trace(name, n_records=600, seed=3)
-            b = generate_trace(name, n_records=600, seed=3)
+            spec = WorkloadSpec(name, n_records=600, seed=3)
+            a = TraceGenerator(spec).records()
+            b = TraceGenerator(spec).records()
             assert trace_fingerprint(a) == trace_fingerprint(b), name
 
 

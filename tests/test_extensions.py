@@ -206,9 +206,10 @@ class TestBlockSplitting:
 class TestMemoryInStack:
     def test_no_offdie_traffic(self):
         from repro.memsim import replay_trace, stacked_memory_config
-        from repro.traces import generate_trace
+        from repro.traces import TraceGenerator, WorkloadSpec
 
-        trace = generate_trace("gauss", n_records=150_000, scale=16)
+        spec = WorkloadSpec("gauss", n_records=150_000)
+        trace = list(TraceGenerator(spec, scale=16).records())
         stats = replay_trace(
             trace, stacked_memory_config(16), warmup_fraction=0.3
         )
@@ -222,9 +223,10 @@ class TestMemoryInStack:
             replay_trace,
             stacked_memory_config,
         )
-        from repro.traces import generate_trace
+        from repro.traces import TraceGenerator, WorkloadSpec
 
-        trace = generate_trace("gauss", n_records=300_000, scale=16)
+        spec = WorkloadSpec("gauss", n_records=300_000)
+        trace = list(TraceGenerator(spec, scale=16).records())
         offdie = replay_trace(trace, baseline_config(16), warmup_fraction=0.3)
         on_stack = replay_trace(
             trace, stacked_memory_config(16), warmup_fraction=0.3

@@ -21,7 +21,11 @@ from repro.oracles.config import (
     set_oracle_mode,
 )
 from repro.oracles.report import oracle_report, reset_oracles
-from repro.traces.generator import generate_trace, records_to_array
+from repro.traces.generator import (
+    TraceGenerator,
+    WorkloadSpec,
+    records_to_array,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +39,8 @@ def _clean_oracles():
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_trace("smvm", n_records=20000, seed=13)
+    spec = WorkloadSpec("smvm", n_records=20000, seed=13)
+    return list(TraceGenerator(spec).records())
 
 
 @pytest.fixture(scope="module")
@@ -109,9 +114,8 @@ class TestTraceFuzz:
             kernel = rng.choice(self.KERNELS)
             seed = rng.randrange(2**31)
             n = rng.randrange(3000, 9000)
-            rows = records_to_array(
-                generate_trace(kernel, n_records=n, seed=seed)
-            )
+            spec = WorkloadSpec(kernel, n_records=n, seed=seed)
+            rows = records_to_array(TraceGenerator(spec).records())
             warmup = rng.randrange(0, n // 2)
             reset_oracles()
             fast, slow = _fed_pair(config.hierarchy, rows, warmup, "sample")

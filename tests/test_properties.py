@@ -14,7 +14,7 @@ from repro.memsim import baseline_config, replay_trace
 from repro.memsim.cache import SetAssociativeCache
 from repro.memsim.config import CacheConfig
 from repro.memsim.hierarchy import MemoryHierarchy
-from repro.traces import generate_trace
+from repro.traces import TraceGenerator, WorkloadSpec
 from repro.traces.record import AccessType, NO_DEP, TraceRecord
 from repro.uarch.pipeline import planar_pipeline, stacked_pipeline
 from repro.uarch.wires import stacked_pipeline_from_floorplans
@@ -113,12 +113,14 @@ class TestReplayInvariants:
     @settings(max_examples=10, deadline=None)
     def test_wall_at_least_slot_bound(self, seed):
         # Two cpus at 1 ref/cycle: wall >= refs per cpu.
-        records = generate_trace("svd", n_records=4000, scale=16, seed=seed)
+        spec = WorkloadSpec("svd", n_records=4000, seed=seed)
+        records = list(TraceGenerator(spec, scale=16).records())
         stats = replay_trace(records, baseline_config(16), warmup_fraction=0.0)
         assert stats.wall_cycles >= stats.n_accesses / 2 - 1
 
     def test_level_latencies_ordered(self):
-        records = generate_trace("gauss", n_records=150_000, scale=16)
+        spec = WorkloadSpec("gauss", n_records=150_000)
+        records = list(TraceGenerator(spec, scale=16).records())
         stats = replay_trace(records, baseline_config(16), warmup_fraction=0.3)
         lat = stats.level_latency
         assert lat["l1"] < lat["l2"] < lat["memory"]
@@ -164,7 +166,8 @@ class TestTraceDeterminismAcrossProcesses:
         assert profile.branch_freq == pytest.approx(0.171836, abs=1e-4)
 
     def test_trace_head_stable(self):
-        records = generate_trace("svm", n_records=5, scale=16)
+        spec = WorkloadSpec("svm", n_records=5)
+        records = list(TraceGenerator(spec, scale=16).records())
         assert [r.address for r in records] == [
             records[0].address, records[1].address, records[2].address,
             records[3].address, records[4].address,

@@ -7,7 +7,7 @@ from repro.memsim import baseline_config
 from repro.memsim.replay import replay_trace
 from repro.resilience.errors import TraceCorruptionError
 from repro.resilience.faults import FaultInjector
-from repro.traces.generator import generate_trace
+from repro.traces.generator import TraceGenerator, WorkloadSpec
 from repro.traces.record import AccessType, TraceRecord
 
 from tests.trace_faults import TraceFaults, make_raw_record
@@ -15,7 +15,8 @@ from tests.trace_faults import TraceFaults, make_raw_record
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_trace("gauss", n_records=8000, seed=9)
+    spec = WorkloadSpec("gauss", n_records=8000, seed=9)
+    return list(TraceGenerator(spec).records())
 
 
 class TestInjectorDeterminism:

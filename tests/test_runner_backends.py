@@ -7,8 +7,7 @@ simulation fabric (:class:`repro.dst.fabric.SimFabric`) under a
 hand-written :class:`~repro.dst.schedule.FaultSchedule` and a
 :class:`~repro.dst.clock.SimClock`: exact and fast, with executor ids
 ``sim<slot>.g<incarnation>``.  The scheduler-injected duplicate
-delivery runs on the ``local`` pool.  The subprocess backends get the
-same acceptance treatment (plus a real SIGKILL) in
+delivery runs on the ``local`` pool; real worker faults there are in
 ``tests/test_runner_failover.py``.
 """
 
@@ -72,14 +71,11 @@ def _run_on_fabric(tasks, config, events, n_executors=1):
 
 class TestBackendSpec:
     def test_parse_known_specs(self):
-        assert parse_backend_spec("local") == {"name": "local"}
-        assert parse_backend_spec("inproc") == {"name": "inproc"}
-        assert parse_backend_spec("nodes:3") == {
-            "name": "nodes", "n_nodes": 3,
-        }
+        assert parse_backend_spec("local") == "local"
+        assert parse_backend_spec("inproc") == "inproc"
 
     @pytest.mark.parametrize("spec", [
-        "remote", "nodes", "nodes:0", "nodes:x", "local:2",
+        "remote", "nodes", "nodes:0", "nodes:x", "nodes:3", "local:2",
     ])
     def test_parse_rejects_bad_specs(self, spec):
         with pytest.raises(ValueError):
@@ -94,10 +90,9 @@ class TestBackendSpec:
             resolve_registry("repro.core.experiments")
 
     def test_make_backend_dispatches(self):
-        config = CampaignConfig(backend="nodes:2")
+        config = CampaignConfig(backend="inproc")
         assert make_backend("local", config).name == "local"
         assert make_backend("inproc", config).name == "inproc"
-        assert make_backend("nodes:2", config).name == "nodes:2"
 
 
 class TestInprocHappyPath:
@@ -126,33 +121,32 @@ class TestInprocHappyPath:
         assert not (tmp_path / "j.jsonl").exists()
 
 
-class TestExecutorChaosNeedsNodes:
-    @pytest.mark.parametrize(
-        "stage", ["executor-crash", "partition:node-0", "lease-stall"]
-    )
-    def test_rejected_off_nodes(self, stage):
-        injector = FaultInjector(forced_failures={stage: 1})
-        with pytest.raises(ValueError, match="only on the nodes:N backend"):
-            CampaignConfig(injector=injector)
+class TestRetiredSpellings:
+    """The socket backend and its executor chaos modes are gone: each
+    old spelling is a usage error that leaves no journal behind."""
 
-    def test_accepted_on_nodes_and_worker_chaos_on_local(self):
-        CampaignConfig(backend="nodes:2", injector=FaultInjector(
-            forced_failures={"executor-crash": 1},
-        ))
-        CampaignConfig(injector=FaultInjector(
-            forced_failures={"worker-crash": 1, "duplicate-delivery": 1},
-        ))
+    @pytest.mark.parametrize("flags", [
+        ["--backend", "nodes:2"],
+        ["--chaos-force", "executor-crash::1"],
+        ["--chaos-force", "partition:node-0"],
+        ["--chaos-force", "lease-stall"],
+    ], ids=["backend", "executor-crash", "partition", "lease-stall"])
+    def test_sweep_exits_2_without_journal(self, tmp_path, flags):
+        journal = tmp_path / "j.jsonl"
+        code = cli_main(
+            ["sweep", "table-4", "--journal", str(journal), *flags]
+        )
+        assert code == 2
+        assert not journal.exists()
 
-    def test_sweep_executor_chaos_on_local_is_usage_error(
-        self, tmp_path, capsys
-    ):
+    def test_serve_nodes_backend_exits_2_before_bind(self, tmp_path):
+        data_dir = tmp_path / "sd"
         code = cli_main([
-            "sweep", "table-4", "--chaos-force", "executor-crash::1",
-            "--journal", str(tmp_path / "j.jsonl"),
+            "serve", "--port", "0", "--backend", "nodes:2",
+            "--data-dir", str(data_dir),
         ])
         assert code == 2
-        assert "only on the nodes:N backend" in capsys.readouterr().err
-        assert not (tmp_path / "j.jsonl").exists()
+        assert not data_dir.exists()
 
 
 class TestWorkerChaos:
@@ -181,6 +175,22 @@ class TestExecutorCrashFailover:
         assert report.degraded and report.counts["failed"] == 0
         # The stolen work landed on the next incarnation.
         assert report.per_executor["sim0.g1"]["ok"] >= 1
+
+    def test_losing_one_of_two_executors_degrades_but_completes(
+        self, tmp_path
+    ):
+        # t0 lands on slot 0 and t1 on slot 1; slot 0 dies holding t0.
+        tasks = [_task(f"t{i}", value=i) for i in range(4)]
+        report = _run_on_fabric(
+            tasks, _config(tmp_path, workers=1), [(1, 0, "crash")],
+            n_executors=2,
+        )
+        assert report.counts == {"ok": 4, "failed": 0, "skipped": 0}
+        assert report.executors_lost == 1
+        assert report.work_stolen >= 1
+        assert report.degraded
+        # The executor that never died kept finishing work.
+        assert report.per_executor["sim1.g0"]["ok"] >= 1
 
     def test_reclaim_budget_finalizes_unlucky_task(self, tmp_path):
         # Every incarnation crashes on its first poll, with the task on it.
@@ -326,52 +336,10 @@ class TestBitIdenticalResume:
             tasks, _config(tmp_path / "chaos", resume=True)
         )
         assert resumed.counts["failed"] == 0
+        # The loss belongs to the faulted run, not to its resume.
+        assert not resumed.degraded
         assert self._result_map(resumed) == self._result_map(clean)
         # Fingerprints (the identity of what ran) match too.
         assert {t["fingerprint"] for t in resumed.tasks} == {
             t["fingerprint"] for t in clean.tasks
         }
-
-class TestNodeClose:
-    """Node.close() releases the control socket deterministically.
-
-    Without it the scheduler only notices a cleanly exiting node when
-    its heartbeats stop — a full lease-timeout later.
-    """
-
-    def test_close_releases_control_socket(self, tmp_path):
-        import argparse
-        import socket
-
-        from repro.runner.node import Node
-
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        port = listener.getsockname()[1]
-        node = None
-        conn = None
-        try:
-            node = Node(argparse.Namespace(
-                node_id="n1",
-                workers=1,
-                poll_interval=0.02,
-                chaos="",
-                scratch=str(tmp_path),
-                heartbeat_timeout=5.0,
-                connect=port,
-            ))
-            conn, _addr = listener.accept()
-            conn.settimeout(5.0)
-            assert node.sock.fileno() != -1
-            node.close()
-            assert node.sock.fileno() == -1
-            node.close()  # idempotent
-            # the scheduler side sees EOF immediately, not a timeout
-            assert conn.recv(1024) == b""
-        finally:
-            if conn is not None:
-                conn.close()
-            listener.close()
-            if node is not None:
-                node.pool.kill_all(grace_s=0.1)

@@ -148,23 +148,23 @@ class TestServeCommand:
 class TestBackendTallies:
     def test_report_to_dict_groups_backend_tallies(self):
         report = CampaignReport(
-            backend="nodes:2",
+            backend="sim:2",
             executors_lost=1,
             leases_reclaimed=2,
             work_stolen=2,
             duplicate_completions=1,
             fenced_completions=1,
-            per_executor={"node-0": {"ok": 3, "failed": 1}},
+            per_executor={"sim0.g0": {"ok": 3, "failed": 1}},
         )
         tallies = report.to_dict()["backend_tallies"]
         assert tallies == {
-            "backend": "nodes:2",
+            "backend": "sim:2",
             "executors_lost": 1,
             "leases_reclaimed": 2,
             "work_stolen": 2,
             "duplicates_discarded": 1,
             "fenced_discarded": 1,
-            "per_executor": {"node-0": {"ok": 3, "failed": 1}},
+            "per_executor": {"sim0.g0": {"ok": 3, "failed": 1}},
         }
 
     def test_report_to_dict_key_order(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traces.generator import TraceGenerator, WorkloadSpec, generate_trace
+from repro.traces.generator import TraceGenerator, WorkloadSpec
 from repro.traces.kernels.base import (
     KernelParams,
     Region,
@@ -130,7 +130,8 @@ class TestKernelStreams:
     def test_threads_partition_but_share(self, name):
         # Both threads must touch the shared region; private regions must
         # not collide.
-        recs0 = generate_trace(name, n_records=4000, n_threads=2)
+        spec = WorkloadSpec(name, n_records=4000, n_threads=2)
+        recs0 = list(TraceGenerator(spec).records())
         shared0 = {r.address for r in recs0
                    if r.cpu == 0 and r.address < private_base(0)}
         shared1 = {r.address for r in recs0
@@ -144,41 +145,47 @@ class TestKernelStreams:
 
     def test_kernels_are_infinite(self):
         # Generators iterate their outer loop forever (interleaver cuts).
-        recs = generate_trace("svd", n_records=50_000)
+        spec = WorkloadSpec("svd", n_records=50_000)
+        recs = list(TraceGenerator(spec).records())
         assert len(recs) == 50_000
 
 
 class TestTraceGenerator:
     def test_trace_is_valid(self):
-        records = generate_trace("smvm", n_records=5000)
-        validate_trace(records)
+        spec = WorkloadSpec("smvm", n_records=5000)
+        validate_trace(list(TraceGenerator(spec).records()))
 
     def test_deterministic_for_seed(self):
-        a = generate_trace("pcg", n_records=2000, seed=42)
-        b = generate_trace("pcg", n_records=2000, seed=42)
+        spec = WorkloadSpec("pcg", n_records=2000, seed=42)
+        a = list(TraceGenerator(spec).records())
+        b = list(TraceGenerator(spec).records())
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = generate_trace("pcg", n_records=2000, seed=42)
-        b = generate_trace("pcg", n_records=2000, seed=43)
-        assert a != b
+        a = TraceGenerator(WorkloadSpec("pcg", n_records=2000, seed=42))
+        b = TraceGenerator(WorkloadSpec("pcg", n_records=2000, seed=43))
+        assert list(a.records()) != list(b.records())
 
     def test_uids_are_dense(self):
-        records = generate_trace("conj", n_records=1000)
+        spec = WorkloadSpec("conj", n_records=1000)
+        records = list(TraceGenerator(spec).records())
         assert [r.uid for r in records] == list(range(1000))
 
     def test_both_cpus_emit(self):
-        records = generate_trace("gauss", n_records=5000)
+        spec = WorkloadSpec("gauss", n_records=5000)
+        records = list(TraceGenerator(spec).records())
         cpus = {r.cpu for r in records}
         assert cpus == {0, 1}
 
     def test_single_thread_supported(self):
-        records = generate_trace("svm", n_records=1000, n_threads=1)
+        spec = WorkloadSpec("svm", n_records=1000, n_threads=1)
+        records = list(TraceGenerator(spec).records())
         assert {r.cpu for r in records} == {0}
 
     def test_dependencies_reference_same_cpu(self):
         # The tracker is per-cpu, so dependencies stay within a thread.
-        records = generate_trace("smvm", n_records=5000)
+        spec = WorkloadSpec("smvm", n_records=5000)
+        records = list(TraceGenerator(spec).records())
         by_uid = {r.uid: r for r in records}
         deps = [r for r in records if r.has_dependency]
         assert deps, "smvm must produce dependent loads"
@@ -186,7 +193,8 @@ class TestTraceGenerator:
             assert by_uid[r.dep_uid].cpu == r.cpu
 
     def test_dependencies_point_to_loads(self):
-        records = generate_trace("strans", n_records=5000)
+        spec = WorkloadSpec("strans", n_records=5000)
+        records = list(TraceGenerator(spec).records())
         by_uid = {r.uid: r for r in records}
         for r in records:
             if r.has_dependency:
@@ -205,14 +213,16 @@ class TestTraceGenerator:
     @given(n=st.integers(min_value=1, max_value=3000))
     @settings(max_examples=15, deadline=None)
     def test_exact_record_count_property(self, n):
-        records = generate_trace("ssym", n_records=n)
+        spec = WorkloadSpec("ssym", n_records=n)
+        records = list(TraceGenerator(spec).records())
         assert len(records) == n
         validate_trace(records)
 
     def test_footprint_tracks_scale(self):
         # Larger scale -> smaller touched footprint for the same length.
-        big = generate_trace("gauss", n_records=30_000, scale=4)
-        small = generate_trace("gauss", n_records=30_000, scale=32)
+        spec = WorkloadSpec("gauss", n_records=30_000)
+        big = list(TraceGenerator(spec, scale=4).records())
+        small = list(TraceGenerator(spec, scale=32).records())
         span_big = len({r.address >> 6 for r in big})
         span_small = len({r.address >> 6 for r in small})
         assert span_small < span_big
