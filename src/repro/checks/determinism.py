@@ -4,7 +4,7 @@ Bit-for-bit reproducibility of a ``run_experiment`` fingerprint (the
 experiment id and its kwargs, a ``seed`` among them) requires that every
 stochastic choice flow from a *seeded RNG instance* passed as a
 parameter, and that no result depend on the wall clock.  This pass
-flags the three ways code breaks that contract:
+flags the ways code breaks that contract:
 
 * ``RPL101`` — an RNG constructed with no seed (``random.Random()``,
   ``numpy.random.default_rng()``): its state comes from the OS.
@@ -15,6 +15,10 @@ flags the three ways code breaks that contract:
   ``datetime.now``...) anywhere outside the allowlist.  The campaign
   supervisor and worker legitimately watch the clock (timeouts,
   heartbeats, elapsed-time bookkeeping), so those files are exempt.
+* ``RPL504`` — in ``runner/`` and ``service/``, a wall-clock read
+  inside a function that takes an explicit ``now`` (or ``deadline``)
+  parameter, allowlisted file or not: mixing the two clocks breaks
+  replays that drive time through the parameter.
 
 ``time.sleep`` is deliberately not flagged: pacing does not feed values
 into results.
@@ -40,6 +44,12 @@ DEFAULT_CLOCK_ALLOWLIST = frozenset({
     # it callables and never time anything themselves.
     "bench/harness.py",
 })
+
+#: Layers that thread an explicit monotonic ``now`` (RPL504's scope).
+EXPLICIT_CLOCK_PREFIXES = ("runner/", "service/")
+
+#: Parameter names that mean "time is threaded explicitly here".
+CLOCK_PARAMS = frozenset({"now", "deadline", "now_mono", "now_s"})
 
 #: Methods of the module-level ``random`` generator whose use is global
 #: state.  ``Random`` itself is handled separately (RPL101 when unseeded).
@@ -123,15 +133,44 @@ def _is_name(node: ast.AST, names: Set[str]) -> bool:
     return isinstance(node, ast.Name) and node.id in names
 
 
-def check_file(
-    pf: PyFile,
-    clock_allowlist: Iterable[str] = DEFAULT_CLOCK_ALLOWLIST,
-) -> List[Diagnostic]:
+def _explicit_clock_calls(tree: ast.AST) -> Dict[int, str]:
+    """``id(call) -> function name`` for every call inside a function
+    that takes an explicit clock parameter."""
+    out: Dict[int, str] = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            CLOCK_PARAMS & {a.arg for a in ast.walk(func.args)
+                            if isinstance(a, ast.arg)}
+        ):
+            for node in ast.walk(func):
+                out.setdefault(id(node), func.name)
+    return out
+
+
+def check_file(pf: PyFile) -> List[Diagnostic]:
     """Run the determinism pass over one file."""
     imports = _Imports()
     imports.visit(pf.tree)
-    clock_ok = pf.rel in set(clock_allowlist)
+    clock_ok = pf.rel in DEFAULT_CLOCK_ALLOWLIST
+    explicit = (
+        _explicit_clock_calls(pf.tree)
+        if pf.rel.startswith(EXPLICIT_CLOCK_PREFIXES) else {}
+    )
     out: List[Diagnostic] = []
+
+    def clock_read(node: ast.Call, what: str) -> None:
+        if not clock_ok:
+            out.append(pf.diag(
+                node, "RPL103",
+                f"wall-clock read {what}() outside the allowlist; "
+                f"results must not depend on the clock",
+            ))
+        if id(node) in explicit:
+            out.append(pf.diag(
+                node, "RPL504",
+                f"{explicit[id(node)]} takes an explicit clock parameter "
+                f"yet reads {what}(); thread the parameter instead",
+            ))
 
     for node in ast.walk(pf.tree):
         if not isinstance(node, ast.Call):
@@ -201,12 +240,7 @@ def check_file(
                 func.attr in TIME_CLOCK_FUNCS
                 and _is_name(func.value, imports.time_mods)
             ):
-                if not clock_ok:
-                    out.append(pf.diag(
-                        node, "RPL103",
-                        f"wall-clock read time.{func.attr}() outside the "
-                        f"allowlist; results must not depend on the clock",
-                    ))
+                clock_read(node, f"time.{func.attr}")
                 continue
             if func.attr in DATETIME_CLOCK_FUNCS:
                 value = func.value
@@ -216,12 +250,8 @@ def check_file(
                     and value.attr in ("datetime", "date")
                     and _is_name(value.value, imports.datetime_mods)
                 )
-                if (from_class or from_module) and not clock_ok:
-                    out.append(pf.diag(
-                        node, "RPL103",
-                        f"wall-clock read datetime {func.attr}() outside "
-                        f"the allowlist",
-                    ))
+                if from_class or from_module:
+                    clock_read(node, f"datetime {func.attr}")
                 continue
 
         # from-imported names ------------------------------------------
@@ -248,26 +278,15 @@ def check_file(
                         f"RNG must flow from a seeded Random instance "
                         f"parameter",
                     ))
-            elif func.id in imports.time_funcs and not clock_ok:
-                out.append(pf.diag(
-                    node, "RPL103",
-                    f"wall-clock read {imports.time_funcs[func.id]}() "
-                    f"outside the allowlist",
-                ))
+            elif func.id in imports.time_funcs:
+                clock_read(node, imports.time_funcs[func.id])
 
     return out
 
 
-def run(
-    files: Iterable[PyFile],
-    clock_allowlist: Iterable[str] = DEFAULT_CLOCK_ALLOWLIST,
-) -> List[Diagnostic]:
+def run(files: Iterable[PyFile]) -> List[Diagnostic]:
     """The determinism pass over a set of files."""
-    allow = frozenset(clock_allowlist)
-    out: List[Diagnostic] = []
-    for pf in files:
-        out.extend(check_file(pf, allow))
-    return out
+    return [d for pf in files for d in check_file(pf)]
 
 
 EXPLANATIONS = {
@@ -303,17 +322,39 @@ EXPLANATIONS = {
         code="RPL103",
         title="wall-clock read outside the allowlist",
         rationale=(
-            "Time enters the system only at its edges (supervisor, "
-            "worker, scheduler, pool, node, bench harness, service "
-            "server); everything else takes an explicit monotonic "
+            "Time enters the system only at its edges (the runner's "
+            "worker, scheduler and pool, and the bench harness); "
+            "everything else takes an explicit monotonic "
             "`now`. A clock read elsewhere makes results depend on "
-            "when they ran. RPL504 is the flow-aware companion inside "
-            "the allowlisted layers."
+            "when they ran. RPL504 is the companion inside the "
+            "allowlisted layers."
         ),
         example="started = time.monotonic()   # in core/experiments.py",
         fix=(
             "def run(..., now: float) -> ...:  # accept now explicitly\n"
             "# read the clock in an allowlisted edge module only"
+        ),
+    ),
+    "RPL504": Explanation(
+        code="RPL504",
+        title="ambient clock read beside an explicit now",
+        rationale=(
+            "Runner and service code thread monotonic `now` values "
+            "explicitly so that replays and tests can drive time. A "
+            "function that takes `now` (or `deadline`) but also calls "
+            "time.monotonic()/time.time() mixes two clocks: behaviour "
+            "diverges between live runs and replays, and the RPL103 "
+            "allowlist no longer describes where time enters."
+        ),
+        example=(
+            "def renew(self, executor_id, now):\n"
+            "    lease.expires_at = time.monotonic() + self.ttl_s"
+        ),
+        fix=(
+            "def renew(self, executor_id, now):\n"
+            "    lease.expires_at = now + self.ttl_s\n"
+            "# read the clock once at the edge (an RPL103-allowlisted\n"
+            "# module) and pass it down."
         ),
     ),
 }

@@ -18,6 +18,7 @@ CODES: Dict[str, tuple] = {
     "RPL101": ("determinism", "unseeded RNG construction"),
     "RPL102": ("determinism", "module-level RNG call (global state)"),
     "RPL103": ("determinism", "wall-clock read outside the allowlist"),
+    "RPL504": ("determinism", "ambient clock read beside an explicit now"),
     # -- layering ---------------------------------------------------------
     "RPL201": ("layering", "upward import (lower layer imports higher)"),
     "RPL202": ("layering", "cross-layer import between same-layer packages"),
@@ -34,16 +35,9 @@ CODES: Dict[str, tuple] = {
     "RPL401": ("physics", "Material constructed from a bare literal"),
     "RPL402": ("physics", "bare physics literal at a call site"),
     "RPL403": ("physics", "bare physics literal as a parameter default"),
-    # -- concurrency discipline (flow-sensitive) --------------------------
-    "RPL501": ("concurrency", "lease claim not discharged on every path"),
-    "RPL502": ("concurrency", "journal append on a lease-blind path"),
-    "RPL503": ("concurrency", "resource not closed on every path"),
-    "RPL504": ("concurrency", "ambient clock read beside an explicit now"),
-    # -- async/service hygiene (flow-sensitive) ---------------------------
-    "RPL601": ("async", "blocking call reachable inside async def"),
-    "RPL602": ("async", "stale jobstore record used across an await"),
-    "RPL603": ("async", "status code outside the pinned contract"),
-    "RPL604": ("async", "exception can escape a route handler"),
+    # -- resource and event-loop hygiene ---------------------------------
+    "RPL503": ("concurrency", "resource handle neither closed nor handed off"),
+    "RPL601": ("concurrency", "blocking call inside async def"),
 }
 
 

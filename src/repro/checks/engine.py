@@ -19,14 +19,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.checks import contracts, determinism, layering, physics
+from repro.checks import concurrency, contracts, determinism, layering, physics
 from repro.checks.diagnostics import CODES, Diagnostic, Explanation, PyFile
-from repro.checks.flow import asyncsafety, concurrency
 
-PASSES = (
-    "determinism", "layering", "contracts", "physics",
-    "concurrency", "async",
-)
+PASSES = ("determinism", "layering", "contracts", "physics", "concurrency")
 
 
 def package_root() -> Path:
@@ -39,9 +35,7 @@ def repo_root() -> Path:
     return package_root().parents[1]
 
 
-def load_files(
-    root: Path, top: str = "repro"
-) -> List[PyFile]:
+def load_files(root: Path, top: str = "repro") -> List[PyFile]:
     """Parse every ``*.py`` under *root* into :class:`PyFile` records.
 
     Unparseable files are returned as pseudo-files with an empty AST; the
@@ -58,18 +52,15 @@ def load_files(
             dotted = dotted[: -len(".__init__")] if "." in dotted else ""
         module = f"{top}.{dotted}" if dotted else top
         text = path.read_text(encoding="utf-8", errors="replace")
-        lines = text.splitlines()
+        tree, error = ast.Module(body=[], type_ignores=[]), ""
         try:
             tree = ast.parse(text, filename=str(path))
         except SyntaxError as exc:
-            files.append(PyFile(
-                rel=rel, module=module,
-                tree=ast.Module(body=[], type_ignores=[]),
-                lines=lines,
-                parse_error=f"{type(exc).__name__} at line {exc.lineno}",
-            ))
-            continue
-        files.append(PyFile(rel=rel, module=module, tree=tree, lines=lines))
+            error = f"{type(exc).__name__} at line {exc.lineno}"
+        files.append(PyFile(
+            rel=rel, module=module, tree=tree, lines=text.splitlines(),
+            parse_error=error,
+        ))
     return files
 
 
@@ -121,12 +112,9 @@ def run_passes(
                 message=f"file does not parse ({pf.parse_error})",
                 context="parse-failure",
             ))
-    out.extend(determinism.run(files))
-    out.extend(layering.run(files))
     out.extend(contracts.run(files, tests_dir=tests_dir))
-    out.extend(physics.run(files))
-    out.extend(concurrency.run(files))
-    out.extend(asyncsafety.run(files))
+    for module in (determinism, layering, physics, concurrency):
+        out.extend(module.run(files))
     return sorted(out)
 
 
@@ -198,18 +186,10 @@ EXPLANATIONS = {
 def explain(code: str) -> Optional[Explanation]:
     """The :class:`Explanation` for one RPL code, if registered."""
     code = code.strip().upper()
-    for source in (
-        EXPLANATIONS,
-        determinism.EXPLANATIONS,
-        layering.EXPLANATIONS,
-        contracts.EXPLANATIONS,
-        physics.EXPLANATIONS,
-        concurrency.EXPLANATIONS,
-        asyncsafety.EXPLANATIONS,
-    ):
-        if code in source:
-            return source[code]
-    return None
+    for module in (determinism, layering, contracts, physics, concurrency):
+        if code in module.EXPLANATIONS:
+            return module.EXPLANATIONS[code]
+    return EXPLANATIONS.get(code)
 
 
 def main(args) -> int:
@@ -228,14 +208,12 @@ def main(args) -> int:
 
     root = Path(args.root) if getattr(args, "root", None) else package_root()
 
-    select: Optional[List[str]] = None
-    if getattr(args, "select", None):
-        select = [
-            code
-            for chunk in args.select
-            for code in chunk.split(",")
-            if code.strip()
-        ]
+    select = [
+        code
+        for chunk in getattr(args, "select", None) or ()
+        for code in chunk.split(",")
+        if code.strip()
+    ]
 
     report = run_lint(root=root, select=select)
     if getattr(args, "format", "text") == "json":

@@ -47,14 +47,10 @@ def _numeric_literal(node: ast.AST) -> Optional[float]:
     return None
 
 
-def in_scope(
-    rel: str,
-    scope: Iterable[str] = DEFAULT_SCOPE,
-    exempt: Iterable[str] = DEFAULT_EXEMPT,
-) -> bool:
-    if rel in exempt:
+def in_scope(rel: str) -> bool:
+    if rel in DEFAULT_EXEMPT:
         return False
-    return any(rel == s or rel.startswith(s) for s in scope)
+    return any(rel == s or rel.startswith(s) for s in DEFAULT_SCOPE)
 
 
 def check_file(pf: PyFile) -> List[Diagnostic]:
@@ -128,17 +124,9 @@ def _flag_default(
         ))
 
 
-def run(
-    files: Iterable[PyFile],
-    scope: Iterable[str] = DEFAULT_SCOPE,
-    exempt: Iterable[str] = DEFAULT_EXEMPT,
-) -> List[Diagnostic]:
+def run(files: Iterable[PyFile]) -> List[Diagnostic]:
     """The physics-hygiene pass over a set of files."""
-    out: List[Diagnostic] = []
-    for pf in files:
-        if in_scope(pf.rel, scope, exempt):
-            out.extend(check_file(pf))
-    return out
+    return [d for pf in files if in_scope(pf.rel) for d in check_file(pf)]
 
 
 EXPLANATIONS = {

@@ -17,9 +17,9 @@ Commands:
 * ``verify`` — integrity-check an artifact offline: a checkpoint's
   sha256 envelope or a journal's per-line CRCs; exits 1 on corruption.
 * ``lint`` — run the static invariant passes (determinism, layering,
-  experiment contracts, physics hygiene, plus the flow-sensitive
-  concurrency and async-safety families) over the source tree; exits
-  2 on any finding.
+  experiment contracts, physics hygiene, and resource and event-loop
+  hygiene in the runner and service) over the source tree; exits 2 on
+  any finding.
 * ``bench`` — time the simulator hot paths against their reference
   implementations, write a ``BENCH_repro.json`` report, and optionally
   gate against a committed baseline (exit 1 on a speedup regression).
@@ -706,8 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the static invariant passes (RPL1xx determinism, "
-             "RPL2xx layering, RPL3xx contracts, RPL4xx physics, "
-             "RPL5xx concurrency, RPL6xx async safety)",
+             "RPL2xx layering, RPL3xx contracts, RPL4xx physics; "
+             "RPL503 resource close, RPL504 explicit clock, RPL601 "
+             "blocking call in async def)",
     )
     lint.add_argument("--root", metavar="DIR",
                       help="package directory to scan (default: the "

@@ -400,6 +400,7 @@ for _experiment in [
             paper_values={
                 "avg_cpma_reduction_32mb": 0.13,
                 "max_cpma_reduction_32mb": 0.55,
+                "bus_power_reduction_32mb": 0.66,
                 "bw_reduction_32mb": "3x",
                 "winners": ["gauss", "pcg", "smvm", "strans", "sus", "svm"],
             },
@@ -498,8 +499,6 @@ for _experiment in [
             paper_values={
                 "logic_perf_gain_pct": 15.0,
                 "logic_power_reduction_pct": 15.0,
-                "memory_avg_cpma_reduction_pct": 13.0,
-                "memory_bus_power_reduction_pct": 66.0,
             },
             run=_run_headlines,
         ),

@@ -263,18 +263,6 @@ class Floorplan:
             scaled,
         )
 
-    def scaled_power(self, factor: float, name: Optional[str] = None) -> "Floorplan":
-        """Return a copy with every block's power multiplied by *factor*."""
-        if factor < 0:
-            raise FloorplanError(f"power scale factor must be >= 0, got {factor}")
-        scaled = [b.with_power(b.power * factor) for b in self.blocks]
-        return Floorplan(
-            name or f"{self.name} x{factor:g}",
-            self.die_width,
-            self.die_height,
-            scaled,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Floorplan({self.name!r}, {self.die_width}x{self.die_height} mm, "

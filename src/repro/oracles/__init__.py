@@ -32,7 +32,6 @@ from repro.oracles.integrity import (
     attach_crc,
     crc32_of_arrays,
     journal_line_crc,
-    sha256_hex,
     verify_entry_crc,
 )
 from repro.oracles.invariants import (
@@ -60,7 +59,6 @@ __all__ = [
     "attach_crc",
     "crc32_of_arrays",
     "journal_line_crc",
-    "sha256_hex",
     "verify_entry_crc",
     "CPMA_BANDS",
     "check_cpi_band",

@@ -1,15 +1,15 @@
-"""Integrity primitives: cheap CRCs for hot paths, sha256 for files.
+"""Integrity primitives: cheap CRCs for hot paths.
 
 ``crc32`` (zlib) is used where the check runs inside a hot loop — the
 per-reuse operator-cache check and the per-line journal CRC — because
 hashing a cached sparse matrix with sha256 would cost more than the
 solve it protects.  sha256 is reserved for the once-per-file
-checkpoint envelope where its cost is invisible next to pickling.
+checkpoint envelope (:mod:`repro.resilience.checkpoint`), where its
+cost is invisible next to pickling.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import zlib
 from typing import Dict, Iterable, Optional
@@ -18,11 +18,6 @@ import numpy as np
 
 #: Journal-entry key carrying the line CRC (excluded from its own hash).
 CRC_KEY = "crc"
-
-
-def sha256_hex(data: bytes) -> str:
-    """sha256 hex digest of *data*."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def crc32_of_arrays(arrays: Iterable[Optional[np.ndarray]]) -> int:

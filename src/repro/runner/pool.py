@@ -218,6 +218,7 @@ class WorkerPool:
             attempt=int(spec.get("attempt", 0)),
             elapsed_s=round(time.monotonic() - handle.started_mono, 4),
             lease_epoch=spec.get("lease_epoch"),
+            delivery=int(spec.get("delivery", 0)),
         )
 
     def _collect_exited(self, handle: WorkerHandle) -> Dict[str, Any]:

@@ -371,6 +371,11 @@ class Scheduler:
         #: fingerprint.  Completions at or below the fence are zombies.
         self._epoch_by_fp: Dict[str, int] = {}
         self._fence_by_fp: Dict[str, int] = {}
+        #: Injected duplicate deliveries not yet accepted by the backend,
+        #: and the number running.  The campaign ends only once every
+        #: ghost has reported, so its duplicate is always counted.
+        self._ghosts: List[Assignment] = []
+        self._ghosts_running = 0
 
         to_run = 0
         for task in tasks:
@@ -403,7 +408,7 @@ class Scheduler:
         self._journal = journal_factory(config.journal_path)
         try:
             backend.start(scratch)
-            while len(self._final_by_task) < to_run:
+            while not self._settled(to_run):
                 now = self._clock.monotonic()
                 self._dispatch(backend, now)
                 events = backend.poll()
@@ -422,7 +427,7 @@ class Scheduler:
                         f"lease expired after {config.lease_ttl_s:g}s "
                         f"without a renewal from {lease.executor_id!r}",
                     )
-                if len(self._final_by_task) >= to_run:
+                if self._settled(to_run):
                     break
                 made_progress = any(
                     event.kind != "renew" for event in events
@@ -464,12 +469,34 @@ class Scheduler:
         report.wall_clock_s = round(self._clock.monotonic() - started, 4)
         return report
 
+    def _settled(self, to_run: int) -> bool:
+        """Every task has a final verdict and every ghost has reported."""
+        return (
+            len(self._final_by_task) >= to_run
+            and not self._ghosts
+            and not self._ghosts_running
+        )
+
     # -- dispatch ------------------------------------------------------------
+
+    def _deliver_ghosts(self, backend: ExecutorBackend) -> bool:
+        """Submit owed duplicate deliveries; False while the backend is
+        full (the ghosts go first once a slot frees)."""
+        while self._ghosts:
+            if backend.try_submit(self._ghosts[0]) is None:
+                return False
+            self._ghosts.pop(0)
+            self._ghosts_running += 1
+        return True
 
     def _dispatch(self, backend: ExecutorBackend, now: float) -> None:
         config = self.config
         self._pending.sort(key=lambda item: item.eligible_mono)
-        while self._pending and self._pending[0].eligible_mono <= now:
+        while (
+            self._deliver_ghosts(backend)
+            and self._pending
+            and self._pending[0].eligible_mono <= now
+        ):
             item = self._pending[0]
             if item.assignment is None:
                 # A pending fingerprint is never currently leased, so
@@ -512,11 +539,11 @@ class Scheduler:
                 # twice (a retransmit on a flaky control plane).  No
                 # second lease — the scheduler believes it sent one
                 # copy; idempotent completion matching absorbs the rest.
-                ghost = replace(
+                # A full backend takes the ghost once a slot frees.
+                self._ghosts.append(replace(
                     item.assignment,
                     spec=dict(item.assignment.spec, delivery=1),
-                )
-                backend.try_submit(ghost)
+                ))
 
     # -- event handlers ------------------------------------------------------
 
@@ -554,6 +581,8 @@ class Scheduler:
     def _on_outcome(
         self, executor_id: str, outcome: Dict[str, Any]
     ) -> None:
+        if outcome.get("delivery"):
+            self._ghosts_running -= 1
         fingerprint = outcome.get("fingerprint", "")
         task = self._tasks_by_fp.get(fingerprint)
         if task is None:
@@ -588,8 +617,8 @@ class Scheduler:
             self._per_executor(executor_id)["duplicates"] += 1
             # Release the straggler's lease *before* journalling: the
             # audit line must describe work whose lease custody has
-            # already been settled (RPL502), and a crash between the
-            # two must not strand the fingerprint as still-leased.
+            # already been settled, and a crash between the two must
+            # not strand the fingerprint as still-leased.
             self._leases.release(fingerprint, executor_id)
             self._journal_append(self._entry(
                 outcome, executor_id, final=False, duplicate=True,

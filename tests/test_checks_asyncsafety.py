@@ -1,19 +1,19 @@
-"""Tests for the RPL6xx async/service-hygiene pass (flow-sensitive).
+"""Tests for RPL601: blocking calls inside coroutines.
 
-Fixtures distil the real service shapes: blocking calls reachable in
-coroutines, jobstore state used stale across awaits, handler status
-contracts, and exceptions escaping to an implicit 500.  The mutation
+Fixtures distil the real service shapes: a blocking call in a
+coroutine, directly or through same-file sync helpers.  The mutation
 test injects a blocking call into the real server source and asserts
-the pass catches it — the acceptance criterion for this family.
+the rule catches it.  The engine's ``--explain`` table is checked here
+too.
 """
 
 import ast
 import textwrap
 from pathlib import Path
 
+from repro.checks import concurrency
 from repro.checks.diagnostics import PyFile
 from repro.checks.engine import package_root, run_lint
-from repro.checks.flow import asyncsafety
 
 SRC = Path(package_root())
 
@@ -25,7 +25,7 @@ def pf_of(src, rel="service/server.py"):
 
 
 def codes(*pfs):
-    return [d.code for d in asyncsafety.run(list(pfs))]
+    return [d.code for d in concurrency.run(list(pfs))]
 
 
 class TestRPL601BlockingInAsync:
@@ -48,17 +48,6 @@ class TestRPL601BlockingInAsync:
         """)
         assert codes(pf) == []
 
-    def test_unreachable_blocking_call_is_ignored(self):
-        # dead code after return never executes; reachability matters
-        pf = pf_of("""
-            import time
-
-            async def go():
-                return 1
-                time.sleep(5)
-        """)
-        assert codes(pf) == []
-
     def test_sync_helper_chain_is_traced(self):
         pf = pf_of("""
             import time
@@ -69,9 +58,27 @@ class TestRPL601BlockingInAsync:
             async def tick():
                 _spin()
         """)
-        diags = asyncsafety.run([pf])
+        diags = concurrency.run([pf])
         assert [d.code for d in diags] == ["RPL601"]
         assert "time.sleep" in diags[0].message
+
+    def test_method_helper_chain_is_traced(self):
+        pf = pf_of("""
+            import os
+
+            class Svc:
+                def _flush(self, fd):
+                    self._sync(fd)
+
+                def _sync(self, fd):
+                    os.fsync(fd)
+
+                async def settle(self, fd):
+                    self._flush(fd)
+        """)
+        diags = concurrency.run([pf])
+        assert [d.code for d in diags] == ["RPL601"]
+        assert "_flush -> _sync -> os.fsync" in diags[0].message
 
     def test_blocking_in_sync_function_is_fine(self):
         pf = pf_of("""
@@ -81,187 +88,6 @@ class TestRPL601BlockingInAsync:
                 time.sleep(1.0)
         """)
         assert codes(pf) == []
-
-
-class TestRPL602StaleJobstoreState:
-    def test_mutation_after_await_without_revalidation(self):
-        # the pre-fix Service._process shape: park on the breaker,
-        # then mark the job running with the pre-sleep snapshot
-        pf = pf_of("""
-            import asyncio
-
-            class Svc:
-                async def process(self, fp):
-                    job = self.jobs.get(fp)
-                    if job is None or job.state != "queued":
-                        return
-                    while not self.breaker.allow(self.now()):
-                        await asyncio.sleep(0.05)
-                    self.jobs.mark_running(job)
-        """)
-        assert codes(pf) == ["RPL602"]
-
-    def test_revalidated_after_await_is_clean(self):
-        pf = pf_of("""
-            import asyncio
-
-            class Svc:
-                async def process(self, fp):
-                    job = self.jobs.get(fp)
-                    if job is None or job.state != "queued":
-                        return
-                    while not self.breaker.allow(self.now()):
-                        await asyncio.sleep(0.05)
-                    if job.state != "queued":
-                        return
-                    self.jobs.mark_running(job)
-        """)
-        assert codes(pf) == []
-
-    def test_get_or_create_tuple_binding_is_tracked(self):
-        pf = pf_of("""
-            import asyncio
-
-            class Svc:
-                async def submit(self, fp, payload):
-                    job, created = self.jobs.get_or_create(fp, payload)
-                    await self.queue.put(fp)
-                    self.jobs.mark_requeued(job)
-        """)
-        assert codes(pf) == ["RPL602"]
-
-    def test_state_read_counts_as_revalidation(self):
-        pf = pf_of("""
-            import asyncio
-
-            class Svc:
-                async def submit(self, fp, payload):
-                    job = self.jobs.get(fp)
-                    await self.queue.put(fp)
-                    if job.state == "queued":
-                        self.jobs.mark_requeued(job)
-        """)
-        assert codes(pf) == []
-
-    def test_mutation_before_any_await_is_clean(self):
-        pf = pf_of("""
-            class Svc:
-                async def submit(self, fp, payload):
-                    job = self.jobs.get(fp)
-                    self.jobs.mark_requeued(job)
-                    await self.queue.put(fp)
-        """)
-        assert codes(pf) == []
-
-
-class TestRPL603StatusContract:
-    def test_unpinned_literal_status(self):
-        pf = pf_of("""
-            from repro.service.middleware import Request, Response
-
-            def handle_x(app, request, now):
-                if bad(request):
-                    return Response(500, {"error": "boom"})
-                return Response(200, {})
-        """, rel="service/handlers.py")
-        assert codes(pf) == ["RPL603"]
-
-    def test_pinned_statuses_are_clean(self):
-        pf = pf_of("""
-            from repro.service.middleware import Request, Response
-
-            def handle_x(app, request, now):
-                if bad(request):
-                    return Response(400, {"error": "bad"})
-                if missing(request):
-                    return Response(404, {})
-                return Response(200, {})
-        """, rel="service/handlers.py")
-        assert codes(pf) == []
-
-    def test_non_literal_status_is_flagged(self):
-        pf = pf_of("""
-            from repro.service.middleware import Response
-
-            def handle_x(app, request, now):
-                code = pick()
-                return Response(code, {})
-        """, rel="service/handlers.py")
-        assert codes(pf) == ["RPL603"]
-
-    def test_forwarder_checked_at_call_sites(self):
-        shed = textwrap.dedent("""
-            from repro.service.middleware import Request, Response
-
-            def _shed(status, why):
-                return Response(status, {"error": why})
-
-            def handle_x(app, request, now):
-                if busy(app):
-                    return _shed(STATUS, "busy")
-                return Response(200, {})
-        """)
-        clean = pf_of(shed.replace("STATUS", "503"),
-                      rel="service/handlers.py")
-        assert codes(clean) == []
-        bad = pf_of(shed.replace("STATUS", "500"),
-                    rel="service/handlers.py")
-        assert codes(bad) == ["RPL603"]
-
-    def test_handler_returning_non_response(self):
-        pf = pf_of("""
-            from repro.service.middleware import Response
-
-            def handle_x(app, request, now):
-                return {"ok": True}
-        """, rel="service/handlers.py")
-        assert codes(pf) == ["RPL603"]
-
-
-class TestRPL604EscapingExceptions:
-    def test_helper_escape_reaches_handler(self):
-        pf = pf_of("""
-            from repro.service.middleware import Response
-
-            def _parse(request):
-                if not request:
-                    raise ValueError("bad")
-                return request
-
-            def handle_x(app, request, now):
-                sub = _parse(request)
-                return Response(200, sub)
-        """, rel="service/handlers.py")
-        assert codes(pf) == ["RPL604"]
-
-    def test_caught_escape_is_clean(self):
-        pf = pf_of("""
-            from repro.service.middleware import Response
-
-            def _parse(request):
-                if not request:
-                    raise ValueError("bad")
-                return request
-
-            def handle_x(app, request, now):
-                try:
-                    sub = _parse(request)
-                except ValueError as exc:
-                    return Response(400, {"error": str(exc)})
-                return Response(200, sub)
-        """, rel="service/handlers.py")
-        assert codes(pf) == []
-
-    def test_direct_raise_in_handler(self):
-        pf = pf_of("""
-            from repro.service.middleware import Response
-
-            def handle_x(app, request, now):
-                if not request:
-                    raise ValueError("bad")
-                return Response(200, {})
-        """, rel="service/handlers.py")
-        assert codes(pf) == ["RPL604"]
 
 
 class TestMutationOnRealServer:
@@ -278,7 +104,7 @@ class TestMutationOnRealServer:
         mutant = PyFile(rel="service/server.py", module="mutant",
                         tree=ast.parse(mutant_text),
                         lines=mutant_text.splitlines())
-        found = [d for d in asyncsafety.run([mutant])
+        found = [d for d in concurrency.run([mutant])
                  if d.code == "RPL601"]
         assert found, "injected blocking call went undetected"
 
@@ -289,10 +115,12 @@ class TestRealTreeAndExplanations:
         assert [d.render() for d in report.diagnostics] == []
 
     def test_explanations_cover_all_rpl6_codes(self):
-        assert set(asyncsafety.EXPLANATIONS) == {
-            "RPL601", "RPL602", "RPL603", "RPL604",
+        rpl6 = {
+            code: exp for code, exp in concurrency.EXPLANATIONS.items()
+            if code.startswith("RPL6")
         }
-        for code, exp in asyncsafety.EXPLANATIONS.items():
+        assert set(rpl6) == {"RPL601"}
+        for code, exp in rpl6.items():
             rendered = exp.render()
             assert code in rendered
             assert "why:" in rendered
@@ -301,6 +129,15 @@ class TestRealTreeAndExplanations:
 
 
 class TestEngineExplain:
+    def test_retired_code_is_unknown(self, capsys):
+        from argparse import Namespace
+
+        from repro.checks.engine import main
+
+        for code in ("RPL501", "RPL502", "RPL602", "RPL603", "RPL604"):
+            assert main(Namespace(explain=code)) == 2
+            assert f"unknown code {code!r}" in capsys.readouterr().out
+
     def test_every_registered_code_has_an_explanation(self):
         from repro.checks.diagnostics import CODES
         from repro.checks.engine import explain

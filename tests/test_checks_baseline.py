@@ -11,7 +11,7 @@ from repro.checks.engine import (
 
 
 class TestEngine:
-    def test_run_lint_on_repo_is_fast_and_baselined(self, tmp_path):
+    def test_run_lint_on_repo_is_fast_and_clean(self):
         import time
 
         start = time.perf_counter()
@@ -51,14 +51,13 @@ class TestEngine:
         report = run_lint()
         text = render_text(report)
         assert "verdict: OK" in text
-        assert "6 passes" in text
+        assert "5 passes" in text
 
     def test_json_shape(self):
         payload = to_json(run_lint())
         assert payload["version"] == 1
         assert payload["passes"] == [
-            "determinism", "layering", "contracts", "physics",
-            "concurrency", "async",
+            "determinism", "layering", "contracts", "physics", "concurrency",
         ]
         assert set(payload["codes"]) == set(CODES)
         assert payload["ok"] is True

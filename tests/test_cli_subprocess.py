@@ -137,24 +137,23 @@ class TestLint:
         assert payload["version"] == 1
         assert payload["ok"] is True
         assert payload["passes"] == [
-            "determinism", "layering", "contracts", "physics",
-            "concurrency", "async",
+            "determinism", "layering", "contracts", "physics", "concurrency",
         ]
         for entry in payload["diagnostics"]:
             assert {"path", "line", "code", "message"} <= set(entry)
 
     def test_explain_renders_pass_documentation(self):
-        proc = run_cli("lint", "--explain", "RPL501")
+        proc = run_cli("lint", "--explain", "RPL503")
         assert proc.returncode == 0
-        assert "RPL501" in proc.stdout
+        assert "RPL503" in proc.stdout
         assert "why:" in proc.stdout
         assert "example violation:" in proc.stdout
         assert "fix pattern:" in proc.stdout
 
     def test_explain_accepts_bare_number(self):
-        proc = run_cli("lint", "--explain", "602")
+        proc = run_cli("lint", "--explain", "601")
         assert proc.returncode == 0
-        assert "RPL602" in proc.stdout
+        assert "RPL601" in proc.stdout
 
     def test_explain_unknown_code_exits_two(self):
         proc = run_cli("lint", "--explain", "RPL999")
@@ -162,7 +161,7 @@ class TestLint:
         assert "RPL999" in proc.stdout
 
     def test_select_rpl5_rpl6_clean(self):
-        # The shipped tree carries zero flow-analysis findings.
+        # The shipped tree carries zero RPL503/RPL504/RPL601 findings.
         proc = run_cli("lint", "--select", "RPL5,RPL6")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -103,13 +103,6 @@ class TestFloorplan:
         with pytest.raises(FloorplanError):
             plan.replace_block(make_block("nope"))
 
-    def test_scaled_power(self):
-        plan = Floorplan("p", 10, 10, [make_block("a", power=4.0)])
-        scaled = plan.scaled_power(0.5)
-        assert scaled.total_power == pytest.approx(2.0)
-        # Original untouched.
-        assert plan.total_power == pytest.approx(4.0)
-
     def test_scaled_geometry_preserves_power_scales_density(self):
         plan = Floorplan("p", 10, 10, [make_block("a", power=4.0)])
         scaled = plan.scaled_geometry(2.0)

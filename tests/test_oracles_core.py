@@ -17,7 +17,6 @@ from repro.oracles.integrity import (
     attach_crc,
     crc32_of_arrays,
     journal_line_crc,
-    sha256_hex,
     verify_entry_crc,
 )
 from repro.oracles.invariants import (
@@ -156,11 +155,6 @@ class TestInvariants:
 
 
 class TestIntegrityHelpers:
-    def test_sha256_hex(self):
-        assert sha256_hex(b"") == (
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        )
-
     def test_crc32_of_arrays_sensitive_to_flips(self):
         a = np.arange(16, dtype=np.float64)
         before = crc32_of_arrays([a, None])

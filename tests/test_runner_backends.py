@@ -290,6 +290,28 @@ class TestDuplicateDelivery:
         assert report.duplicate_completions == 1
         assert not report.degraded  # both copies agreed; nothing lost
 
+    def test_saturated_pool_delivers_ghost_once_a_slot_frees(
+        self, tmp_path
+    ):
+        # Both workers are busy when "twice" is dispatched second, so
+        # the ghost must wait for a free worker rather than be dropped
+        # after the injector's budget was spent on it.
+        tasks = [_task("once"), _task("twice", value=1)]
+        injector = FaultInjector(
+            forced_failures={"duplicate-delivery:twice": 1}
+        )
+        report = run_campaign(tasks, _config(
+            tmp_path, backend="local", injector=injector,
+        ))
+        assert report.counts == {"ok": 2, "failed": 0, "skipped": 0}
+        assert report.duplicate_completions == 1
+        assert injector.forced_failures["duplicate-delivery:twice"] == 0
+        duplicates = [
+            entry for entry in read_journal(tmp_path / "journal.jsonl")[0]
+            if entry.get("duplicate")
+        ]
+        assert [entry["task_id"] for entry in duplicates] == ["twice"]
+
 
 class TestLeaseStall:
     def test_stalled_renewals_expire_and_work_is_rerun(self, tmp_path):

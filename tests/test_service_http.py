@@ -423,7 +423,8 @@ class TestDispatcherRevalidation:
     While a dispatcher sleeps on an open circuit, the job it holds can
     be failed, shed, or completed by someone else; marking it running
     afterwards would silently overwrite that transition (and burn an
-    attempt).  Regression test for the RPL602 finding.
+    attempt).  After the executor await, settling it would overwrite the
+    transition the same way.
     """
 
     def test_breaker_park_revalidates_job_state(self, tmp_path):
@@ -462,6 +463,89 @@ class TestDispatcherRevalidation:
         finally:
             svc.jobs.close()
             svc._pool.shutdown(wait=False)
+
+
+    def test_executor_await_revalidates_job_state(self, tmp_path):
+        # While the run is in the executor, the job is failed by someone
+        # else; the dispatcher must not settle it (no done, no artifact).
+        import asyncio
+
+        from repro.core.experiments import task_fingerprint
+        from repro.service.jobstore import FAILED
+        from repro.service.server import ReproService, ServiceConfig
+
+        config = ServiceConfig(
+            port=0,
+            data_dir=str(tmp_path / "svc"),
+            registry_spec=FAST_REGISTRY_SPEC,
+            backend="inproc",
+        )
+        svc = ReproService(config)
+        try:
+            fingerprint = task_fingerprint("quick", {"seed": 7})
+            job, _ = svc.jobs.get_or_create(
+                fingerprint, "quick", {"seed": 7}, FAST_REGISTRY_SPEC
+            )
+            started, release = threading.Event(), threading.Event()
+            run_job = svc._run_job_sync
+
+            def held_run(held):
+                started.set()
+                release.wait(10.0)
+                return run_job(held)
+
+            svc._run_job_sync = held_run
+
+            async def run():
+                task = asyncio.create_task(svc._process(fingerprint))
+                await asyncio.get_running_loop().run_in_executor(
+                    None, started.wait, 10.0
+                )
+                svc.jobs.mark_failed(job, "shed by operator", "Shed")
+                release.set()
+                await asyncio.wait_for(task, timeout=30.0)
+
+            asyncio.run(run())
+            assert job.state == FAILED
+            assert job.error_type == "Shed"
+            assert svc.cache.load_verified(fingerprint)[0] is None
+        finally:
+            svc.jobs.close()
+            svc._pool.shutdown(wait=False)
+
+
+class TestHandlerGuard:
+    """A handler that raises is answered 503 with Retry-After, never 500."""
+
+    def test_raising_handler_answers_503(self, tmp_path, monkeypatch):
+        from repro.service import handlers
+        from repro.service.middleware import Request
+        from repro.service.server import ReproService, ServiceConfig
+
+        def broken(app, request, now):
+            raise KeyError("handler bug")
+
+        monkeypatch.setattr(handlers, "handle_stats", broken)
+        svc = ReproService(ServiceConfig(
+            port=0, data_dir=str(tmp_path / "svc"), backend="inproc",
+        ))
+        try:
+            response = svc.handle(Request("GET", "/stats"), svc.now())
+            assert response.status == 503
+            assert response.headers["retry-after"] == "1"
+            assert svc.stats["errors_guarded"] == 1
+            assert svc.stats["http_503"] == 1
+        finally:
+            svc.jobs.close()
+            svc._pool.shutdown(wait=False)
+
+    def test_status_sets_agree(self):
+        # The oracle layer cannot import the service, so the advertised
+        # set is written twice; 408 comes only from the socket reader.
+        from repro.oracles.protocol import SERVICE_STATUSES
+        from repro.service.middleware import REASONS
+
+        assert SERVICE_STATUSES == set(REASONS) - {408}
 
 
 class TestHalfOpenProbeRelease:

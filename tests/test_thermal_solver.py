@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.floorplan import core2duo_floorplan, stacked_cache_die
+from repro.floorplan import Floorplan, core2duo_floorplan, stacked_cache_die
 from repro.floorplan.blocks import uniform_floorplan
 from repro.floorplan.pentium4 import pentium4_3d_floorplans
 from repro.oracles.config import oracle_mode
@@ -448,7 +448,11 @@ class TestSolverGuardsWired:
     def test_nan_power_is_rejected_not_repaired(self):
         # A NaN power injection is bad input, not a solver failure.
         # (Before the guard, NaN power silently became *zero* power.)
-        bad_plan = core2duo_floorplan().scaled_power(float("nan"))
+        plan = core2duo_floorplan()
+        bad_plan = Floorplan(
+            plan.name, plan.die_width, plan.die_height,
+            [b.with_power(float("nan")) for b in plan.blocks],
+        )
         with pytest.raises(GuardViolation) as info:
             solve_steady_state(
                 build_stack([DieSpec(bad_plan)]), SolverConfig(nx=12, ny=12)

@@ -103,9 +103,9 @@ class TestValidationSections:
             "max CPMA reduction at 32MB (%)":
                 100.0 * paper["figure-5"]["max_cpma_reduction_32mb"],
             "bus power reduction (%)":
-                paper["headlines"]["memory_bus_power_reduction_pct"],
+                100.0 * paper["figure-5"]["bus_power_reduction_32mb"],
             "average CPMA improves at 32MB (%)":
-                paper["headlines"]["memory_avg_cpma_reduction_pct"],
+                100.0 * paper["figure-5"]["avg_cpma_reduction_32mb"],
             "peak temperature (C)": paper["figure-6"]["peak_c"],
             "coolest on-die (C)": paper["figure-6"]["coolest_c"],
             "32MB DRAM thermal cost (C)": fig8["3D 32MB"] - fig8["2D 4MB"],
