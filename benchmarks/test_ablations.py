@@ -8,16 +8,19 @@ quantity, quantifying why the paper's (and our) design is what it is:
 * tags-on-CPU-die vs in-DRAM tags (serial tag access);
 * thermal-solver grid resolution convergence;
 * naive stacking vs the iterative hotspot repair loop.
+
+The paper's own tables and figures are graded by ``python -m repro
+validate`` instead.  Run with::
+
+    PYTHONPATH=src python -m pytest benchmarks/test_ablations.py -q
 """
 
 import dataclasses
 
 import pytest
 
-from conftest import run_once
 from repro.core.memory_on_logic import TRACE_PLAN
 from repro.memsim import replay_trace, stacked_dram_config
-from repro.memsim.config import DramCacheConfig
 from repro.traces import TraceGenerator, WorkloadSpec
 
 SCALE = 16
@@ -48,19 +51,17 @@ class TestPagePolicyAblation:
         )
         return replay_trace(trace, config, warmup_fraction=0.35).cpma
 
-    def test_open_page_wins_for_streaming(self, benchmark):
+    def test_open_page_wins_for_streaming(self):
         spec = WorkloadSpec("gauss", n_records=TRACE_PLAN["gauss"][0] // 2)
         trace = list(TraceGenerator(spec, scale=SCALE).records())
-        open_cpma = run_once(benchmark, self._cpma, trace, "open")
+        open_cpma = self._cpma(trace, "open")
         closed_cpma = self._cpma(trace, "closed")
-        benchmark.extra_info["open"] = open_cpma
-        benchmark.extra_info["closed"] = closed_cpma
         print(f"\ngauss (streaming): open={open_cpma:.2f} "
               f"closed={closed_cpma:.2f} CPMA")
         assert open_cpma < closed_cpma
 
-    def test_closed_page_wins_for_scattered_gathers(self, benchmark, pcg_trace):
-        open_cpma = run_once(benchmark, self._cpma, pcg_trace, "open")
+    def test_closed_page_wins_for_scattered_gathers(self, pcg_trace):
+        open_cpma = self._cpma(pcg_trace, "open")
         closed_cpma = self._cpma(pcg_trace, "closed")
         print(f"\npcg (scattered): open={open_cpma:.2f} "
               f"closed={closed_cpma:.2f} CPMA")
@@ -68,7 +69,7 @@ class TestPagePolicyAblation:
 
 
 class TestDependencyAblation:
-    def test_ignoring_dependencies_understates_cpma(self, benchmark, pcg_trace):
+    def test_ignoring_dependencies_understates_cpma(self, pcg_trace):
         from repro.traces.record import NO_DEP, TraceRecord
 
         stripped = [
@@ -76,8 +77,7 @@ class TestDependencyAblation:
             for r in pcg_trace
         ]
         config = stacked_dram_config(32, SCALE)
-        honored = run_once(benchmark, replay_trace, pcg_trace, config,
-                           warmup_fraction=0.35)
+        honored = replay_trace(pcg_trace, config, warmup_fraction=0.35)
         ignored = replay_trace(stripped, config, warmup_fraction=0.35)
         print(f"\ndependencies: honored={honored.cpma:.2f} "
               f"ignored={ignored.cpma:.2f} CPMA")
@@ -87,12 +87,11 @@ class TestDependencyAblation:
 
 
 class TestTagPlacementAblation:
-    def test_serial_tags_slow_the_dram_cache(self, benchmark, pcg_trace):
+    def test_serial_tags_slow_the_dram_cache(self, pcg_trace):
         import repro.memsim.dramcache as dramcache_mod
 
         config = stacked_dram_config(32, SCALE)
-        fast = run_once(benchmark, replay_trace, pcg_trace, config,
-                        warmup_fraction=0.35)
+        fast = replay_trace(pcg_trace, config, warmup_fraction=0.35)
 
         # In-DRAM tags: the tag check costs a DRAM access before the data
         # access can start (no speculative overlap).  Model by serializing
@@ -117,16 +116,15 @@ class TestMemoryInStackAblation:
     of the benefit of full memory-in-stack — the cache design was the
     right call given main memories that cannot fit a two-die stack."""
 
-    def test_dram_cache_approaches_memory_in_stack(self, benchmark):
+    def test_dram_cache_approaches_memory_in_stack(self):
         from repro.memsim import stacked_memory_config
 
         spec = WorkloadSpec("gauss", n_records=TRACE_PLAN["gauss"][0] // 2)
         trace = list(TraceGenerator(spec, scale=SCALE).records())
         from repro.memsim import baseline_config
 
-        base = run_once(
-            benchmark, replay_trace, trace, baseline_config(SCALE),
-            warmup_fraction=0.35,
+        base = replay_trace(
+            trace, baseline_config(SCALE), warmup_fraction=0.35
         )
         cache = replay_trace(
             trace, stacked_dram_config(32, SCALE), warmup_fraction=0.35
@@ -149,14 +147,14 @@ class TestMemoryInStackAblation:
 
 
 class TestThermalGridAblation:
-    def test_peak_converges_with_resolution(self, benchmark):
+    def test_peak_converges_with_resolution(self):
         from repro.floorplan import core2duo_floorplan
         from repro.thermal import DieSpec, build_stack, solve_steady_state
         from repro.thermal.solver import SolverConfig
 
         stack = build_stack([DieSpec(core2duo_floorplan())])
-        coarse = run_once(
-            benchmark, solve_steady_state, stack, SolverConfig(nx=16, ny=16)
+        coarse = solve_steady_state(
+            stack, SolverConfig(nx=16, ny=16)
         ).peak_temperature()
         medium, fine = (
             solve_steady_state(stack, SolverConfig(nx=n, ny=n))
@@ -171,7 +169,7 @@ class TestThermalGridAblation:
 
 
 class TestHotspotRepairAblation:
-    def test_repair_loop_saves_degrees(self, benchmark):
+    def test_repair_loop_saves_degrees(self):
         from repro.floorplan.blocks import Block, Floorplan
         from repro.floorplan.stacking import power_density_map, repair_hotspots
         from repro.thermal import DieSpec, build_stack, solve_steady_state
@@ -186,9 +184,8 @@ class TestHotspotRepairAblation:
             Block("hot2", 0, 0, 2.5, 2.5, 25.0),   # stacked on the hotspot
             Block("rest2", 3, 3, 6, 6, 15.0),
         ])
-        naive_temp = run_once(
-            benchmark, solve_steady_state,
-            build_stack([DieSpec(bottom), DieSpec(naive_top)]), grid,
+        naive_temp = solve_steady_state(
+            build_stack([DieSpec(bottom), DieSpec(naive_top)]), grid
         ).peak_temperature()
         peak = power_density_map(bottom, naive_top).max()
         repaired, moves = repair_hotspots(

@@ -43,8 +43,6 @@ def main() -> None:
     print(compare_to_paper(paper_temps, result.peak_temps, unit="C"))
 
     figure5 = get_experiment("figure-5").paper_values
-    bus_cut = get_experiment("headlines").paper_values[
-        "memory_bus_power_reduction_pct"]
     print("\nSection 3 headlines")
     print(f"  avg CPMA reduction at 32 MB:  "
           f"{100 * result.cpma_reduction('3D 32MB'):5.1f}%  "
@@ -54,7 +52,7 @@ def main() -> None:
           f"(paper: up to {100 * figure5['max_cpma_reduction_32mb']:.0f}%)")
     print(f"  bus power/BW reduction:       "
           f"{100 * result.bus_power_reduction('3D 32MB'):5.1f}%  "
-          f"(paper: {bus_cut:.0f}%)")
+          f"(paper: {100 * figure5['bus_power_reduction_32mb']:.0f}%)")
     delta = result.peak_temps["3D 32MB"] - result.peak_temps["2D 4MB"]
     paper_delta = paper_temps["3D 32MB"] - paper_temps["2D 4MB"]
     print(f"  32 MB stack temperature delta: {delta:+.2f} C  "

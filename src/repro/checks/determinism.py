@@ -40,9 +40,6 @@ DEFAULT_CLOCK_ALLOWLIST = frozenset({
     # fingerprints) and the lease table itself is clock-free.
     "runner/scheduler.py",
     "runner/pool.py",
-    # The benchmark harness exists to read the wall clock; suites hand
-    # it callables and never time anything themselves.
-    "bench/harness.py",
 })
 
 #: Layers that thread an explicit monotonic ``now`` (RPL504's scope).
@@ -323,7 +320,7 @@ EXPLANATIONS = {
         title="wall-clock read outside the allowlist",
         rationale=(
             "Time enters the system only at its edges (the runner's "
-            "worker, scheduler and pool, and the bench harness); "
+            "worker, scheduler and pool); "
             "everything else takes an explicit monotonic "
             "`now`. A clock read elsewhere makes results depend on "
             "when they ran. RPL504 is the companion inside the "

@@ -8,7 +8,7 @@ enforces the layer DAG (documented in DESIGN.md):
     2  thermal, memsim, uarch
     3  coupled
     4  core
-    5  runner, analysis, validation, checks, bench
+    5  runner, analysis, validation, checks
     6  service
     7  dst
     8  cli
@@ -51,7 +51,6 @@ DEFAULT_LAYERS: Dict[str, int] = {
     "analysis": 5,
     "validation": 5,
     "checks": 5,
-    "bench": 5,
     "service": 6,  # schedules campaigns; only dst and cli may import it
     "dst": 7,  # simulation harness drives runner + service from above
     "cli": 8,
@@ -224,8 +223,8 @@ EXPLANATIONS = {
         code="RPL201",
         title="upward import (lower layer imports higher)",
         rationale=(
-            "The package DAG (core -> thermal/power -> arch -> bench "
-            "-> runner/service ...) keeps physics importable without "
+            "The package DAG (physics -> core -> runner -> service "
+            "-> dst -> cli) keeps physics importable without "
             "dragging in schedulers. An upward import inverts the "
             "dependency and eventually forces a cycle."
         ),

@@ -20,9 +20,6 @@ Commands:
   experiment contracts, physics hygiene, and resource and event-loop
   hygiene in the runner and service) over the source tree; exits 2 on
   any finding.
-* ``bench`` — time the simulator hot paths against their reference
-  implementations, write a ``BENCH_repro.json`` report, and optionally
-  gate against a committed baseline (exit 1 on a speedup regression).
 * ``dst`` — deterministic simulation testing: drive the real
   scheduler/lease/journal/service stack through seed-derived fault
   histories on a virtual clock, checking protocol invariants after
@@ -383,77 +380,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(args)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench import (
-        compare_to_baseline,
-        load_report,
-        oracle_overhead_failures,
-        run_suite,
-        write_report,
-    )
-
-    if args.baseline and (
-        Path(args.out).resolve() == Path(args.baseline).resolve()
-    ):
-        # Writing the report first would compare a run against itself
-        # and replace the committed baseline with this host's numbers.
-        print(f"bench: --out {args.out!r} is the --baseline file; "
-              f"pass a different --out", file=sys.stderr)
-        return 2
-    quick = not args.full
-    results = run_suite(
-        quick=quick,
-        seed=args.seed,
-        pairs=args.pairs,
-        progress=lambda message: print(message, file=sys.stderr),
-    )
-    report = write_report(
-        results,
-        args.out,
-        extra={"tier": "quick" if quick else "full", "seed": args.seed},
-    )
-    print(f"wrote {args.out}")
-    for result in results:
-        marker = "ok " if result.equivalent else "FAIL-EQUIV"
-        print(
-            f"  {marker} {result.name:22} "
-            f"ref {1e3 * result.reference_s:9.1f} ms  "
-            f"opt {1e3 * result.optimized_s:9.1f} ms  "
-            f"{result.speedup:6.2f}x"
-        )
-    failed_equivalence = [r.name for r in results if not r.equivalent]
-    if failed_equivalence:
-        print(
-            f"bench: equivalence FAILED for {failed_equivalence}",
-            file=sys.stderr,
-        )
-        return 1
-    overhead_failures = oracle_overhead_failures(results)
-    if overhead_failures:
-        print("bench: oracle overhead OVER BUDGET:", file=sys.stderr)
-        for problem in overhead_failures:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
-    if args.baseline:
-        try:
-            baseline = load_report(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        problems = compare_to_baseline(
-            report, baseline, threshold=args.threshold
-        )
-        if problems:
-            print("bench: REGRESSIONS vs baseline:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.baseline}")
-    return 0
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.analysis import render_all_figures
 
@@ -723,30 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print the rule's rationale, an example "
                            "violation and the fix pattern, then exit")
 
-    bench = sub.add_parser(
-        "bench",
-        help="micro-benchmark the simulator hot paths and gate against "
-             "a baseline report",
-    )
-    tier = bench.add_mutually_exclusive_group()
-    tier.add_argument("--quick", action="store_true", default=True,
-                      help="small-input tier, ~half a minute (default; "
-                           "the CI gate)")
-    tier.add_argument("--full", action="store_true",
-                      help="large traces and finer grids (a few minutes)")
-    bench.add_argument("--out", default="BENCH_repro.json",
-                       help="report destination (repro-bench/2 JSON)")
-    bench.add_argument("--baseline", metavar="FILE",
-                       help="gate speedups against this earlier report; "
-                            "exit 1 on a regression")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       help="allowed fractional speedup drop vs baseline")
-    bench.add_argument("--seed", type=int, default=1234,
-                       help="trace-generation seed")
-    bench.add_argument("--pairs", type=int, default=5,
-                       help="interleaved reference/optimized pairs per "
-                            "benchmark; times are their medians")
-
     figures = sub.add_parser(
         "figures", help="render every figure to SVG files"
     )
@@ -804,7 +706,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "verify": _cmd_verify,
         "serve": _cmd_serve,
         "lint": _cmd_lint,
-        "bench": _cmd_bench,
         "dst": _cmd_dst,
     }
     return handlers[args.command](args)

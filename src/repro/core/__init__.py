@@ -22,7 +22,6 @@ stack builder, :func:`repro.thermal.stack.build_stack`.
 from repro.core.memory_on_logic import (
     MemoryOnLogicConfig,
     MemoryOnLogicResult,
-    MEMORY_CONFIG_NAMES,
     build_memory_configs,
     run_memory_study,
 )
@@ -36,7 +35,6 @@ from repro.core.experiments import get_experiment, list_experiments
 __all__ = [
     "MemoryOnLogicConfig",
     "MemoryOnLogicResult",
-    "MEMORY_CONFIG_NAMES",
     "build_memory_configs",
     "run_memory_study",
     "LogicOnLogicResult",

@@ -53,9 +53,6 @@ if TYPE_CHECKING:
 
     from repro.thermal.solver import SolverConfig
 
-#: Configuration names in Figure 5/7/8 order.
-MEMORY_CONFIG_NAMES: Tuple[str, ...] = ("2D 4MB", "3D 12MB", "3D 32MB", "3D 64MB")
-
 #: Per-workload trace length and warmup fraction at the reference scale
 #: (scale=8).  Long enough that fitting workloads reach steady state
 #: within the warmup and capacity-sensitive workloads make multiple

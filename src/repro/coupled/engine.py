@@ -98,7 +98,8 @@ class CoupledConfig:
             policy.  Must divide both epoch_s and calibration_s.
         seed: Seed for the interval-model workload slice.
         reuse_operator: Reuse cached thermal operators/LUs (default);
-            False forces cold assembly every epoch (bench reference).
+            False forces cold assembly every epoch (the reference side
+            of the coupled-loop pair in ``benchmarks/perf``).
     """
 
     epoch_s: float = 2.0

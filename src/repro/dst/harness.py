@@ -429,11 +429,24 @@ def _run_service_segment(
     budget = config.injector.forced_failures
     dispatcher = SimDispatcher(service)
     responses: List[Response] = []
+    problems: List[str] = []
 
-    def send(method: str, path: str, client: str, body: Any = None) -> None:
+    def send(
+        method: str, path: str, client: str, body: Any = None,
+        allowed: Tuple[int, ...] = (),
+    ) -> None:
+        """Send one request.  A non-empty *allowed* lists the only
+        statuses it may get; include 429, since any metered request
+        can be shed."""
         request = Request(method, path, {"x-client-id": client},
                           json.dumps(body).encode("utf-8"))
-        responses.append(service.handle(request, clock.monotonic()))
+        response = service.handle(request, clock.monotonic())
+        responses.append(response)
+        if allowed and response.status not in allowed:
+            problems.append(
+                f"service contract: {method} {path} answered "
+                f"{response.status}, expected one of {list(allowed)}"
+            )
 
     rng = random.Random(f"dst-service:{seed}")
     experiments = ("dst-unit-a", "dst-unit-b", "dst-unit-c")
@@ -455,7 +468,12 @@ def _run_service_segment(
         kwargs = {"value": rng.randrange(8)}
         send("POST", "/jobs", client, {"experiment": eid, "kwargs": kwargs})
         if i % 4 == 3:
-            send("POST", "/jobs", client, {"experiment": "no-such"})
+            send("POST", "/jobs", client, {"experiment": "no-such"},
+                 allowed=(400, 429))
+        if i % 4 == 2:
+            send("GET", f"/jobs/no-such-job-{i}", client,
+                 allowed=(404, 429))
+            send("GET", f"/no-such-route/{i}", client, allowed=(404, 429))
         if i % 4 == 1:
             # Valid at the front door, raises inside the experiment:
             # bad input, not a backend fault.
@@ -474,8 +492,16 @@ def _run_service_segment(
         clock.advance(0.25)
         dispatcher.turn()
     service.jobs.close()
-    problems = breaker_transition_problems(service.breaker.transitions)
+    problems += breaker_transition_problems(service.breaker.transitions)
     problems += service_response_problems(responses)
+    guarded = service.stats.get("errors_guarded", 0)
+    if guarded:
+        # The last-ditch guard turns a handler crash into a 503 shed,
+        # which the status check alone would pass.
+        problems.append(
+            f"service contract: {guarded} handler exception(s) reached "
+            f"the error guard"
+        )
     counts = service.jobs.counts()
     unsettled = counts[QUEUED] + counts[RUNNING]
     if unsettled or not dispatcher.idle():

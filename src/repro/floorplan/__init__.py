@@ -12,17 +12,15 @@ paper describes.
 
 from repro.floorplan.blocks import Block, Floorplan, FloorplanError
 from repro.floorplan.core2duo import (
-    CORE2_TOTAL_POWER_W,
     core2duo_floorplan,
     stacked_cache_die,
 )
 from repro.floorplan.pentium4 import (
-    P4_TOTAL_POWER_W,
     pentium4_3d_floorplans,
     pentium4_planar_floorplan,
     pentium4_worstcase_3d,
 )
-from repro.floorplan.splitting import auto_stack, footprint_ratio, split_block
+from repro.floorplan.splitting import auto_stack, split_block
 from repro.floorplan.stacking import (
     PowerDensityReport,
     power_density_map,
@@ -34,15 +32,12 @@ __all__ = [
     "Block",
     "Floorplan",
     "FloorplanError",
-    "CORE2_TOTAL_POWER_W",
     "core2duo_floorplan",
     "stacked_cache_die",
-    "P4_TOTAL_POWER_W",
     "pentium4_planar_floorplan",
     "pentium4_3d_floorplans",
     "pentium4_worstcase_3d",
     "auto_stack",
-    "footprint_ratio",
     "split_block",
     "PowerDensityReport",
     "power_density_map",

@@ -15,9 +15,6 @@ from typing import List
 
 from repro.floorplan.blocks import Block, Floorplan, FloorplanError, uniform_floorplan
 
-#: Total power of the baseline processor skew used in the paper (Section 3).
-CORE2_TOTAL_POWER_W = 92.0
-
 #: Power of the on-die 4 MB SRAM L2 (Figure 7a).
 L2_4MB_POWER_W = 7.0
 

@@ -26,9 +26,6 @@ from typing import Dict, Tuple
 
 from repro.floorplan.blocks import Block, Floorplan
 
-#: Total power of the Pentium 4 skew used in Section 4 / Table 5.
-P4_TOTAL_POWER_W = 147.0
-
 #: Power saving of the 3D floorplan at constant frequency (Section 4).
 P4_3D_POWER_FACTOR = 0.85
 

@@ -142,8 +142,3 @@ def auto_stack(
     if bottom.total_power < top.total_power:
         bottom, top = top, bottom
     return bottom, top
-
-
-def footprint_ratio(planar: Floorplan, stacked: Floorplan) -> float:
-    """Stacked footprint as a fraction of the planar die area."""
-    return stacked.die_area / planar.die_area

@@ -37,7 +37,7 @@ REPLAY_CHUNK = 4096
 
 #: In ``sample`` mode, differentially replay every N-th chunk (and
 #: integrity-recheck every N-th operator reuse).  ~1/64 keeps the
-#: overhead within the bench budget.
+#: overhead within the 5% budget ``benchmarks/perf`` gates.
 SAMPLE_STRIDE = 64
 
 #: Relative tolerance for the thermal energy-conservation residual

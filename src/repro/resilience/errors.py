@@ -1,7 +1,7 @@
 """Structured exception taxonomy for the three simulation engines.
 
 Every failure a long run can hit maps onto one of these classes, so
-callers (the CLI, the experiment runner, the benchmark harness) can
+callers (the CLI, the experiment runner, the service) can
 distinguish "the solver diverged" from "the trace is corrupt" from "the
 checkpoint file is unusable" without string-matching messages.
 

@@ -25,24 +25,21 @@ This package rebuilds that flow:
 
 from repro.uarch.pipeline import (
     PipelineConfig,
-    STAGE_AREAS,
     planar_pipeline,
     stacked_pipeline,
 )
 from repro.uarch.workloads import WorkloadProfile, workload_suite
-from repro.uarch.interval import evaluate_ipc, speedup
+from repro.uarch.interval import speedup
 from repro.uarch.cycle import CycleCoreSimulator, simulate_cycles
 from repro.uarch.power import PowerBreakdown, planar_power_breakdown, stacked_power_w
 from repro.uarch.dvfs import ScalingPoint, scale_operating_point, table5_points
 
 __all__ = [
     "PipelineConfig",
-    "STAGE_AREAS",
     "planar_pipeline",
     "stacked_pipeline",
     "WorkloadProfile",
     "workload_suite",
-    "evaluate_ipc",
     "speedup",
     "CycleCoreSimulator",
     "simulate_cycles",

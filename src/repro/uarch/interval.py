@@ -206,15 +206,6 @@ def cpi_breakdown(
     )
 
 
-def evaluate_ipc(
-    workload: WorkloadProfile,
-    pipeline: PipelineConfig,
-    coeffs: Dict[str, float] = COEFFS,
-) -> float:
-    """IPC of one workload on one pipeline configuration."""
-    return cpi_breakdown(workload, pipeline, coeffs).ipc
-
-
 def geomean_ipc(
     workloads: Workloads,
     pipeline: PipelineConfig,

@@ -17,22 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict
 
-#: Table 4 functional areas mapped to the floorplan blocks implementing
-#: them (used when cross-referencing the thermal/floorplan models).
-STAGE_AREAS: Dict[str, str] = {
-    "front_end": "FE",
-    "trace_cache": "TC",
-    "rename_alloc": "Rename",
-    "fp_wire": "FP/SIMD/RF",
-    "int_rf_read": "IntRF",
-    "data_cache_read": "D$",
-    "instruction_loop": "Sched",
-    "retire_dealloc": "Retire",
-    "fp_load": "FP/D$",
-    "store_lifetime": "MOB",
-}
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Per-functional-area pipe-stage counts.

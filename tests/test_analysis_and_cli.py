@@ -137,7 +137,7 @@ class TestCli:
     def test_subcommands(self):
         assert set(_subcommands()) == {
             "list", "run", "sweep", "replay", "verify", "serve", "lint",
-            "bench", "dst", "figures", "validate",
+            "dst", "figures", "validate",
         }
 
     def test_figures_writes_five_svgs(self, tmp_path, capsys):

@@ -20,7 +20,6 @@ from repro.core.logic_on_logic import (
     thermal_map_3d_power,
 )
 from repro.core.memory_on_logic import (
-    MEMORY_CONFIG_NAMES,
     TRACE_PLAN,
     build_memory_configs,
     run_performance_study,
@@ -39,6 +38,9 @@ from repro.thermal.stack import DieSpec, build_stack
 from repro.traces.generator import TraceGenerator, WorkloadSpec
 
 FAST = SolverConfig(nx=24, ny=24)
+
+#: The memory-on-logic configuration names, in Figure 5/7/8 order.
+MEMORY_CONFIG_NAMES = ("2D 4MB", "3D 12MB", "3D 32MB", "3D 64MB")
 
 
 class TestMemoryConfigs:

@@ -4,8 +4,8 @@ Covers the workload drivers, the three DTM policies against hand-built
 observations, the engine's epoch loop on a small grid, the calibration
 shared by the policies of one run, the registered experiments
 (``table5_dynamic``, ``dtm_load_spike``, ``dtm_policy_compare``) against
-their Table 5 acceptance criteria, the analysis reports and the bench
-pair.
+their Table 5 acceptance criteria, the analysis reports and the
+cached-operator path against cold assembly.
 """
 
 from dataclasses import replace
@@ -19,7 +19,6 @@ from repro.analysis.coupled import (
     format_spike_report,
     pareto_front,
 )
-from repro.bench.suite import bench_coupled_loop
 from repro.core.experiments import REGISTRY, run_experiment
 from repro.coupled import (
     CoupledConfig,
@@ -37,6 +36,7 @@ from repro.coupled import (
 from repro.coupled.drivers import SPIKE_JITTER
 from repro.oracles.config import oracle_mode
 from repro.oracles.report import oracle_report, reset_oracles
+from repro.thermal.solver import clear_operator_cache
 from repro.uarch.dvfs import power_3d_w
 
 #: Small-grid engine config shared by the integration tests: big enough
@@ -547,11 +547,16 @@ class TestAnalysisReports:
         assert "FAIL" in format_spike_report(result)
 
 
-class TestBenchPair:
+class TestOperatorReuse:
     def test_cold_and_warm_agree(self):
-        res = bench_coupled_loop(nx=10, n_epochs=3, pairs=1)
-        assert res.name == "coupled-loop"
-        assert res.equivalent
-        assert res.reference_s > 0
-        assert res.optimized_s > 0
-
+        # Cold per-epoch assembly and the cached per-dt LU must run the
+        # identical control trajectory, each from an empty cache as a
+        # fresh process starts.
+        runs = []
+        for reuse in (False, True):
+            clear_operator_cache()
+            runs.append(run_coupled_loop(
+                ThresholdDtm(), constant_load(1.0),
+                replace(TINY, reuse_operator=reuse),
+            ).to_dict())
+        assert runs[0] == runs[1]

@@ -33,6 +33,7 @@ from repro.oracles.protocol import (
     service_response_problems,
 )
 from repro.runner.journal import scan_journal
+from repro.service import handlers
 from repro.service.middleware import Response, shed
 
 KNOWN_GOOD = "tests/data/dst_known_good.json"
@@ -233,6 +234,40 @@ class TestProtocolPredicates:
         }
         assert report_conservation_problems(report, 2) == []
         assert report_conservation_problems(report, 3)
+
+
+_HANDLE_SUBMIT = handlers.handle_submit
+_HANDLE_JOB_GET = handlers.handle_job_get
+
+
+def _unguarded_submit(app, request, now):
+    # handle_submit without the try around _parse_submission: a bad
+    # body's ValueError reaches the error guard, which sheds 503.
+    handlers._parse_submission(app, request)
+    return _HANDLE_SUBMIT(app, request, now)
+
+
+def _unknown_job_500(app, job_id, now):
+    response = _HANDLE_JOB_GET(app, job_id, now)
+    return Response(500) if response.status == 404 else response
+
+
+class TestServiceContract:
+    """The service segment fails a history whose service answers a
+    malformed submission or an unknown job outside the contract."""
+
+    @pytest.mark.parametrize("attribute, planted", [
+        ("handle_submit", _unguarded_submit),
+        ("handle_job_get", _unknown_job_500),
+    ])
+    def test_planted_service_bug_is_a_violation(
+        self, monkeypatch, attribute, planted
+    ):
+        monkeypatch.setattr(handlers, attribute, planted)
+        history = run_history(0)
+        assert any("service contract" in v for v in history.violations), (
+            history.violations
+        )
 
 
 class TestReplaySmoke:

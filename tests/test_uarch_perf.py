@@ -20,7 +20,6 @@ from repro.uarch.dvfs import (
 )
 from repro.uarch.interval import (
     cpi_breakdown,
-    evaluate_ipc,
     frequency_scaling_slope,
     geomean_ipc,
     speedup,
@@ -36,7 +35,7 @@ from repro.uarch.workloads import (
     workload_suite,
 )
 
-#: sha256 over ``repr(evaluate_ipc(w, p)) + "\n"`` for every suite
+#: sha256 over ``repr(cpi_breakdown(w, p).ipc) + "\n"`` for every suite
 #: profile (suite order) on each of :func:`_table4_pipelines`, recorded
 #: from the per-profile scalar model the columnar one replaced.
 IPC_SHA256 = "4372ae028eeb212b9eb60fb0e802b518d4a5067c5156ee4842b19661800e4722"
@@ -66,16 +65,16 @@ class TestIntervalModel:
 
     def test_ipc_in_physical_range(self, suite):
         for profile in suite[:50]:
-            ipc = evaluate_ipc(profile, planar_pipeline())
+            ipc = cpi_breakdown(profile, planar_pipeline()).ipc
             assert 0.1 < ipc < 3.6
 
     def test_shorter_pipeline_is_faster(self, suite):
         planar = planar_pipeline()
         stacked = stacked_pipeline(planar)
         for profile in suite[:25]:
-            assert evaluate_ipc(profile, stacked) > evaluate_ipc(
+            assert cpi_breakdown(profile, stacked).ipc > cpi_breakdown(
                 profile, planar
-            )
+            ).ipc
 
     def test_total_gain_near_15_percent(self, suite):
         gain = speedup(suite, planar_pipeline(), stacked_pipeline()) - 1
@@ -100,12 +99,12 @@ class TestIntervalModel:
         partial = stacked_pipeline(planar, {"fp_wire": 2})
         fp_profile = make_profile("specfp", 1)
         int_profile = make_profile("specint", 1)
-        fp_gain = evaluate_ipc(fp_profile, partial) / evaluate_ipc(
+        fp_gain = cpi_breakdown(fp_profile, partial).ipc / cpi_breakdown(
             fp_profile, planar
-        )
-        int_gain = evaluate_ipc(int_profile, partial) / evaluate_ipc(
+        ).ipc
+        int_gain = cpi_breakdown(int_profile, partial).ipc / cpi_breakdown(
             int_profile, planar
-        )
+        ).ipc
         assert fp_gain > int_gain
 
     def test_frequency_slope_near_082(self, suite):
@@ -129,7 +128,7 @@ class TestBitIdentity:
         digest = hashlib.sha256()
         for pipeline in _table4_pipelines():
             for profile in suite:
-                ipc = evaluate_ipc(profile, pipeline)
+                ipc = cpi_breakdown(profile, pipeline).ipc
                 digest.update((repr(ipc) + "\n").encode())
         assert digest.hexdigest() == IPC_SHA256
 
@@ -188,8 +187,8 @@ class TestCycleSimulator:
                 - 1
             )
             interval_gains.append(
-                evaluate_ipc(profile, stacked_cfg)
-                / evaluate_ipc(profile, planar_cfg)
+                cpi_breakdown(profile, stacked_cfg).ipc
+                / cpi_breakdown(profile, planar_cfg).ipc
                 - 1
             )
             # Both models must agree 3D wins on every workload.
