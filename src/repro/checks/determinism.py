@@ -7,7 +7,8 @@ parameter, and that no result depend on the wall clock.  This pass
 flags the ways code breaks that contract:
 
 * ``RPL101`` — an RNG constructed with no seed (``random.Random()``,
-  ``numpy.random.default_rng()``): its state comes from the OS.
+  ``numpy.random.default_rng()``, a bit generator such as
+  ``numpy.random.MT19937()``): its state comes from the OS.
 * ``RPL102`` — a call through the *module-level* generator
   (``random.random()``, ``random.seed()``, ``numpy.random.*``): global
   state that any import can perturb, invisible to the seed plumbing.
@@ -56,6 +57,13 @@ RNG_METHODS = frozenset({
     "paretovariate", "randbytes", "randint", "random", "randrange",
     "sample", "seed", "setstate", "shuffle", "triangular", "uniform",
     "vonmisesvariate", "weibullvariate",
+})
+
+#: ``numpy.random`` callables that build an RNG instance rather than
+#: draw from the global one: RPL101 when called with no seed.
+NUMPY_RNG_CONSTRUCTORS = frozenset({
+    "default_rng", "Generator", "RandomState",
+    "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
 })
 
 #: Wall-clock reads in the ``time`` module (``sleep`` excluded on purpose).
@@ -205,7 +213,7 @@ def check_file(pf: PyFile) -> List[Diagnostic]:
                 )
             )
             if is_np_random:
-                if func.attr in ("default_rng", "Generator", "RandomState"):
+                if func.attr in NUMPY_RNG_CONSTRUCTORS:
                     if not node.args and not node.keywords:
                         out.append(pf.diag(
                             node, "RPL101",
@@ -257,7 +265,7 @@ def check_file(pf: PyFile) -> List[Diagnostic]:
                 target = imports.random_funcs[func.id]
                 if target.startswith("numpy.random."):
                     tail = target.split(".")[-1]
-                    if tail in ("default_rng", "Generator", "RandomState"):
+                    if tail in NUMPY_RNG_CONSTRUCTORS:
                         if not node.args and not node.keywords:
                             out.append(pf.diag(
                                 node, "RPL101",

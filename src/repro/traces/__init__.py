@@ -8,15 +8,14 @@ pointer) plus the unique id of an earlier record it depends on; the memory
 hierarchy simulator honors those dependencies during replay.
 
 This package rebuilds that trace-generation substrate synthetically: each
-of the twelve Table 1 workloads is modeled by a kernel generator that
-walks the documented data structures of its algorithm (dense/sparse
-matrices, vectors, support-vector sets) with true inter-access dependency
-chains, and a two-thread SMP interleaver merges per-thread streams into
-the paper's trace format.
+of the twelve Table 1 workloads is modeled by a kernel that walks the
+documented data structures of its algorithm (dense/sparse matrices,
+vectors, support-vector sets) with true inter-access dependency chains,
+in blocks of numpy columns, and a two-thread SMP interleaver merges the
+per-thread streams into the paper's trace format.
 """
 
 from repro.traces.record import AccessType, TraceRecord, read_trace, write_trace
-from repro.traces.deps import DependencyTracker
 from repro.traces.generator import TraceGenerator, WorkloadSpec
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "TraceRecord",
     "read_trace",
     "write_trace",
-    "DependencyTracker",
     "TraceGenerator",
     "WorkloadSpec",
 ]

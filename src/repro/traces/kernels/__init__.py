@@ -1,12 +1,13 @@
 """Synthetic kernel generators for the twelve RMS workloads of Table 1.
 
-Each kernel is a generator function that walks the data structures of its
-algorithm and yields raw accesses; see :mod:`repro.traces.kernels.base`
-for the access tuple format and the shared data-region helpers.
+Each kernel walks the data structures of its algorithm and returns an
+endless iterator of column blocks of raw accesses; see
+:mod:`repro.traces.kernels.base` for the block format and the shared
+data-region helpers.
 """
 
 from repro.traces.kernels.base import (
-    Access,
+    Block,
     KernelParams,
     Region,
     private_base,
@@ -15,7 +16,7 @@ from repro.traces.kernels.base import (
 from repro.traces.kernels.registry import KERNELS, kernel_names, get_kernel
 
 __all__ = [
-    "Access",
+    "Block",
     "KernelParams",
     "Region",
     "private_base",

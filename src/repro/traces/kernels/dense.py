@@ -10,27 +10,37 @@
   hits: one of Figure 5's big winners.
 * ``svd`` — one-sided Jacobi singular value decomposition over a small
   matrix: repeated column-pair rotations, cache-resident.
+
+None of the three draws random numbers: their addresses are pure index
+arithmetic.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Iterator
 
+import numpy as np
+
 from repro.traces.kernels.base import (
-    Access,
+    Block,
+    Draws,
     KernelParams,
     LOAD,
+    NO_REG,
+    Pattern,
     STORE,
     SHARED_BASE,
     carve,
     private_base,
 )
 
+#: gauss's register: the row multiplier every update of the row reads.
+MULT = 0
+
 
 def dsym(
-    cpu: int, nthreads: int, params: KernelParams, rng: random.Random
-) -> Iterator[Access]:
+    cpu: int, nthreads: int, params: KernelParams, draws: Draws
+) -> Iterator[Block]:
     """Dense Matrix Multiplication ("dSYM", Table 1), cache-blocked.
 
     C = A*B with square tiles; a thread owns alternating tile-rows of C.
@@ -40,38 +50,47 @@ def dsym(
     # Micro-kernel tiles are L1-resident (32x32 doubles = 8 KB); the
     # footprint parameter sizes the *full matrices* the tiles stream from.
     tile_dim = 32
+    tile = tile_dim * tile_dim
     matrix_elems = params.elements()
-    n_tiles = max(2, int((matrix_elems // (tile_dim * tile_dim)) ** 0.5))
+    n_tiles = max(2, int((matrix_elems // tile) ** 0.5))
     base = SHARED_BASE
-    a, base = carve(base, 8, tile_dim * tile_dim * n_tiles * n_tiles)
-    b, base = carve(base, 8, tile_dim * tile_dim * n_tiles * n_tiles)
-    c, _ = carve(private_base(cpu), 8, tile_dim * tile_dim * n_tiles)
+    a, base = carve(base, 8, tile * n_tiles * n_tiles)
+    b, base = carve(base, 8, tile * n_tiles * n_tiles)
+    c, _ = carve(private_base(cpu), 8, tile * n_tiles)
 
-    def tile_addr(region, ti: int, tj: int, i: int, j: int) -> int:
-        tile_base = (ti * n_tiles + tj) * tile_dim * tile_dim
-        return region.addr(tile_base + i * tile_dim + j)
-
+    # Multiply tile A[bi,bk] by tile B[bk,bj] into C[bi,bj], one inner
+    # row i at a time: A[i, k] and B[k, (i + k) % 32] for every k, then
+    # C[i, i] loaded and stored.  The B tile is re-walked for every i —
+    # the blocked reuse (captured by the L1) that keeps dSYM's CPMA flat
+    # across stacked-cache capacities.
+    pattern = Pattern(
+        [(LOAD, 0, NO_REG, NO_REG), (LOAD, 1, NO_REG, NO_REG)] * tile_dim
+        + [(LOAD, 2, NO_REG, NO_REG), (STORE, 3, NO_REG, NO_REG)]
+    )
+    k = np.arange(tile_dim)
+    # The (bj, bk) tile pairs in loop order.
+    bj, bk = np.divmod(np.arange(n_tiles * n_tiles), n_tiles)
     while True:
-        for bi in range(n_tiles):
-            if bi % nthreads != cpu:
-                continue
-            for bj in range(n_tiles):
-                for bk in range(n_tiles):
-                    # Multiply tile A[bi,bk] by tile B[bk,bj] into C[bi,bj].
-                    # The B tile is re-walked for every i — the blocked
-                    # reuse (captured by the L1) that keeps dSYM's CPMA
-                    # flat across stacked-cache capacities.
-                    for i in range(tile_dim):
-                        for k in range(tile_dim):
-                            yield (LOAD, tile_addr(a, bi, bk, i, k), 0, None, None)
-                            yield (LOAD, tile_addr(b, bk, bj, k, (i + k) % tile_dim), 1, None, None)
-                        yield (LOAD, tile_addr(c, 0, bj, i, i), 2, None, None)
-                        yield (STORE, tile_addr(c, 0, bj, i, i), 3, None, None)
+        for bi in range(cpu, n_tiles, nthreads):
+            for step in pattern.chunks(0, n_tiles * n_tiles * tile_dim):
+                pair, i = np.divmod(step, tile_dim)
+                a_tile = (bi * n_tiles + bk[pair]) * tile
+                b_tile = (bk[pair] * n_tiles + bj[pair]) * tile
+                i = i[:, None]
+                address = np.empty((len(step), pattern.width), dtype=np.int64)
+                address[:, 0:-2:2] = a.addr(a_tile[:, None] + i * tile_dim + k)
+                address[:, 1:-2:2] = b.addr(
+                    b_tile[:, None] + k * tile_dim + (i + k) % tile_dim
+                )
+                address[:, -2] = address[:, -1] = c.addr(
+                    bj[pair] * tile + i[:, 0] * (tile_dim + 1)
+                )
+                yield pattern.block(address)
 
 
 def gauss(
-    cpu: int, nthreads: int, params: KernelParams, rng: random.Random
-) -> Iterator[Access]:
+    cpu: int, nthreads: int, params: KernelParams, draws: Draws
+) -> Iterator[Block]:
     """Linear Equation Solver using Gauss-Jordan Elimination ("gauss").
 
     Pivot step k: the pivot row is loaded (and stays hot), then every
@@ -83,30 +102,34 @@ def gauss(
     n_elems = params.elements()
     dim = max(8, int(n_elems ** 0.5))
     mat, _ = carve(SHARED_BASE, 8, dim * dim)
-
-    def elem(r: int, col: int) -> int:
-        return mat.addr(r * dim + col)
+    columns = np.arange(dim)
+    pivot_load = Pattern([(LOAD, 0, NO_REG, NO_REG)] * dim)
+    update = Pattern(
+        [(LOAD, 1, NO_REG, MULT)]
+        + [(LOAD, 2, NO_REG, NO_REG), (LOAD, 3, NO_REG, NO_REG),
+           (STORE, 4, MULT, NO_REG)] * dim
+    )
 
     k = 0
     while True:
         pivot = k % dim
         # Load the pivot row once (it stays cached during the step).
-        for j in range(dim):
-            yield (LOAD, elem(pivot, j), 0, None, None)
-        for row in range(dim):
-            if row == pivot or row % nthreads != cpu:
-                continue
-            yield (LOAD, elem(row, pivot), 1, None, "mult")
-            for j in range(dim):
-                yield (LOAD, elem(row, j), 2, None, None)
-                yield (LOAD, elem(pivot, j), 3, None, None)
-                yield (STORE, elem(row, j), 4, "mult", None)
+        pivot_row = mat.addr(pivot * dim + columns)
+        yield pivot_load.block(pivot_row[None, :])
+        for row in update.chunks(cpu, dim, nthreads):
+            row = row[row != pivot]
+            row_elems = mat.addr(row[:, None] * dim + columns)
+            address = np.empty((len(row), update.width), dtype=np.int64)
+            address[:, 0] = mat.addr(row * dim + pivot)
+            address[:, 1::3] = address[:, 3::3] = row_elems
+            address[:, 2::3] = pivot_row
+            yield update.block(address)
         k += 1
 
 
 def svd(
-    cpu: int, nthreads: int, params: KernelParams, rng: random.Random
-) -> Iterator[Access]:
+    cpu: int, nthreads: int, params: KernelParams, draws: Draws
+) -> Iterator[Block]:
     """Singular Value Decomposition with the Jacobi method ("Svd").
 
     One-sided Jacobi: sweep over column pairs (i, j); each rotation
@@ -115,25 +138,25 @@ def svd(
     """
     n_elems = params.elements()
     dim = max(8, int(n_elems ** 0.5))
+    # Column-major storage: one-sided Jacobi walks whole columns, so the
+    # matrix is laid out to make those walks sequential.
     mat, _ = carve(SHARED_BASE, 8, dim * dim)
-
-    def col_elem(col: int, r: int) -> int:
-        # Column-major storage: one-sided Jacobi walks whole columns, so
-        # the matrix is laid out to make those walks sequential.
-        return mat.addr(col * dim + r)
-
+    r = np.arange(dim)
+    # Per pair: the dot products a_i . a_j, a_i . a_i, a_j . a_j, then
+    # the rotation applied to both columns.
+    pattern = Pattern(
+        [(LOAD, 0, NO_REG, NO_REG), (LOAD, 1, NO_REG, NO_REG)] * dim
+        + [(LOAD, 2, NO_REG, NO_REG), (LOAD, 3, NO_REG, NO_REG),
+           (STORE, 4, NO_REG, NO_REG), (STORE, 5, NO_REG, NO_REG)] * dim
+    )
     while True:
-        for i in range(dim - 1):
-            if i % nthreads != cpu:
-                continue
-            for j in range(i + 1, dim):
-                # Dot products a_i . a_j, a_i . a_i, a_j . a_j.
-                for r in range(dim):
-                    yield (LOAD, col_elem(i, r), 0, None, None)
-                    yield (LOAD, col_elem(j, r), 1, None, None)
-                # Apply the rotation to both columns.
-                for r in range(dim):
-                    yield (LOAD, col_elem(i, r), 2, None, None)
-                    yield (LOAD, col_elem(j, r), 3, None, None)
-                    yield (STORE, col_elem(i, r), 4, None, None)
-                    yield (STORE, col_elem(j, r), 5, None, None)
+        for i in range(cpu, dim - 1, nthreads):
+            col_i = mat.addr(i * dim + r)
+            for j in pattern.chunks(i + 1, dim):
+                col_j = mat.addr(j[:, None] * dim + r)
+                address = np.empty((len(j), pattern.width), dtype=np.int64)
+                dot = address[:, :2 * dim]
+                rotate = address[:, 2 * dim:]
+                dot[:, 0::2] = rotate[:, 0::4] = rotate[:, 2::4] = col_i
+                dot[:, 1::2] = rotate[:, 1::4] = rotate[:, 3::4] = col_j
+                yield pattern.block(address)

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List
 
 from repro.traces.kernels import dense, rigidity, sparse, svm as svm_mod
-from repro.traces.kernels.base import Access, KernelParams
+from repro.traces.kernels.base import Block, KernelParams
 
 MB = 1 << 20
 
-KernelFn = Callable[..., Iterator[Access]]
+KernelFn = Callable[..., Iterator[Block]]
 
 
 @dataclass(frozen=True)
 class KernelEntry:
-    """A registered kernel: its generator and default sizing."""
+    """A registered kernel: its block function and default sizing."""
 
     name: str
     fn: KernelFn

@@ -14,13 +14,17 @@ dropping by more than half at 32 MB.
 
 from __future__ import annotations
 
-import random
 from typing import Iterator
 
+import numpy as np
+
 from repro.traces.kernels.base import (
-    Access,
+    Block,
+    Draws,
     KernelParams,
     LOAD,
+    NO_REG,
+    Pattern,
     STORE,
     SHARED_BASE,
     carve,
@@ -32,8 +36,8 @@ FEATURE_DIM = 64
 
 
 def svm(
-    cpu: int, nthreads: int, params: KernelParams, rng: random.Random
-) -> Iterator[Access]:
+    cpu: int, nthreads: int, params: KernelParams, draws: Draws
+) -> Iterator[Block]:
     """Pattern Recognition Algorithm for Face Recognition ("Svm").
 
     Support vectors are shared between threads; each thread classifies its
@@ -49,17 +53,28 @@ def svm(
     test_vec, pbase = carve(pbase, 8, FEATURE_DIM)
     accum, pbase = carve(pbase, 8, max(16, n_support // 8))
 
+    refresh = Pattern([(LOAD, 0, NO_REG, NO_REG)] * FEATURE_DIM)
+    # One support vector: the dot-product loop, two elements per
+    # iteration, then a store into the accumulator every eighth vector.
+    scan = Pattern(
+        [(LOAD, 1, NO_REG, NO_REG), (LOAD, 2, NO_REG, NO_REG)]
+        * (FEATURE_DIM // 2)
+        + [(STORE, 3, NO_REG, NO_REG)]
+    )
+    dims = np.arange(FEATURE_DIM)
+    pairs = dims[::2]
+
     # Threads interleave support-vector chunks so both cpus walk the whole
     # shared set each image.
     while True:
         # One test image: refresh the (hot) test vector...
-        for d in range(FEATURE_DIM):
-            yield (LOAD, test_vec.addr(d), 0, None, None)
+        yield refresh.block(test_vec.addr(dims)[None, :])
         # ...then scan every support vector.
-        for s in range(n_support):
-            for d in range(0, FEATURE_DIM, 2):
-                # The dot-product loop, two elements per iteration.
-                yield (LOAD, support.addr(s * FEATURE_DIM + d), 1, None, None)
-                yield (LOAD, test_vec.addr(d), 2, None, None)
-            if s % 8 == 0:
-                yield (STORE, accum.addr(s // 8), 3, None, None)
+        for s in scan.chunks(0, n_support):
+            address = np.empty((len(s), scan.width), dtype=np.int64)
+            address[:, 0:-1:2] = support.addr(s[:, None] * FEATURE_DIM + pairs)
+            address[:, 1:-1:2] = test_vec.addr(pairs)
+            address[:, -1] = accum.addr(s // 8)
+            keep = np.ones(address.shape, dtype=bool)
+            keep[:, -1] = s % 8 == 0
+            yield scan.block(address, keep)

@@ -30,7 +30,7 @@ The adders are computed once per suite, columnwise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Union
 
 import numpy as np
@@ -74,23 +74,23 @@ COEFFS: Dict[str, float] = {
 
 @dataclass(frozen=True)
 class CpiBreakdown:
-    """CPI adders (cycles/instruction): floats for one workload, or
-    arrays with one entry per suite trace (:func:`cpi_columns`)."""
+    """CPI adders (cycles/instruction), one array entry per suite trace
+    (:func:`cpi_columns`)."""
 
-    base: float
-    branch: float
-    front_end: float
-    alloc: float
-    load_use: float
-    fp: float
-    fp_load: float
-    replay: float
-    recovery: float
-    memory: float
-    store: float
+    base: np.ndarray
+    branch: np.ndarray
+    front_end: np.ndarray
+    alloc: np.ndarray
+    load_use: np.ndarray
+    fp: np.ndarray
+    fp_load: np.ndarray
+    replay: np.ndarray
+    recovery: np.ndarray
+    memory: np.ndarray
+    store: np.ndarray
 
     @property
-    def total_cpi(self) -> float:
+    def total_cpi(self) -> np.ndarray:
         return (
             self.base + self.branch + self.front_end + self.alloc
             + self.load_use + self.fp + self.fp_load + self.replay
@@ -98,7 +98,7 @@ class CpiBreakdown:
         )
 
     @property
-    def ipc(self) -> float:
+    def ipc(self) -> np.ndarray:
         return 1.0 / self.total_cpi
 
 
@@ -191,18 +191,6 @@ def cpi_columns(
         ),
         memory=memory,
         store=cpi_store,
-    )
-
-
-def cpi_breakdown(
-    workload: WorkloadProfile,
-    pipeline: PipelineConfig,
-    coeffs: Dict[str, float] = COEFFS,
-) -> CpiBreakdown:
-    """Compute the CPI adders of *workload* on *pipeline*."""
-    row = cpi_columns(SuiteColumns.of([workload]), pipeline, coeffs)
-    return CpiBreakdown(
-        **{f.name: float(getattr(row, f.name)[0]) for f in fields(row)}
     )
 
 

@@ -64,6 +64,26 @@ class TestUnseededConstruction:
         """))
         assert diags == []
 
+    def test_numpy_bit_generator_unseeded(self):
+        diags = determinism.check_file(make_file("""
+            import numpy as np
+            from numpy.random import PCG64
+            a = np.random.MT19937()
+            b = PCG64()
+        """))
+        assert codes(diags) == ["RPL101", "RPL101"]
+
+    def test_numpy_bit_generator_seeded_is_clean(self):
+        diags = determinism.check_file(make_file("""
+            import numpy as np
+            from numpy.random import MT19937, Philox
+            a = np.random.MT19937(0)
+            b = MT19937(seed=3)
+            c = Philox(7)
+            d = np.random.Generator(np.random.SFC64(1))
+        """))
+        assert diags == []
+
 
 class TestGlobalGeneratorCalls:
     def test_module_level_random_calls(self):

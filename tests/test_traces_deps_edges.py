@@ -1,6 +1,7 @@
 """Dependency-chain edge cases: the replayer completes or raises — never hangs.
 
-Satellite coverage for ``traces/deps.py`` and the replay dependency rule:
+Coverage for the reference ``DependencyTracker`` and the replay
+dependency rule:
 self-dependencies, forward dependencies, long same-cpu chains, and
 cross-cpu chains.
 """
@@ -10,10 +11,10 @@ import pytest
 from repro.memsim import baseline_config
 from repro.memsim.replay import replay_trace
 from repro.resilience.errors import TraceCorruptionError
-from repro.traces.deps import DependencyTracker
 from repro.traces.record import AccessType, NO_DEP, TraceRecord, validate_trace
 
 from tests.trace_faults import make_raw_record
+from tests.trace_reference import DependencyTracker
 
 
 def load(uid, cpu=0, address=None, dep=NO_DEP):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traces.deps import DependencyTracker
 from repro.traces.record import (
     AccessType,
     NO_DEP,
@@ -13,6 +12,7 @@ from repro.traces.record import (
     validate_trace,
     write_trace,
 )
+from tests.trace_reference import DependencyTracker
 
 
 def record(uid=0, cpu=0, kind=AccessType.LOAD, address=0x1000, ip=0x400000,

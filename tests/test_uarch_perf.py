@@ -19,7 +19,7 @@ from repro.uarch.dvfs import (
     table5_points,
 )
 from repro.uarch.interval import (
-    cpi_breakdown,
+    cpi_columns,
     frequency_scaling_slope,
     geomean_ipc,
     speedup,
@@ -35,7 +35,7 @@ from repro.uarch.workloads import (
     workload_suite,
 )
 
-#: sha256 over ``repr(cpi_breakdown(w, p).ipc) + "\n"`` for every suite
+#: sha256 over ``repr(_ipc(w, p)) + "\n"`` for every suite
 #: profile (suite order) on each of :func:`_table4_pipelines`, recorded
 #: from the per-profile scalar model the columnar one replaced.
 IPC_SHA256 = "4372ae028eeb212b9eb60fb0e802b518d4a5067c5156ee4842b19661800e4722"
@@ -49,6 +49,15 @@ def _table4_pipelines():
     ]
 
 
+def _cpi_row(profile, pipeline):
+    """The CPI adders of one profile: ``cpi_columns`` on a one-row suite."""
+    return cpi_columns(SuiteColumns.of([profile]), pipeline)
+
+
+def _ipc(profile, pipeline):
+    return float(_cpi_row(profile, pipeline).ipc[0])
+
+
 @pytest.fixture(scope="module")
 def suite():
     return workload_suite()
@@ -57,24 +66,22 @@ def suite():
 class TestIntervalModel:
     def test_cpi_components_positive(self):
         profile = make_profile("specint", 0)
-        breakdown = cpi_breakdown(profile, planar_pipeline())
-        assert breakdown.base > 0
-        assert breakdown.branch > 0
-        assert breakdown.total_cpi > breakdown.base
-        assert breakdown.ipc == pytest.approx(1 / breakdown.total_cpi)
+        row = _cpi_row(profile, planar_pipeline())
+        assert row.base[0] > 0
+        assert row.branch[0] > 0
+        assert row.total_cpi[0] > row.base[0]
+        assert row.ipc[0] == pytest.approx(1 / row.total_cpi[0])
 
     def test_ipc_in_physical_range(self, suite):
         for profile in suite[:50]:
-            ipc = cpi_breakdown(profile, planar_pipeline()).ipc
+            ipc = _ipc(profile, planar_pipeline())
             assert 0.1 < ipc < 3.6
 
     def test_shorter_pipeline_is_faster(self, suite):
         planar = planar_pipeline()
         stacked = stacked_pipeline(planar)
         for profile in suite[:25]:
-            assert cpi_breakdown(profile, stacked).ipc > cpi_breakdown(
-                profile, planar
-            ).ipc
+            assert _ipc(profile, stacked) > _ipc(profile, planar)
 
     def test_total_gain_near_15_percent(self, suite):
         gain = speedup(suite, planar_pipeline(), stacked_pipeline()) - 1
@@ -99,12 +106,8 @@ class TestIntervalModel:
         partial = stacked_pipeline(planar, {"fp_wire": 2})
         fp_profile = make_profile("specfp", 1)
         int_profile = make_profile("specint", 1)
-        fp_gain = cpi_breakdown(fp_profile, partial).ipc / cpi_breakdown(
-            fp_profile, planar
-        ).ipc
-        int_gain = cpi_breakdown(int_profile, partial).ipc / cpi_breakdown(
-            int_profile, planar
-        ).ipc
+        fp_gain = _ipc(fp_profile, partial) / _ipc(fp_profile, planar)
+        int_gain = _ipc(int_profile, partial) / _ipc(int_profile, planar)
         assert fp_gain > int_gain
 
     def test_frequency_slope_near_082(self, suite):
@@ -128,7 +131,7 @@ class TestBitIdentity:
         digest = hashlib.sha256()
         for pipeline in _table4_pipelines():
             for profile in suite:
-                ipc = cpi_breakdown(profile, pipeline).ipc
+                ipc = _ipc(profile, pipeline)
                 digest.update((repr(ipc) + "\n").encode())
         assert digest.hexdigest() == IPC_SHA256
 
@@ -187,8 +190,8 @@ class TestCycleSimulator:
                 - 1
             )
             interval_gains.append(
-                cpi_breakdown(profile, stacked_cfg).ipc
-                / cpi_breakdown(profile, planar_cfg).ipc
+                _ipc(profile, stacked_cfg)
+                / _ipc(profile, planar_cfg)
                 - 1
             )
             # Both models must agree 3D wins on every workload.
