@@ -8,7 +8,8 @@ run explicitly with::
 Each case builds one reference/optimized pair, checks the two give
 equivalent results, then times them over interleaved pairs (the
 ``time_pairs`` and ``time_each_pair`` fixtures in ``conftest.py``) and
-gates the speedup:
+gates the speedup (``replay/*`` on the median of the per-pair ratios,
+the rest on the ratio of the two medians):
 
 * ``trace-gen/svd`` — the per-record reference generator
   (``tests/trace_reference.py``) vs the block-built
@@ -37,7 +38,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import replace
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 import pytest
@@ -126,8 +127,12 @@ def oracles_off():
         yield
 
 
-def _gate(name: str, reference_s: float, optimized_s: float) -> None:
-    speedup = reference_s / optimized_s
+def _gate(name: str, reference_s: float, optimized_s: float,
+          speedup: Optional[float] = None) -> None:
+    """Fail when *speedup* (by default ``reference_s / optimized_s``)
+    is below :data:`RATIO_FLOOR` of the recorded one."""
+    if speedup is None:
+        speedup = reference_s / optimized_s
     floor = RATIO_FLOOR * RECORDED_SPEEDUP[name]
     print(f"{name}: ref {1e3 * reference_s:.1f} ms, "
           f"opt {1e3 * optimized_s:.1f} ms, {speedup:.2f}x "
@@ -198,11 +203,23 @@ def _replay_pair(kernel: str, n_records: int, warmup_fraction: float):
 @pytest.mark.parametrize(
     "kernel, warmup_fraction", [("svd", 0.5), ("gauss", 0.35)]
 )
-def test_replay(time_pairs, kernel, warmup_fraction):
+def test_replay(time_each_pair, kernel, warmup_fraction):
     reference, optimized = _replay_pair(kernel, N_RECORDS, warmup_fraction)
     assert _stats_signature(reference()) == _stats_signature(optimized())
-    reference_s, optimized_s = time_pairs(reference, optimized, PAIRS)
-    _gate(f"replay/{kernel}", reference_s, optimized_s)
+    reference_times, optimized_times = time_each_pair(
+        reference, optimized, PAIRS
+    )
+    # Gated on the median of the per-pair speedups: the two sides of a
+    # pair share the host's speed, while the ratio of the two medians
+    # read 2.14x against svd's 2.17x floor in 2 of 10 unchanged runs.
+    _gate(
+        f"replay/{kernel}",
+        statistics.median(reference_times),
+        statistics.median(optimized_times),
+        statistics.median(
+            ref / opt for ref, opt in zip(reference_times, optimized_times)
+        ),
+    )
 
 
 @pytest.mark.usefixtures("oracles_off")

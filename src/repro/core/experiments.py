@@ -150,7 +150,11 @@ def _run_figure3(**kwargs: Any) -> Dict[str, Any]:
 
 
 def _run_figure5(**kwargs: Any) -> Dict[str, Any]:
-    """Figure 5: CPMA and off-die bandwidth, 12 RMS workloads x 4 caches."""
+    """Figure 5: CPMA and off-die bandwidth, 12 RMS workloads x 4 caches.
+
+    ``cells_derived_64mb`` counts the workloads whose 64 MB cell is a
+    copy of their 32 MB cell (see ``run_performance_study``).
+    """
     from repro.core.memory_on_logic import run_performance_study
 
     result = run_performance_study(
@@ -165,6 +169,7 @@ def _run_figure5(**kwargs: Any) -> Dict[str, Any]:
         "avg_cpma_reduction_32mb": result.cpma_reduction("3D 32MB"),
         "max_cpma_reduction_32mb": result.max_cpma_reduction("3D 32MB"),
         "bus_power_reduction_32mb": result.bus_power_reduction("3D 32MB"),
+        "cells_derived_64mb": len(result.derived_64mb),
     }
 
 

@@ -14,11 +14,12 @@ bus power, Figure 5) and in the thermal model (Figure 8).
 
 from __future__ import annotations
 
+import copy
 import os
 import shutil
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -30,7 +31,7 @@ from repro.memsim.config import (
     stacked_dram_config,
     stacked_sram_config,
 )
-from repro.memsim.replay import ReplayStats, replay_trace
+from repro.memsim.replay import ReplayStats, TraceReplayer
 from repro.oracles.config import (
     OracleConfig,
     get_oracle_config,
@@ -147,6 +148,9 @@ class MemoryOnLogicResult:
         bus_power: Same shape, bus power W.
         peak_temps: ``peak_temps[config_name]`` peak die temperature, C.
         replay: Full :class:`ReplayStats` per (workload, config).
+        derived_64mb: Workloads, in ``cpma`` order, whose 64 MB stats
+            are a copy of their 32 MB stats, because the 32 MB DRAM
+            cache evicted no page (see :func:`run_performance_study`).
     """
 
     cpma: Dict[str, Dict[str, float]]
@@ -154,6 +158,7 @@ class MemoryOnLogicResult:
     bus_power: Dict[str, Dict[str, float]]
     peak_temps: Dict[str, float]
     replay: Dict[str, Dict[str, ReplayStats]]
+    derived_64mb: List[str] = field(default_factory=list)
 
     def average_cpma(self, config_name: str) -> float:
         """Mean CPMA over the workloads (the figure's "Avg" group)."""
@@ -211,13 +216,26 @@ def _replay_cell(
     hierarchy: HierarchyConfig,
     warmup: float,
     oracles: OracleConfig,
-) -> Tuple[ReplayStats, OracleReport]:
-    """One (workload, config) cell, run in a replay worker process."""
+) -> Tuple[ReplayStats, OracleReport, int]:
+    """One (workload, config) cell, run in a replay worker process.
+
+    Returns the stats, the worker's scoreboard, and how many pages the
+    stacked DRAM cache evicted over the whole run, warmup included (0
+    without one).
+    """
     set_oracle_mode(oracles)
     reset_oracles()
     records = np.load(trace_path, mmap_mode="r")
-    stats = replay_trace(records, hierarchy, warmup_fraction=warmup)
-    return stats, oracle_report()
+    replayer = TraceReplayer(
+        hierarchy, warmup_until=int(len(records) * warmup)
+    )
+    replayer.feed_array(records)
+    stats = replayer.stats()
+    # Read from the replayer, not from a hierarchy built here: a
+    # differential fallback adopts the reference clone's hierarchy.
+    dram = replayer.hierarchy.stacked_dram
+    evicted = dram.lifetime_page_evictions if dram is not None else 0
+    return stats, oracle_report(), evicted
 
 
 def _merge_oracle_report(report: OracleReport) -> None:
@@ -226,6 +244,12 @@ def _merge_oracle_report(report: OracleReport) -> None:
         record_check(oracle, n)
     for v in report.violations:
         record_violation(v.oracle, v.engine, v.detail, v.action)
+
+
+#: The stacked-DRAM pair of Figure 7: the second has the same hierarchy
+#: with twice the DRAM-cache sets, so it gives the first's results
+#: whenever the first evicts no page (see DESIGN.md).
+_DRAM_32MB, _DRAM_64MB = "3D 32MB", "3D 64MB"
 
 
 def run_performance_study(
@@ -238,12 +262,22 @@ def run_performance_study(
 
     One pool of forked replay workers serves the whole study.  Traces
     are generated here, longest first, each saved once to a ``.npy``
-    file in a study temp dir that its four cells map read-only; the
-    next trace is generated while earlier cells replay, as long as
-    fewer than two cells per worker are pending, and a trace's file is
-    deleted once its cells are done.  Results and oracle scoreboards
-    are taken in ``workloads`` x configuration order, whatever order
-    the cells ran in.
+    file in a study temp dir that its cells map read-only; the next
+    trace is generated while earlier cells replay, as long as fewer
+    than two cells per worker are pending, and a trace's file is
+    deleted once its cells are done.
+
+    A trace's 32 MB cell is submitted first, then its 4 MB and 12 MB
+    cells.  When the 32 MB cell is done, the 64 MB cell is submitted
+    only if the 32 MB DRAM cache evicted a page (warmup included) or
+    the cell is ``degraded``.  Otherwise the 64 MB cache, with the same
+    ways and twice the sets, would evict nothing either and give the
+    same stats, so they are a copy of the 32 MB stats and the kernel is
+    listed in :attr:`MemoryOnLogicResult.derived_64mb` (the exactness
+    argument is in DESIGN.md, "Capacity dominance").  Results,
+    oracle scoreboards and the CPMA band check are taken in
+    ``workloads`` x configuration order, whatever order the cells ran
+    in; a derived cell has no scoreboard to merge but is band-checked.
 
     Args:
         workloads: Subset of RMS kernels (default: all twelve).
@@ -265,22 +299,45 @@ def run_performance_study(
 
     workloads = workloads or kernel_names()
     configs = build_memory_configs(scale)
+    by_name = {config.name: config for config in configs}
+    first = [by_name[_DRAM_32MB]] + [
+        config for config in configs
+        if config.name not in (_DRAM_32MB, _DRAM_64MB)
+    ]
     oracles = get_oracle_config()
     n_workers = min(
         len(os.sched_getaffinity(0)), len(workloads) * len(configs)
     )
     cells: Dict[Tuple[str, str], Future] = {}
-    trace_of: Dict[Future, str] = {}
+    cell_of: Dict[Future, Tuple[str, str, str]] = {}
     cells_left: Dict[str, int] = {}
+    derived: Set[str] = set()
     pending: Set[Future] = set()
 
+    def submit(name: str, config: MemoryOnLogicConfig, path: str) -> None:
+        warmup = TRACE_PLAN[name][1]
+        future = pool.submit(
+            _replay_cell, path, config.hierarchy, warmup, oracles
+        )
+        cells[name, config.name] = future
+        cell_of[future] = (name, config.name, path)
+        cells_left[path] += 1
+        pending.add(future)
+
     def settle() -> None:
-        """Wait for a cell; delete traces whose cells are all done."""
+        """Wait for a cell; submit the 64 MB cells the done 32 MB cells
+        cannot stand in for; delete traces whose cells are all done."""
         done = wait(pending, return_when=FIRST_COMPLETED).done
         pending.difference_update(done)
         for future in done:
-            future.result()  # a failed cell fails the study here
-            path = trace_of.pop(future)
+            # A failed cell fails the study here.
+            stats, _, evicted = future.result()
+            name, config_name, path = cell_of.pop(future)
+            if config_name == _DRAM_32MB:
+                if evicted or stats.degraded:
+                    submit(name, by_name[_DRAM_64MB], path)
+                else:
+                    derived.add(name)
             cells_left[path] -= 1
             if not cells_left[path]:
                 os.remove(path)
@@ -297,19 +354,14 @@ def run_performance_study(
             for index, name in enumerate(longest_first):
                 while len(pending) >= 2 * n_workers:
                     settle()
-                n_records, warmup = TRACE_PLAN[name]
+                n_records = TRACE_PLAN[name][0]
                 n_records = max(10_000, int(n_records * length_factor))
                 spec = WorkloadSpec(name=name, n_records=n_records, seed=seed)
                 path = os.path.join(study_dir, f"{index}-{name}.npy")
                 np.save(path, TraceGenerator(spec, scale=scale).arrays())
-                cells_left[path] = len(configs)
-                for config in configs:
-                    future = pool.submit(
-                        _replay_cell, path, config.hierarchy, warmup, oracles
-                    )
-                    cells[name, config.name] = future
-                    trace_of[future] = path
-                    pending.add(future)
+                cells_left[path] = 0
+                for config in first:
+                    submit(name, config, path)
             while pending:
                 settle()
         finally:
@@ -325,8 +377,11 @@ def run_performance_study(
         bus_power[name] = {}
         replay[name] = {}
         for config in configs:
-            stats, report = cells[name, config.name].result()
-            _merge_oracle_report(report)
+            if config.name == _DRAM_64MB and name in derived:
+                stats = copy.deepcopy(replay[name][_DRAM_32MB])
+            else:
+                stats, report, _ = cells[name, config.name].result()
+                _merge_oracle_report(report)
             cpma[name][config.name] = stats.cpma
             bandwidth[name][config.name] = stats.bandwidth_gbps
             bus_power[name][config.name] = stats.bus_power_w
@@ -348,6 +403,7 @@ def run_performance_study(
         bus_power=bus_power,
         peak_temps={},
         replay=replay,
+        derived_64mb=[name for name in workloads if name in derived],
     )
 
 

@@ -62,6 +62,9 @@ class DramCache:
         self.sector_misses = 0
         self.page_misses = 0
         self.page_evictions = 0
+        # Every eviction since construction: reset_stats() leaves it, so
+        # it tells whether the cache ever evicted, warmup included.
+        self.lifetime_page_evictions = 0
         self.dirty_sector_writebacks = 0
 
     # -- geometry ----------------------------------------------------------
@@ -117,6 +120,7 @@ class DramCache:
             victim_dirty = dirty_map.pop(victim_page, 0)
             count = bin(victim_dirty).count("1")
             self.page_evictions += 1
+            self.lifetime_page_evictions += 1
             self.dirty_sector_writebacks += count
             victim = (victim_page, count)
         bit = 1 << self.sector_of(address)
@@ -167,7 +171,10 @@ class DramCache:
         return sum(len(entries) for entries in self._sets)
 
     def reset_stats(self) -> None:
-        """Zero counters without disturbing contents (for warmup)."""
+        """Zero counters without disturbing contents (for warmup).
+
+        ``lifetime_page_evictions`` is not a statistic and is kept.
+        """
         self.sector_hits = self.sector_misses = self.page_misses = 0
         self.page_evictions = self.dirty_sector_writebacks = 0
         self.banks.reset_stats()

@@ -609,6 +609,7 @@ class TraceReplayer:
             "sector_misses": dc.sector_misses,
             "page_misses": dc.page_misses,
             "page_evictions": dc.page_evictions,
+            "lifetime_page_evictions": dc.lifetime_page_evictions,
             "dirty_sector_writebacks": dc.dirty_sector_writebacks,
             "sets": [list(entries.items()) for entries in dc._sets],
             "dirty": [list(entries.items()) for entries in dc._dirty],

@@ -169,8 +169,9 @@ class _Thread:
                 try:
                     self._block = next(self._blocks)
                 except StopIteration:
-                    # Kernels loop forever; one that ends would shorten
-                    # the trace under its warmup split.
+                    # Kernels loop forever unless the cpu owns no work;
+                    # one that ends would shorten the trace under its
+                    # warmup split.
                     raise RuntimeError(
                         f"kernel {self._name!r} cpu {self.cpu} ended after "
                         f"{self._taken} records"

@@ -27,6 +27,9 @@ the fixed other four columns of one iteration.
 Kernels are infinite (they iterate their algorithm's outer loop forever);
 the SMP interleaver truncates the merged stream at the requested record
 count, mirroring the paper's fixed-length (1-billion-reference) traces.
+The one exception is a cpu that owns no share of the work (more threads
+than the kernel has rows to split): its iterator ends at once, and the
+generator reports the kernel as ended, rather than looping over nothing.
 """
 
 from __future__ import annotations

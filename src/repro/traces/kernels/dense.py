@@ -70,7 +70,7 @@ def dsym(
     k = np.arange(tile_dim)
     # The (bj, bk) tile pairs in loop order.
     bj, bk = np.divmod(np.arange(n_tiles * n_tiles), n_tiles)
-    while True:
+    while cpu < n_tiles:  # a cpu that owns no tile-row ends at once
         for bi in range(cpu, n_tiles, nthreads):
             for step in pattern.chunks(0, n_tiles * n_tiles * tile_dim):
                 pair, i = np.divmod(step, tile_dim)
@@ -149,7 +149,7 @@ def svd(
         + [(LOAD, 2, NO_REG, NO_REG), (LOAD, 3, NO_REG, NO_REG),
            (STORE, 4, NO_REG, NO_REG), (STORE, 5, NO_REG, NO_REG)] * dim
     )
-    while True:
+    while cpu < dim - 1:  # a cpu that owns no column ends at once
         for i in range(cpu, dim - 1, nthreads):
             col_i = mat.addr(i * dim + r)
             for j in pattern.chunks(i + 1, dim):

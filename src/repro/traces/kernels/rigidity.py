@@ -65,7 +65,7 @@ def _rigidity(
         + [(LOAD, 2, NO_REG, NO_REG)] * 4
         + [(LOAD, 3, NODE_ID, NO_REG), (STORE, 4, NODE_ID, NO_REG)]
     )
-    while True:
+    while cpu < n_elements:  # a cpu that owns no element ends at once
         for element in pattern.chunks(cpu, n_elements, nthreads):
             count = len(element)
             # One draw per node gather, then one for the scatter.

@@ -84,6 +84,12 @@ def _thread_rows(pattern: Pattern, rows: int, nthreads: int, cpu: int,
         yield row[row < rows]
 
 
+def _owns_rows(rows: int, cpu: int) -> bool:
+    """Whether :func:`_thread_rows` gives *cpu* any row: a kernel whose
+    cpu owns none ends at once rather than loop over nothing."""
+    return cpu * ROW_CHUNK < rows
+
+
 def _banded(row: np.ndarray, draws: Draws, band: int, per_row: int,
             rows: int) -> np.ndarray:
     """``per_row`` row indices drawn within +-band of each row, clipped
@@ -169,12 +175,12 @@ def conj(
     y, pbase = carve(pbase, 8, rows)
     r, pbase = carve(pbase, 8, rows)
     p, pbase = carve(pbase, 8, rows)
-    while True:
+    n = rows // nthreads
+    while _owns_rows(rows, cpu) or n:
         # Solids matrices are assembled FEM systems: banded, so the
         # x-vector gathers stay near the diagonal (strong locality).
         yield from _spmv_rows(cpu, nthreads, draws, vals, cols, rowp, p, y,
                               rows, band=64)
-        n = rows // nthreads
         yield from _vector_axpy(y, r, n, 8)
         yield from _vector_axpy(r, p, n, 12)
 
@@ -204,7 +210,7 @@ def pcg(
         + [(LOAD, 9, ROWP, COL), (LOAD, 10, COL, ZVAL)] * half
         + [(STORE, 11, ZVAL, NO_REG)]
     )
-    while True:
+    while _owns_rows(rows, cpu):
         # SpMV with the full matrix.
         yield from _spmv_rows(cpu, nthreads, draws, vals, cols, rowp, x, y,
                               rows)
@@ -233,7 +239,7 @@ def smvm(
     # Shared source vector (both threads gather from it).
     x, _ = carve(SHARED_BASE + 0x4000_0000, 8, rows)
     y, pbase = carve(pbase, 8, rows)
-    while True:
+    while _owns_rows(rows, cpu):
         # Real unstructured matrices still have strong column clustering
         # after bandwidth-reducing reordering; the gather window is far
         # larger than the L1 but page-local.
@@ -263,7 +269,7 @@ def ssym(
            (STORE, 5, COL, NO_REG)] * half
         + [(STORE, 6, NO_REG, NO_REG)]
     )
-    while True:
+    while _owns_rows(rows, cpu):
         for row in _thread_rows(pattern, rows, nthreads, cpu):
             # The stored triangle of an assembled symmetric system is
             # banded: gathers and the symmetric scatter stay near the
@@ -298,7 +304,7 @@ def strans(
         + [(LOAD, 2, ROWP, COL), (LOAD, 3, ROWP, NO_REG),
            (LOAD, 4, COL, YVAL), (STORE, 5, YVAL, NO_REG)] * NNZ_PER_ROW
     )
-    while True:
+    while _owns_rows(rows, cpu):
         for row in _thread_rows(pattern, rows, nthreads, cpu):
             # A transposed banded matrix scatters near the diagonal; the
             # window is far larger than the L1 but page-local in the DRAM

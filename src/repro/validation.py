@@ -153,9 +153,16 @@ def _grade_figure3(result: Values, paper: Values) -> List[Check]:
     return checks
 
 
+#: Default figure-5 workloads whose 64 MB cell is a copy of their 32 MB
+#: cell: all but smvm, the one whose 32 MB DRAM cache evicts pages.  A
+#: model change that separates the two columns moves this count.
+DERIVED_64MB_CELLS = 11
+
+
 def _grade_figure5(result: Values, paper: Values) -> List[Check]:
     """The capacity winners win, the fitting workloads do not need the
-    capacity, and off-die traffic collapses (Section 3 headlines)."""
+    capacity, off-die traffic collapses (Section 3 headlines), and the
+    count of derived 64 MB cells is the pinned one."""
     row = partial(_grade, "figure-5")
     cpma = result["cpma"]
 
@@ -186,6 +193,10 @@ def _grade_figure5(result: Values, paper: Values) -> List[Check]:
     checks.append(row("average CPMA improves at 32MB (%)",
                       100.0 * paper["avg_cpma_reduction_32mb"], average,
                       average > 0, note="known gap; see EXPERIMENTS.md"))
+    derived = result["cells_derived_64mb"]
+    checks.append(row("64MB cells derived from 32MB", None, derived,
+                      derived == DERIVED_64MB_CELLS,
+                      note=f"pinned: {DERIVED_64MB_CELLS} at default"))
     return checks
 
 

@@ -1,5 +1,6 @@
 """Integration tests for the Section 3/4 study drivers and experiments."""
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -26,7 +27,9 @@ from repro.core.memory_on_logic import (
     run_thermal_study,
 )
 from repro.floorplan import core2duo_floorplan
-from repro.memsim.replay import replay_trace
+from repro.memsim.config import DramCacheConfig
+from repro.memsim.dramcache import DramCache
+from repro.memsim.replay import TraceReplayer, replay_trace
 from repro.oracles.config import get_oracle_config, oracle_mode, set_oracle_mode
 from repro.oracles.report import (
     oracle_report,
@@ -127,15 +130,22 @@ class CellFailure(Exception):
     """Raised inside a replay worker by TestReplayFanOut."""
 
 
-def _direct_cells(kernels=FANOUT_KERNELS):
+def _study_trace(name, scale=FANOUT_SCALE):
+    """*name*'s study trace at :data:`FANOUT_LENGTH`, and its warmup."""
+    n_records, warmup = TRACE_PLAN[name]
+    n_records = max(10_000, int(n_records * FANOUT_LENGTH))
+    spec = WorkloadSpec(name=name, n_records=n_records, seed=1234)
+    return TraceGenerator(spec, scale=scale).arrays(), warmup
+
+
+def _direct_cells(kernels=FANOUT_KERNELS, config_names=MEMORY_CONFIG_NAMES,
+                  scale=FANOUT_SCALE):
     """The Figure 5 cells replayed one after another in this process."""
-    configs = build_memory_configs(FANOUT_SCALE)
+    configs = [c for c in build_memory_configs(scale)
+               if c.name in config_names]
     cells = {}
     for name in kernels:
-        n_records, warmup = TRACE_PLAN[name]
-        n_records = max(10_000, int(n_records * FANOUT_LENGTH))
-        spec = WorkloadSpec(name=name, n_records=n_records, seed=1234)
-        records = TraceGenerator(spec, scale=FANOUT_SCALE).arrays()
+        records, warmup = _study_trace(name, scale)
         cells[name] = {
             config.name: replay_trace(
                 records, config.hierarchy, warmup_fraction=warmup
@@ -174,16 +184,19 @@ def _children(pid):
     return kids
 
 
-class TestReplayFanOut:
-    """run_performance_study replays every cell in one worker pool."""
+@pytest.fixture
+def clean_oracles():
+    """An empty scoreboard, and the caller's oracle mode restored."""
+    previous = get_oracle_config()
+    reset_oracles()
+    yield
+    set_oracle_mode(previous)
+    reset_oracles()
 
-    @pytest.fixture(autouse=True)
-    def _clean_oracles(self):
-        previous = get_oracle_config()
-        reset_oracles()
-        yield
-        set_oracle_mode(previous)
-        reset_oracles()
+
+@pytest.mark.usefixtures("clean_oracles")
+class TestReplayFanOut:
+    """run_performance_study replays its cells in one worker pool."""
 
     @pytest.fixture
     def temp_root(self, tmp_path, monkeypatch):
@@ -194,11 +207,17 @@ class TestReplayFanOut:
         return root
 
     def test_matches_direct_replay_loop(self):
+        # Neither tiny trace evicts a page at 32 MB, so the study replays
+        # three cells per trace and derives the 64 MB one: its stats
+        # still equal a real replay, and it is band-checked too.
         direct = _direct_cells()
+        reset_oracles()
+        _direct_cells(config_names=MEMORY_CONFIG_NAMES[:3])
         direct_checks = oracle_report().checks
         reset_oracles()
         result = _fanout_study()
         assert result.replay == direct
+        assert result.derived_64mb == FANOUT_KERNELS
         checks = oracle_report().checks
         assert checks.pop("uarch.cpma-band") == len(FANOUT_KERNELS) * len(
             MEMORY_CONFIG_NAMES
@@ -220,17 +239,20 @@ class TestReplayFanOut:
             generated.append(generator.spec.name)
             return real_arrays(generator)
 
-        def tagged_replay(records, hierarchy, warmup_fraction):
-            stats = replay_trace(
-                records, hierarchy, warmup_fraction=warmup_fraction
-            )
-            record_violation(
-                "test.cell", "memsim", f"{stats.cpma!r} {records.filename}"
-            )
-            return stats
+        class TaggedReplayer(TraceReplayer):
+            def feed_array(self, array):
+                self.trace_file = array.filename
+                return super().feed_array(array)
+
+            def stats(self):
+                stats = super().stats()
+                record_violation(
+                    "test.cell", "memsim", f"{stats.cpma!r} {self.trace_file}"
+                )
+                return stats
 
         monkeypatch.setattr(TraceGenerator, "arrays", spy_arrays)
-        monkeypatch.setattr(study, "replay_trace", tagged_replay)
+        monkeypatch.setattr(study, "TraceReplayer", TaggedReplayer)
         result = run_performance_study(
             kernels, scale=FANOUT_SCALE, length_factor=FANOUT_LENGTH
         )
@@ -242,10 +264,13 @@ class TestReplayFanOut:
             for v in oracle_report().violations
             if v.oracle == "test.cell"
         ]
+        # The replayed cells, in caller order; no 64 MB cell is replayed
+        # (both are derived), and a derived cell has no scoreboard.
+        assert result.derived_64mb == kernels
         assert [cpma for cpma, _ in cells] == [
             repr(direct[name][config].cpma)
             for name in kernels
-            for config in MEMORY_CONFIG_NAMES
+            for config in MEMORY_CONFIG_NAMES[:3]
         ]
         # Every cell mapped a trace file in the study dir, now removed.
         assert all(Path(path).parent.parent == temp_root for _, path in cells)
@@ -309,7 +334,7 @@ class TestReplayFanOut:
         def boom(*args, **kwargs):
             raise CellFailure("replay failed in a worker")
 
-        monkeypatch.setattr(study, "replay_trace", boom)
+        monkeypatch.setattr(study, "TraceReplayer", boom)
         with pytest.raises(CellFailure, match="replay failed in a worker"):
             _fanout_study()
         assert multiprocessing.active_children() == []
@@ -349,6 +374,104 @@ class TestReplayFanOut:
         assert not any(_live(pid) for pid in workers)
         # The orphaned workers removed the study dir the caller left.
         assert list(tmp_path.iterdir()) == []
+
+
+#: Two tiny traces at a scale where the 32 MB DRAM cache is 64 KB:
+#: smvm's evicts pages there (and its 64 MB stats differ), svd's none.
+DOMINANCE_KERNELS = ["smvm", "svd"]
+DOMINANCE_SCALE = 512
+
+
+def _dram_evictions(name, config_name, scale):
+    """Pages a direct replay of *name*'s study trace evicts from the
+    config's DRAM cache, warmup included."""
+    config = {c.name: c for c in build_memory_configs(scale)}[config_name]
+    records, warmup = _study_trace(name, scale)
+    replayer = TraceReplayer(
+        config.hierarchy, warmup_until=int(len(records) * warmup)
+    )
+    replayer.feed_array(records)
+    return replayer.hierarchy.stacked_dram.lifetime_page_evictions
+
+
+@pytest.mark.usefixtures("clean_oracles")
+class TestCapacityDominance:
+    """A trace's 64 MB cell is replayed only when its 32 MB cell evicted
+    a page or is degraded; otherwise it is a copy of the 32 MB stats."""
+
+    @pytest.fixture(scope="class")
+    def study(self):
+        return run_performance_study(
+            DOMINANCE_KERNELS, scale=DOMINANCE_SCALE,
+            length_factor=FANOUT_LENGTH,
+        )
+
+    @pytest.fixture(scope="class")
+    def direct(self):
+        return _direct_cells(DOMINANCE_KERNELS, scale=DOMINANCE_SCALE)
+
+    def test_dram_configs_differ_only_in_sets(self):
+        # The premise of the rule: same hierarchy, same ways, twice the
+        # sets (so each 64 MB set holds a subset of one 32 MB set).
+        for scale in (1, 8, DOMINANCE_SCALE):
+            configs = {c.name: c.hierarchy for c in build_memory_configs(scale)}
+            small, large = configs["3D 32MB"], configs["3D 64MB"]
+            assert large.stacked_dram.n_sets == 2 * small.stacked_dram.n_sets
+            assert dataclasses.replace(
+                large, stacked_dram=small.stacked_dram
+            ) == small
+
+    def test_eviction_counter_survives_the_warmup_reset(self):
+        # One set of eight ways: the ninth page evicts the first.
+        cache = DramCache(DramCacheConfig(size_bytes=512 * 8))
+        for page in range(9):
+            cache.fill(page * 512)
+        assert cache.page_evictions == cache.lifetime_page_evictions == 1
+        cache.reset_stats()
+        assert cache.page_evictions == 0
+        assert cache.lifetime_page_evictions == 1
+
+    def test_study_equals_an_all_cells_replay(self, study, direct):
+        assert study.replay == direct
+        assert study.derived_64mb == ["svd"]
+
+    def test_derived_cell_is_a_copy_of_a_real_replay(self, study, direct):
+        assert _dram_evictions("svd", "3D 32MB", DOMINANCE_SCALE) == 0
+        row = study.replay["svd"]
+        assert row["3D 64MB"] is not row["3D 32MB"]
+        assert dataclasses.asdict(row["3D 64MB"]) == dataclasses.asdict(
+            direct["svd"]["3D 64MB"]
+        )
+
+    def test_evicting_cell_gets_a_real_replay(self, study, direct):
+        assert _dram_evictions("smvm", "3D 32MB", DOMINANCE_SCALE) > 0
+        assert "smvm" not in study.derived_64mb
+        # Reusing the 32 MB stats here would be wrong.
+        real = direct["smvm"]
+        assert real["3D 64MB"].cpma != real["3D 32MB"].cpma
+        assert study.replay["smvm"]["3D 64MB"] == real["3D 64MB"]
+
+    def test_degraded_cell_is_not_reused(self, monkeypatch):
+        small_sets = {
+            c.name: c.hierarchy for c in build_memory_configs(FANOUT_SCALE)
+        }["3D 32MB"].stacked_dram.n_sets
+        real = TraceReplayer._structure_invariants
+
+        def forced(replayer):
+            real(replayer)
+            dram = replayer.hierarchy.stacked_dram
+            if dram is not None and dram.n_sets == small_sets:
+                replayer._record_replay_violation("forced", "degraded")
+
+        monkeypatch.setattr(TraceReplayer, "_structure_invariants", forced)
+        with oracle_mode("sample"):
+            result = _fanout_study()
+        assert result.derived_64mb == []
+        for row in result.replay.values():
+            assert row["3D 32MB"].degraded
+            assert not row["3D 64MB"].degraded
+        forced = [v for v in oracle_report().violations if v.detail == "forced"]
+        assert len(forced) == len(FANOUT_KERNELS)
 
 
 class TestMemoryThermals:

@@ -54,6 +54,7 @@ FIGURE5 = {
     "avg_cpma_reduction_32mb": 0.1,
     "max_cpma_reduction_32mb": 0.5,
     "bus_power_reduction_32mb": 0.75,
+    "cells_derived_64mb": 11,
 }
 
 
@@ -164,6 +165,19 @@ class TestGraders:
         assert "RuntimeError: solver exploded" in check.note
         assert main(["validate", "table-4"]) == 1
         assert "solver exploded" in capsys.readouterr().out
+
+    def test_figure5_pins_the_derived_64mb_cells(self):
+        paper = get_experiment("figure-5").paper_values
+
+        def grade(derived):
+            result = dict(FIGURE5, cells_derived_64mb=derived)
+            (check,) = [c for c in GRADERS["figure-5"](result, paper)
+                        if c.name == "64MB cells derived from 32MB"]
+            return check.grade
+
+        assert grade(11) == PASS
+        assert grade(10) == FAIL
+        assert grade(12) == FAIL
 
     def test_cli_grades_only_the_named_id(self, capsys):
         assert main(["validate", "table-4"]) == 0

@@ -91,7 +91,7 @@ def dsym(
         tile_base = (ti * n_tiles + tj) * tile_dim * tile_dim
         return region.addr(tile_base + i * tile_dim + j)
 
-    while True:
+    while cpu < n_tiles:  # a cpu that owns no tile-row ends at once
         for bi in range(n_tiles):
             if bi % nthreads != cpu:
                 continue
@@ -162,7 +162,7 @@ def svd(
         # the matrix is laid out to make those walks sequential.
         return mat.addr(col * dim + r)
 
-    while True:
+    while cpu < dim - 1:  # a cpu that owns no column ends at once
         for i in range(dim - 1):
             if i % nthreads != cpu:
                 continue
@@ -201,6 +201,12 @@ def _csr_layout(params: KernelParams, value_fraction: float = 0.7):
     cols, base = carve(base, 4, nnz)
     rowp, base = carve(base, 4, rows + 1)
     return vals, cols, rowp, rows, base
+
+
+def _owns_rows(rows: int, cpu: int) -> bool:
+    """Whether *cpu* owns any row chunk: a kernel whose cpu owns none
+    ends at once rather than loop over nothing."""
+    return cpu * ROW_CHUNK < rows
 
 
 def _spmv_rows(
@@ -273,12 +279,12 @@ def conj(
     y, pbase = carve(pbase, 8, rows)
     r, pbase = carve(pbase, 8, rows)
     p, pbase = carve(pbase, 8, rows)
-    while True:
+    n = rows // nthreads
+    while _owns_rows(rows, cpu) or n:
         # Solids matrices are assembled FEM systems: banded, so the
         # x-vector gathers stay near the diagonal (strong locality).
         yield from _spmv_rows(cpu, nthreads, rng, vals, cols, rowp, p, y,
                               rows, 0, band=64)
-        n = rows // nthreads
         yield from _vector_axpy(cpu, y, r, n, 8)
         yield from _vector_axpy(cpu, r, p, n, 12)
 
@@ -299,7 +305,7 @@ def pcg(
     x, pbase = carve(pbase, 8, rows)
     y, pbase = carve(pbase, 8, rows)
     z, pbase = carve(pbase, 8, rows)
-    while True:
+    while _owns_rows(rows, cpu):
         # SpMV with the full matrix.
         yield from _spmv_rows(cpu, nthreads, rng, vals, cols, rowp, x, y, rows, 0)
         # Red-black preconditioner: two dependent half-sweeps.
@@ -332,7 +338,7 @@ def smvm(
     # Shared source vector (both threads gather from it).
     x, _ = carve(SHARED_BASE + 0x4000_0000, 8, rows)
     y, pbase = carve(pbase, 8, rows)
-    while True:
+    while _owns_rows(rows, cpu):
         # Real unstructured matrices still have strong column clustering
         # after bandwidth-reducing reordering; the gather window is far
         # larger than the L1 but page-local.
@@ -352,7 +358,7 @@ def ssym(
     pbase = private_base(cpu)
     x, pbase = carve(pbase, 8, rows)
     y, pbase = carve(pbase, 8, rows)
-    while True:
+    while _owns_rows(rows, cpu):
         for row in range(rows):
             if (row // ROW_CHUNK) % nthreads != cpu:
                 continue
@@ -385,7 +391,7 @@ def strans(
     pbase = private_base(cpu)
     x, pbase = carve(pbase, 8, rows)
     y, pbase = carve(pbase, 8, rows)
-    while True:
+    while _owns_rows(rows, cpu):
         for row in range(rows):
             if (row // ROW_CHUNK) % nthreads != cpu:
                 continue
@@ -424,7 +430,7 @@ def _rigidity(
     stiff, base = carve(base, 8, max(16, params.elements(0.25)))
     scratch, _ = carve(private_base(cpu), 8, 64)
 
-    while True:
+    while cpu < n_elements:  # a cpu that owns no element ends at once
         for element in range(n_elements):
             if element % nthreads != cpu:
                 continue
