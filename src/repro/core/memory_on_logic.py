@@ -260,7 +260,9 @@ def run_performance_study(
 ) -> MemoryOnLogicResult:
     """Run the Figure 5 sweep: every workload on every configuration.
 
-    One pool of forked replay workers serves the whole study.  Traces
+    One pool of forked replay workers serves the whole study: one per
+    usable core, but at least one per cell a trace submits first, so a
+    trace's first cells run at once even on a two-core host.  Traces
     are generated here, longest first, each saved once to a ``.npy``
     file in a study temp dir that its cells map read-only; the next
     trace is generated while earlier cells replay, as long as fewer
@@ -305,8 +307,11 @@ def run_performance_study(
         if config.name not in (_DRAM_32MB, _DRAM_64MB)
     ]
     oracles = get_oracle_config()
+    # Enough workers to run a trace's first cells at once, even on fewer
+    # cores: the OS shares the cores among them (see DESIGN.md).
     n_workers = min(
-        len(os.sched_getaffinity(0)), len(workloads) * len(configs)
+        max(len(os.sched_getaffinity(0)), len(first)),
+        len(workloads) * len(configs),
     )
     cells: Dict[Tuple[str, str], Future] = {}
     cell_of: Dict[Future, Tuple[str, str, str]] = {}

@@ -99,11 +99,6 @@ class SetAssociativeCache:
         :meth:`fast_state`)."""
         self.hits += n
 
-    def add_fast_misses(self, n: int) -> None:
-        """Credit *n* misses recorded by a fast-path caller that walked
-        the miss continuation inline instead of via :meth:`lookup`."""
-        self.misses += n
-
     def resident_lines(self) -> int:
         """Number of lines currently resident (for tests/inspection)."""
         return sum(len(entries) for entries in self._sets)

@@ -192,7 +192,8 @@ class HierarchyConfig:
     #: memory-reference density).
     reorder_window: int = 48
     #: Lines fetched ahead by the on-die next-line prefetcher (which never
-    #: crosses the off-die bus; see MemoryHierarchy._maybe_prefetch).
+    #: crosses the off-die bus; see the prefetch step of
+    #: MemoryHierarchy._compile_walk).
     prefetch_degree: int = 4
     core_clock_ghz: float = 4.0
 

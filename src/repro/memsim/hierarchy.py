@@ -5,7 +5,7 @@ in the stacked-DRAM options, where its area is reclaimed for tags), an
 optional stacked level (SRAM extension or sectored DRAM cache), and
 banked DDR main memory behind a bandwidth-limited off-die bus.
 
-An :meth:`MemoryHierarchy.access` call walks this hierarchy at a given
+A :attr:`MemoryHierarchy.access` call walks this hierarchy at a given
 start time and returns when the reference is satisfied, charging cache
 latencies, bank state-machine time, and bus occupancy along the way.
 Private L1s are kept coherent with an invalidate-on-write directory.
@@ -14,14 +14,13 @@ Private L1s are kept coherent with an invalidate-on-write directory.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple
 
 from repro.memsim.bus import OffDieBus
 from repro.memsim.cache import SetAssociativeCache
 from repro.memsim.config import HierarchyConfig
 from repro.memsim.dram import BankedDram
-from repro.memsim.dramcache import DramCache, PAGE_MISS, SECTOR_HIT
+from repro.memsim.dramcache import DramCache, SECTOR_HIT
 
 #: Levels an access can be satisfied at (for stats and MSHR accounting).
 L1 = "l1"
@@ -39,36 +38,23 @@ class FastPathState(NamedTuple):
         d_mask: L1D set-index mask.
         i_sets: Per-cpu L1I LRU sets.
         i_mask: L1I set-index mask.
-        l2_sets: Shared-L2 LRU sets, or None when the config has no L2.
-        l2_mask: L2 set-index mask (0 without an L2).
-        miss_history: Per-cpu recent-miss deques (prefetch detector).
-        directory: The coherence directory (line -> cpu bitmask).
         line_shift: Byte-address to line-number shift.
         lat_l1d: L1D hit latency, cycles.
         lat_l1i: L1I hit latency, cycles.
-        lat_l2: L2 hit latency, cycles (0 without an L2).
-        invalidate_other_copies: Bound coherence callback for write hits.
-        fill_l1: Bound L1 install helper (directory + victim writeback).
+        invalidate_other_copies: The walk's coherence step for write hits.
     """
 
     d_sets: List[List[Dict[int, bool]]]
     d_mask: int
     i_sets: List[List[Dict[int, bool]]]
     i_mask: int
-    l2_sets: Optional[List[Dict[int, bool]]]
-    l2_mask: int
-    miss_history: List[deque]
-    directory: Dict[int, int]
     line_shift: int
     lat_l1d: int
     lat_l1i: int
-    lat_l2: int
     invalidate_other_copies: Callable[[int, int], None]
-    fill_l1: Callable[[int, int, bool], None]
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one hierarchy access.
 
     Attributes:
@@ -82,8 +68,26 @@ class AccessResult:
     offchip: bool
 
 
+#: The attributes :meth:`MemoryHierarchy._compile_walk` binds; pickling
+#: drops them and rebuilds them from the unpickled state.
+_WALK = ("access", "ifetch", "_invalidate_other_copies")
+
+
 class MemoryHierarchy:
-    """Two-core (configurable) cache/memory system with shared timing state."""
+    """Two-core (configurable) cache/memory system with shared timing state.
+
+    Attributes:
+        access: ``access(cpu, write, address, t) -> AccessResult`` walks
+            the hierarchy for one data reference.
+        ifetch: ``ifetch(cpu, address, t) -> AccessResult`` does the same
+            for an instruction fetch: private L1I, then the shared levels.
+            Code is read-only, so instruction lines skip the coherence
+            directory; a miss fills the L1I (not the L1D) and otherwise
+            follows the same on-die path as a data read.
+    """
+
+    access: Callable[[int, bool, int, float], AccessResult]
+    ifetch: Callable[[int, int, float], AccessResult]
 
     def __init__(self, config: HierarchyConfig) -> None:
         self.config = config
@@ -126,216 +130,256 @@ class MemoryHierarchy:
         self.offchip_accesses = 0
         self.invalidations = 0
         self.prefetches = 0
+        self._compile_walk()
 
-    # -- coherence helpers ---------------------------------------------------
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        for name in _WALK:
+            del state[name]
+        return state
 
-    def _note_l1_fill(self, cpu: int, line: int) -> None:
-        self._directory[line] = self._directory.get(line, 0) | (1 << cpu)
-
-    def _note_l1_evict(self, cpu: int, line: int) -> None:
-        mask = self._directory.get(line)
-        if mask is None:
-            return
-        mask &= ~(1 << cpu)
-        if mask:
-            self._directory[line] = mask
-        else:
-            del self._directory[line]
-
-    def _invalidate_other_copies(self, cpu: int, line: int) -> None:
-        """Invalidate-on-write: drop the line from every other L1."""
-        mask = self._directory.get(line, 0) & ~(1 << cpu)
-        if not mask:
-            return
-        for other in range(self.config.n_cpus):
-            if mask & (1 << other) and self.l1s[other].invalidate(line):
-                self.invalidations += 1
-                self._note_l1_evict(other, line)
-
-    def _fill_l1(self, cpu: int, line: int, dirty: bool) -> None:
-        victim = self.l1s[cpu].fill(line, dirty)
-        self._note_l1_fill(cpu, line)
-        if victim is not None:
-            victim_line, victim_dirty = victim
-            self._note_l1_evict(cpu, victim_line)
-            if victim_dirty:
-                if self.l2 is not None:
-                    # Writeback into the (inclusive-enough) L2; it is
-                    # on-die, so no bus traffic.
-                    self.l2.fill(victim_line, dirty=True)
-                elif self.stacked_dram is not None:
-                    # Writeback into the stacked DRAM cache (d2d vias, no
-                    # off-die bus traffic).
-                    self.stacked_dram.fill(
-                        victim_line << self._line_shift, dirty=True
-                    )
-                elif not self.config.ddr.on_stack:
-                    self.bus.account_only(self._line_bytes)
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._compile_walk()
 
     # -- the access path -----------------------------------------------------
 
-    def ifetch(self, cpu: int, address: int, t: float) -> AccessResult:
-        """Instruction fetch: private L1I, then the shared levels.
+    def _compile_walk(self) -> None:
+        """Bind :attr:`access` and :attr:`ifetch` as closures over the
+        raw state.
 
-        Code is read-only, so instruction lines skip the coherence
-        directory; a miss fills the L1I (not the L1D) and otherwise
-        follows the same on-die path as a data read.
+        The closures hold the very objects the hierarchy owns (cache set
+        dicts, the directory, the miss history, ``level_counts``), so
+        they stay valid for the hierarchy's life; :meth:`reset_stats`
+        zeroes counters in place and pickling rebuilds the closures.
+        Per-line bookkeeping is inlined (L1 hit checks through
+        :meth:`SetAssociativeCache.fast_state`, the coherence directory,
+        invalidate-other and the prefetcher's residency probe); work done
+        once per miss calls the level's own method.
         """
-        line = address >> self._line_shift
-        l1i = self.l1is[cpu]
         cfg = self.config
-        if l1i.lookup(line):
-            self.level_counts[L1] += 1
-            return AccessResult(t + cfg.l1i.latency, L1, False)
-        t_miss = t + cfg.l1i.latency
-        if self.l2 is not None and self.l2.lookup(line):
-            l1i.fill(line)
-            self.level_counts[L2] += 1
-            return AccessResult(t_miss + cfg.l2.latency, L2, False)
-        # Deeper fetches reuse the data path, then land in the L1I.
-        result = self.access(cpu, False, address, t)
-        self.l1s[cpu].invalidate(line)
-        self._note_l1_evict(cpu, line)
-        l1i.fill(line)
-        return result
-
-    def access(
-        self, cpu: int, write: bool, address: int, t: float
-    ) -> AccessResult:
-        """Walk the hierarchy for one data reference; returns its outcome."""
-        line = address >> self._line_shift
-        l1 = self.l1s[cpu]
-        cfg = self.config
-
-        if l1.lookup(line, write):
-            if write:
-                self._invalidate_other_copies(cpu, line)
-            self.level_counts[L1] += 1
-            return AccessResult(t + cfg.l1d.latency, L1, False)
-
-        t_l1_miss = t + cfg.l1d.latency
-        if write:
-            self._invalidate_other_copies(cpu, line)
-        self._maybe_prefetch(cpu, line)
-
-        # Shared on-die L2.
-        if self.l2 is not None and self.l2.lookup(line, write):
-            self._fill_l1(cpu, line, write)
-            self.level_counts[L2] += 1
-            return AccessResult(t_l1_miss + cfg.l2.latency, L2, False)
-
-        t_l2_miss = (
-            t_l1_miss + cfg.l2.latency if self.l2 is not None else t_l1_miss
+        hierarchy = self
+        l1s = self.l1s
+        l1is = self.l1is
+        l2 = self.l2
+        sram = self.stacked_sram
+        dram = self.stacked_dram
+        ddr = self.ddr
+        bus = self.bus
+        directory = self._directory
+        miss_history = self._miss_history
+        level_counts = self.level_counts
+        line_shift = self._line_shift
+        line_bytes = self._line_bytes
+        d_sets = [cache.fast_state()[0] for cache in l1s]
+        d_mask = l1s[0].fast_state()[1]
+        i_sets = [cache.fast_state()[0] for cache in l1is]
+        i_mask = l1is[0].fast_state()[1]
+        l2_sets, l2_mask = l2.fast_state() if l2 is not None else (None, 0)
+        sram_sets, sram_mask = (
+            sram.fast_state() if sram is not None else (None, 0)
         )
+        lat_l1d = cfg.l1d.latency
+        lat_l1i = cfg.l1i.latency
+        lat_l2 = cfg.l2.latency if l2 is not None else 0
+        lat_sram = cfg.stacked_sram.latency if sram is not None else 0
+        sector_bytes = dram.config.sector_bytes if dram is not None else 0
+        on_stack = cfg.ddr.on_stack
+        d2d_latency = cfg.ddr.d2d_latency
+        on_stack_latency = cfg.ddr.on_stack_controller_latency
+        controller_latency = cfg.ddr.controller_latency
+        degree = cfg.prefetch_degree
+        cpus = range(cfg.n_cpus)
 
-        # Stacked SRAM (the 12 MB option): an L2 extension at 24 cycles.
-        if self.stacked_sram is not None:
-            if self.stacked_sram.lookup(line, write):
-                self._install_on_die(cpu, line, write)
-                self.level_counts[STACKED] += 1
-                return AccessResult(
-                    t_l1_miss + cfg.stacked_sram.latency, STACKED, False
-                )
-            return self._memory_access(cpu, line, address, t_l2_miss, write)
+        def note_l1_evict(cpu: int, line: int) -> None:
+            mask = directory.get(line)
+            if mask is None:
+                return
+            mask &= ~(1 << cpu)
+            if mask:
+                directory[line] = mask
+            else:
+                del directory[line]
 
-        # Stacked DRAM cache (the 32/64 MB options): on-die tags, banked
-        # sectored data array behind d2d vias.
-        if self.stacked_dram is not None:
-            dc = self.stacked_dram
-            outcome = dc.lookup(address, write)
-            t_tags = dc.access_timing(t_l2_miss)
-            if outcome == SECTOR_HIT:
-                self._fill_l1(cpu, line, write)
-                self.level_counts[STACKED] += 1
-                return AccessResult(
-                    dc.hit_timing(t_l2_miss, address), STACKED, False
+        def invalidate_other_copies(cpu: int, line: int) -> None:
+            """Invalidate-on-write: drop the line from every other L1."""
+            mask = directory.get(line, 0) & ~(1 << cpu)
+            if not mask:
+                return
+            for other in cpus:
+                if mask & (1 << other) and l1s[other].invalidate(line):
+                    hierarchy.invalidations += 1
+                    note_l1_evict(other, line)
+
+        def fill_l1(cpu: int, line: int, dirty: bool) -> None:
+            victim = l1s[cpu].fill(line, dirty)
+            directory[line] = directory.get(line, 0) | (1 << cpu)
+            if victim is not None:
+                victim_line, victim_dirty = victim
+                note_l1_evict(cpu, victim_line)
+                if victim_dirty:
+                    if l2 is not None:
+                        # Writeback into the (inclusive-enough) L2; it is
+                        # on-die, so no bus traffic.
+                        l2.fill(victim_line, dirty=True)
+                    elif dram is not None:
+                        # Writeback into the stacked DRAM cache (d2d
+                        # vias, no off-die bus traffic).
+                        dram.fill(victim_line << line_shift, dirty=True)
+                    elif not on_stack:
+                        bus.account_only(line_bytes)
+
+        def install_on_die(cpu: int, line: int, dirty: bool) -> None:
+            """Install a line into the on-die levels (L2 if present, and L1)."""
+            if l2 is not None:
+                victim = l2.fill(line, dirty)
+                if victim is not None and victim[1]:
+                    if sram is not None:
+                        sram.fill(victim[0], dirty=True)
+                    elif not on_stack:
+                        bus.account_only(line_bytes)
+            if sram is not None:
+                sram.fill(line, dirty=False)
+            fill_l1(cpu, line, dirty)
+
+        def from_memory(
+            cpu: int, line: int, address: int, t: float, write: bool
+        ) -> AccessResult:
+            """Fetch a line from DDR memory across the off-die bus."""
+            if on_stack:
+                # Main memory in the stack (prior-work assumption): d2d
+                # hop, bank access, lean controller — no off-die bus.
+                data_done = ddr.access(t + d2d_latency, address) + (
+                    on_stack_latency
                 )
-            # Sector or page miss: the line comes from main memory and is
-            # installed into the DRAM cache (allocating a page on a page
-            # miss, writing back any dirty victim sectors over the bus).
-            result = self._memory_access(cpu, line, address, t_tags, write)
-            victim = dc.fill(address, dirty=write)
-            if victim is not None and victim[1] > 0:
-                self.bus.account_only(victim[1] * dc.config.sector_bytes)
-            if outcome == PAGE_MISS:
-                # Opening the new page in the DRAM array overlaps the
-                # memory fetch; no extra latency charged.
-                pass
+                install_on_die(cpu, line, write)
+                level_counts[MEMORY] += 1
+                return AccessResult(data_done, MEMORY, False)
+            # Address/command beat (the FSB address bus is separate from
+            # the data bus, so commands pipeline ahead of returning data),
+            # then the bank access plus controller overhead, then the data
+            # return occupying the shared data bus.
+            mem_done = ddr.access(t + 2.0, address) + controller_latency
+            data_done = bus.transfer(mem_done, line_bytes)
+            install_on_die(cpu, line, write)
+            level_counts[MEMORY] += 1
+            hierarchy.offchip_accesses += 1
+            return AccessResult(data_done, MEMORY, True)
+
+        def access(
+            cpu: int, write: bool, address: int, t: float
+        ) -> AccessResult:
+            line = address >> line_shift
+            entries = d_sets[cpu][line & d_mask]
+            previous = entries.pop(line, None)
+            if previous is not None:
+                entries[line] = previous or write
+                l1s[cpu].hits += 1
+                if write:
+                    invalidate_other_copies(cpu, line)
+                level_counts[L1] += 1
+                return AccessResult(t + lat_l1d, L1, False)
+            l1s[cpu].misses += 1
+
+            t_l1_miss = t + lat_l1d
+            if write:
+                invalidate_other_copies(cpu, line)
+            # On-die next-line prefetcher.  On a sequential L1 miss (the
+            # previous line was missed recently), the next lines are
+            # pulled into the L1 — but only those already resident
+            # on-die or in the stacked level.  It never crosses the
+            # off-die bus, so it spends no memory bandwidth; its effect
+            # is to hide on-die/stacked latency under streaming.
+            history = miss_history[cpu]
+            sequential = (line - 1) in history or (line - 2) in history
+            history.append(line)
+            if sequential:
+                own = d_sets[cpu]
+                for nxt in range(line + 1, line + 1 + degree):
+                    if nxt in own[nxt & d_mask]:
+                        continue
+                    if (
+                        (l2_sets is not None and nxt in l2_sets[nxt & l2_mask])
+                        or (
+                            sram_sets is not None
+                            and nxt in sram_sets[nxt & sram_mask]
+                        )
+                        or (
+                            dram is not None
+                            and dram.contains(nxt << line_shift)
+                        )
+                    ):
+                        fill_l1(cpu, nxt, False)
+                        hierarchy.prefetches += 1
+
+            # Shared on-die L2.
+            t_l2_miss = t_l1_miss
+            if l2 is not None:
+                if l2.lookup(line, write):
+                    fill_l1(cpu, line, write)
+                    level_counts[L2] += 1
+                    return AccessResult(t_l1_miss + lat_l2, L2, False)
+                t_l2_miss = t_l1_miss + lat_l2
+
+            # Stacked SRAM (the 12 MB option): an L2 extension at 24
+            # cycles.
+            if sram is not None:
+                if sram.lookup(line, write):
+                    install_on_die(cpu, line, write)
+                    level_counts[STACKED] += 1
+                    return AccessResult(t_l1_miss + lat_sram, STACKED, False)
+                return from_memory(cpu, line, address, t_l2_miss, write)
+
+            # Stacked DRAM cache (the 32/64 MB options): on-die tags,
+            # banked sectored data array behind d2d vias.
+            if dram is not None:
+                outcome = dram.lookup(address, write)
+                if outcome == SECTOR_HIT:
+                    fill_l1(cpu, line, write)
+                    level_counts[STACKED] += 1
+                    return AccessResult(
+                        dram.hit_timing(t_l2_miss, address), STACKED, False
+                    )
+                # Sector or page miss: the line comes from main memory
+                # and is installed into the DRAM cache (allocating a page
+                # on a page miss, whose opening overlaps the memory fetch,
+                # and writing back any dirty victim sectors over the bus).
+                result = from_memory(
+                    cpu, line, address, dram.access_timing(t_l2_miss), write
+                )
+                victim = dram.fill(address, dirty=write)
+                if victim is not None and victim[1] > 0:
+                    bus.account_only(victim[1] * sector_bytes)
+                return result
+
+            return from_memory(cpu, line, address, t_l2_miss, write)
+
+        def ifetch(cpu: int, address: int, t: float) -> AccessResult:
+            line = address >> line_shift
+            l1i = l1is[cpu]
+            entries = i_sets[cpu][line & i_mask]
+            previous = entries.pop(line, None)
+            if previous is not None:
+                entries[line] = previous
+                l1i.hits += 1
+                level_counts[L1] += 1
+                return AccessResult(t + lat_l1i, L1, False)
+            l1i.misses += 1
+            t_miss = t + lat_l1i
+            if l2 is not None and l2.lookup(line):
+                l1i.fill(line)
+                level_counts[L2] += 1
+                return AccessResult(t_miss + lat_l2, L2, False)
+            # Deeper fetches reuse the data path, then land in the L1I.
+            result = access(cpu, False, address, t)
+            l1s[cpu].invalidate(line)
+            note_l1_evict(cpu, line)
+            l1i.fill(line)
             return result
 
-        return self._memory_access(cpu, line, address, t_l2_miss, write)
-
-    def _maybe_prefetch(self, cpu: int, line: int) -> None:
-        """On-die next-line prefetcher.
-
-        On a sequential L1 miss (the previous line was missed recently),
-        the next line is pulled into the L1 — but only if it is already
-        resident on-die or in the stacked level.  The prefetcher never
-        crosses the off-die bus, so it spends no memory bandwidth; its
-        effect is to hide on-die/stacked latency under streaming.
-        """
-        history = self._miss_history[cpu]
-        sequential = (line - 1) in history or (line - 2) in history
-        history.append(line)
-        if not sequential:
-            return
-        l1 = self.l1s[cpu]
-        for nxt in range(line + 1, line + 1 + self.config.prefetch_degree):
-            if l1.contains(nxt):
-                continue
-            resident = (
-                (self.l2 is not None and self.l2.contains(nxt))
-                or (
-                    self.stacked_sram is not None
-                    and self.stacked_sram.contains(nxt)
-                )
-                or (
-                    self.stacked_dram is not None
-                    and self.stacked_dram.contains(nxt << self._line_shift)
-                )
-            )
-            if resident:
-                self._fill_l1(cpu, nxt, dirty=False)
-                self.prefetches += 1
-
-    def _install_on_die(self, cpu: int, line: int, dirty: bool) -> None:
-        """Install a line into the on-die levels (L2 if present, and L1)."""
-        if self.l2 is not None:
-            victim = self.l2.fill(line, dirty)
-            if victim is not None and victim[1]:
-                if self.stacked_sram is not None:
-                    self.stacked_sram.fill(victim[0], dirty=True)
-                elif not self.config.ddr.on_stack:
-                    self.bus.account_only(self._line_bytes)
-        if self.stacked_sram is not None:
-            self.stacked_sram.fill(line, dirty=False)
-        self._fill_l1(cpu, line, dirty)
-
-    def _memory_access(
-        self, cpu: int, line: int, address: int, t: float, write: bool
-    ) -> AccessResult:
-        """Fetch a line from DDR memory across the off-die bus."""
-        cfg = self.config
-        if cfg.ddr.on_stack:
-            # Main memory in the stack (prior-work assumption): d2d hop,
-            # bank access, lean controller — no off-die bus at all.
-            bank_done = self.ddr.access(t + cfg.ddr.d2d_latency, address)
-            data_done = bank_done + cfg.ddr.on_stack_controller_latency
-            self._install_on_die(cpu, line, write)
-            self.level_counts[MEMORY] += 1
-            return AccessResult(data_done, MEMORY, False)
-        # Address/command beat (the FSB address bus is separate from the
-        # data bus, so commands pipeline ahead of returning data), then
-        # the bank access plus controller overhead, then the data return
-        # occupying the shared data bus.
-        cmd_done = t + 2.0
-        bank_done = self.ddr.access(cmd_done, address)
-        mem_done = bank_done + cfg.ddr.controller_latency
-        data_done = self.bus.transfer(mem_done, self._line_bytes)
-        self._install_on_die(cpu, line, write)
-        self.level_counts[MEMORY] += 1
-        self.offchip_accesses += 1
-        return AccessResult(data_done, MEMORY, True)
+        self.access = access
+        self.ifetch = ifetch
+        self._invalidate_other_copies = invalidate_other_copies
 
     # -- chunked-replay fast path -------------------------------------------
 
@@ -343,44 +387,28 @@ class MemoryHierarchy:
         """Bundle the hot L1/coherence state for chunked replay.
 
         The chunked replayer (:meth:`repro.memsim.replay.TraceReplayer.
-        feed_array`) inlines the L1 hit path — the one walked by ~90% of
+        feed_array`) inlines the L1 hit — the one walked by ~90% of
         references — directly against these dicts, following the
-        :meth:`SetAssociativeCache.fast_state` contract.  Anything that
-        is not a clean L1 hit must still be routed through
-        :meth:`access`/:meth:`ifetch`, and bypassed hit counts must be
-        flushed back with :meth:`flush_fast_counts` so every counter
-        stays bit-identical to the per-record path.
+        :meth:`SetAssociativeCache.fast_state` contract.  Every L1 miss
+        must go through :attr:`access`/:attr:`ifetch`, and bypassed hit
+        counts must be flushed back with :meth:`flush_fast_counts` so
+        every counter stays bit-identical to the per-record path.
         """
-        l2_sets, l2_mask = (
-            self.l2.fast_state() if self.l2 is not None else (None, 0)
-        )
         return FastPathState(
             d_sets=[cache.fast_state()[0] for cache in self.l1s],
             d_mask=self.l1s[0].fast_state()[1],
             i_sets=[cache.fast_state()[0] for cache in self.l1is],
             i_mask=self.l1is[0].fast_state()[1],
-            l2_sets=l2_sets,
-            l2_mask=l2_mask,
-            miss_history=self._miss_history,
-            directory=self._directory,
             line_shift=self._line_shift,
             lat_l1d=self.config.l1d.latency,
             lat_l1i=self.config.l1i.latency,
-            lat_l2=self.config.l2.latency if self.config.l2 else 0,
             invalidate_other_copies=self._invalidate_other_copies,
-            fill_l1=self._fill_l1,
         )
 
     def flush_fast_counts(
-        self,
-        d_hits: List[int],
-        i_hits: List[int],
-        l1_level_count: int,
-        d_misses: Optional[List[int]] = None,
-        l2_hits: int = 0,
-        l2_level_count: int = 0,
+        self, d_hits: List[int], i_hits: List[int], l1_level_count: int
     ) -> None:
-        """Fold fast-path hit/miss tallies back into the real counters."""
+        """Fold fast-path hit tallies back into the real counters."""
         for cpu, hits in enumerate(d_hits):
             if hits:
                 self.l1s[cpu].add_fast_hits(hits)
@@ -389,14 +417,6 @@ class MemoryHierarchy:
                 self.l1is[cpu].add_fast_hits(hits)
         if l1_level_count:
             self.level_counts[L1] += l1_level_count
-        if d_misses is not None:
-            for cpu, misses in enumerate(d_misses):
-                if misses:
-                    self.l1s[cpu].add_fast_misses(misses)
-        if l2_hits:
-            self.l2.add_fast_hits(l2_hits)
-        if l2_level_count:
-            self.level_counts[L2] += l2_level_count
 
     # -- stats ---------------------------------------------------------------
 
@@ -422,5 +442,6 @@ class MemoryHierarchy:
             self.stacked_dram.reset_stats()
         self.ddr.reset_stats()
         self.bus.reset_stats()
-        self.level_counts = {L1: 0, L2: 0, STACKED: 0, MEMORY: 0}
+        for level in self.level_counts:
+            self.level_counts[level] = 0
         self.invalidations = 0

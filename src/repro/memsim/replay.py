@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.memsim.config import HierarchyConfig
-from repro.memsim.hierarchy import L1, L2, MemoryHierarchy
+from repro.memsim.hierarchy import L1, MemoryHierarchy
 from repro.oracles.config import (
     REPLAY_CHUNK,
     SAMPLE_STRIDE,
@@ -55,6 +55,14 @@ from repro.traces.record import AccessType, TraceGuard, TraceRecord
 #: Completion-table pruning: drop entries this many uids behind the head.
 _PRUNE_WINDOW = 65536
 _PRUNE_EVERY = 131072
+
+
+def _prune_completions(table: Dict[int, float], uid: int) -> None:
+    """Delete, in place, the completion entries more than
+    :data:`_PRUNE_WINDOW` uids behind *uid*; the rest keep their order."""
+    cutoff = uid - _PRUNE_WINDOW
+    for stale in [u for u in table if u < cutoff]:
+        del table[stale]
 
 
 @dataclass
@@ -209,12 +217,7 @@ class TraceReplayer:
         if record.kind == AccessType.LOAD:
             self._completion[record.uid] = result.completion
             if len(self._completion) > _PRUNE_EVERY:
-                cutoff = record.uid - _PRUNE_WINDOW
-                self._completion = {
-                    uid: done
-                    for uid, done in self._completion.items()
-                    if uid >= cutoff
-                }
+                _prune_completions(self._completion, record.uid)
 
         # In-order retirement: a reference retires no earlier than its
         # predecessors.
@@ -273,10 +276,10 @@ class TraceReplayer:
         """Replay a :data:`~repro.traces.generator.TRACE_DTYPE` batch.
 
         Bit-identical to calling :meth:`feed` on each row in order — the
-        L1-hit path (the vast majority of references) is inlined against
-        the raw cache dicts (:meth:`MemoryHierarchy.fastpath_state`),
-        everything else falls back to the per-record hierarchy walk, and
-        bypassed hit tallies are flushed back at span boundaries.  The
+        L1 hit (the vast majority of references) is inlined against the
+        raw cache dicts (:meth:`MemoryHierarchy.fastpath_state`), every
+        L1 miss calls the hierarchy's compiled walk, and bypassed hit
+        tallies are flushed back at span boundaries.  The
         batch path trusts the array's producer: rows skip the
         construction-time :class:`TraceRecord` validation (a malformed
         row fails with an ordinary IndexError/KeyError, not
@@ -352,16 +355,15 @@ class TraceReplayer:
     ) -> None:
         """The chunk inner loop: replay ``array[start:stop]`` inlined.
 
-        Two walks are inlined against the raw cache dicts — the L1 hit
-        and the L1-miss/L2-hit continuation (together the vast majority
-        of references); everything else, including the rare
-        sequential-miss prefetch trigger, falls back to the per-record
-        hierarchy walk.  Per-record issue slots and the dependent-load
-        predicate are precomputed with numpy (both are exact: slots are
-        integral doubles, the predicate is pure integer logic).  Every
-        state mutation lands in the same order as :meth:`feed`, so
-        counters, timing, and float accumulation match the per-record
-        path bit for bit.
+        Only the L1 hit (the vast majority of references) is inlined
+        against the raw cache dicts; every L1 miss calls the hierarchy's
+        compiled :attr:`~MemoryHierarchy.access`/:attr:`~MemoryHierarchy.
+        ifetch` walk, the same one :meth:`feed` calls.  Per-record issue
+        slots and the dependent-load predicate are precomputed with numpy
+        (both are exact: slots are integral doubles, the predicate is
+        pure integer logic).  Every state mutation lands in the same
+        order as :meth:`feed`, so counters, timing, and float
+        accumulation match the per-record path bit for bit.
         """
         if start >= stop:
             return
@@ -371,15 +373,10 @@ class TraceReplayer:
         d_mask = fp.d_mask
         i_sets = fp.i_sets
         i_mask = fp.i_mask
-        l2_sets = fp.l2_sets
-        l2_mask = fp.l2_mask
-        miss_history = fp.miss_history
         line_shift = fp.line_shift
         lat_l1d = fp.lat_l1d
         lat_l1i = fp.lat_l1i
-        lat_l2 = fp.lat_l2
         invalidate_other = fp.invalidate_other_copies
-        fill_l1 = fp.fill_l1
         mshrs = hierarchy.config.mshrs_per_cpu
         window = hierarchy.config.reorder_window
         access = hierarchy.access
@@ -396,18 +393,13 @@ class TraceReplayer:
         measured = self._measured
         n_cpus = len(next_free)
         d_hits = [0] * n_cpus
-        d_misses = [0] * n_cpus
         i_hits = [0] * n_cpus
-        l2_fast_hits = 0
-        # Level-latency buckets for the two inlined levels stay in
-        # locals (sequential accumulation from the current dict values,
-        # written back below — same additions in the same order).
+        # The L1 level-latency bucket stays in locals (sequential
+        # accumulation from the current dict values, written back below
+        # — same additions in the same order).
         l1_lat_sum = level_latency_sum.get(L1, 0.0)
         l1_lat_n0 = level_latency_n.get(L1, 0)
         l1_lat_n = l1_lat_n0
-        l2_lat_sum = level_latency_sum.get(L2, 0.0)
-        l2_lat_n0 = level_latency_n.get(L2, 0)
-        l2_lat_n = l2_lat_n0
 
         span = array[start:stop]
         cpu_col = span["cpu"]
@@ -466,9 +458,7 @@ class TraceReplayer:
                     comp = t + lat_l1i
                     level = L1
                 else:
-                    result = ifetch(cpu, address, t)
-                    comp = result.completion
-                    level = result.level
+                    comp, level, _ = ifetch(cpu, address, t)
                     insort(outstanding[cpu], comp)
             else:
                 if dep >= 0:  # dependent LOAD (predicate folded above)
@@ -500,47 +490,13 @@ class TraceReplayer:
                                 break
                         if done:
                             del misses[:done]
-                    history = miss_history[cpu]
-                    if (
-                        l2_sets is not None
-                        and line in l2_sets[line & l2_mask]
-                        and (line - 1) not in history
-                        and (line - 2) not in history
-                    ):
-                        # Inlined L1-miss -> L2-hit walk, mirroring
-                        # access(): miss accounting, write-invalidate,
-                        # miss-history append (the stream detector did
-                        # not fire — sequential misses take the slow
-                        # path so the prefetcher runs for real), L2
-                        # LRU touch, L1 install.
-                        d_misses[cpu] += 1
-                        write = kind == 1
-                        if write:
-                            invalidate_other(cpu, line)
-                        history.append(line)
-                        l2_entries = l2_sets[line & l2_mask]
-                        l2_entries[line] = l2_entries.pop(line) or write
-                        l2_fast_hits += 1
-                        fill_l1(cpu, line, write)
-                        comp = (t + lat_l1d) + lat_l2
-                        level = L2
-                    else:
-                        result = access(cpu, kind == 1, address, t)
-                        comp = result.completion
-                        level = result.level
+                    comp, level, _ = access(cpu, kind == 1, address, t)
                     insort(misses, comp)
 
             if kind == 0:  # LOAD
                 completion_table[uid] = comp
                 if len(completion_table) > _PRUNE_EVERY:
-                    cutoff = uid - _PRUNE_WINDOW
-                    completion_table = {
-                        u: done
-                        for u, done in completion_table.items()
-                        if u >= cutoff
-                    }
-                    completion_get = completion_table.get
-                    self._completion = completion_table
+                    _prune_completions(completion_table, uid)
 
             retire = comp
             if rob and rob[-1] > retire:
@@ -555,9 +511,6 @@ class TraceReplayer:
                 if level == L1:
                     l1_lat_sum += latency
                     l1_lat_n += 1
-                elif level == L2:
-                    l2_lat_sum += latency
-                    l2_lat_n += 1
                 else:
                     level_latency_sum[level] = (
                         level_latency_sum.get(level, 0.0) + latency
@@ -573,17 +526,7 @@ class TraceReplayer:
         if l1_lat_n != l1_lat_n0:
             level_latency_sum[L1] = l1_lat_sum
             level_latency_n[L1] = l1_lat_n
-        if l2_lat_n != l2_lat_n0:
-            level_latency_sum[L2] = l2_lat_sum
-            level_latency_n[L2] = l2_lat_n
-        hierarchy.flush_fast_counts(
-            d_hits,
-            i_hits,
-            sum(d_hits) + sum(i_hits),
-            d_misses,
-            l2_fast_hits,
-            l2_fast_hits,
-        )
+        hierarchy.flush_fast_counts(d_hits, i_hits, sum(d_hits) + sum(i_hits))
 
     # -- oracles -------------------------------------------------------------
 

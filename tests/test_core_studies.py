@@ -121,6 +121,8 @@ class TestMemoryStudy:
 
 #: Small fan-out study: two kernels at the 10k-record trace floor.
 FANOUT_KERNELS = ["svd", "savif"]
+#: Cells the study submits for a trace at once: 32 MB, 4 MB and 12 MB.
+FIRST_ROUND_CELLS = 3
 FANOUT_SCALE = 16
 FANOUT_LENGTH = 0.01
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -340,6 +342,45 @@ class TestReplayFanOut:
         assert multiprocessing.active_children() == []
         assert list(temp_root.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "cpus, kernels, workers",
+        [
+            # One trace: its three first-round cells run at once even
+            # on fewer cores, and no more workers than its four cells.
+            (1, ["svd"], 3),
+            (2, ["svd"], 3),
+            (4, ["svd"], 4),
+            (8, ["svd"], 4),
+            # Many traces: one worker per core, but never fewer than a
+            # trace's first round.
+            (1, ["svd", "savif", "gauss"], 3),
+            (2, ["svd", "savif", "gauss"], 3),
+            (4, ["svd", "savif", "gauss"], 4),
+            (8, ["svd", "savif", "gauss"], 8),
+        ],
+    )
+    def test_worker_count(self, monkeypatch, cpus, kernels, workers):
+        import concurrent.futures
+
+        sizes = []
+
+        class PoolSized(Exception):
+            pass
+
+        def sized_pool(max_workers, **kwargs):
+            sizes.append(max_workers)
+            raise PoolSized
+
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cpus))
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", sized_pool)
+        with pytest.raises(PoolSized):
+            run_performance_study(
+                kernels, scale=FANOUT_SCALE, length_factor=FANOUT_LENGTH
+            )
+        assert sizes == [workers]
+
     def test_workers_exit_with_a_killed_caller(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + (
@@ -352,7 +393,10 @@ class TestReplayFanOut:
             "from repro.core.memory_on_logic import run_performance_study\n"
             "run_performance_study(['svd'], scale=8)\n"
         )
-        n_workers = min(len(os.sched_getaffinity(0)), len(MEMORY_CONFIG_NAMES))
+        n_workers = min(
+            max(len(os.sched_getaffinity(0)), FIRST_ROUND_CELLS),
+            len(MEMORY_CONFIG_NAMES),
+        )
         caller = subprocess.Popen([sys.executable, "-c", code], env=env)
         try:
             deadline = time.monotonic() + 120

@@ -1,5 +1,9 @@
 """Tests for the bus, the assembled hierarchy, and trace replay."""
 
+import dataclasses
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +15,13 @@ from repro.memsim.config import (
     HierarchyConfig,
     baseline_config,
     stacked_dram_config,
+    stacked_memory_config,
     stacked_sram_config,
 )
 from repro.memsim.hierarchy import L1, L2, MEMORY, STACKED, MemoryHierarchy
 from repro.memsim.replay import replay_trace
 from repro.traces.record import AccessType, NO_DEP, TraceRecord
+from tests.hierarchy_reference import ReferenceHierarchy
 
 KB, MB = 1 << 10, 1 << 20
 
@@ -185,6 +191,177 @@ class TestMemoryHierarchy:
         hier.reset_stats()
         assert hier.total_accesses == 0
         assert hier.bus.total_bytes == 0
+
+
+def _tiny(config):
+    """*config* with every capacity cut so that, over a 64 KB address
+    range, each level evicts within a few hundred references."""
+    def cut(cache, size):
+        return None if cache is None else dataclasses.replace(
+            cache, size_bytes=size, ways=min(cache.ways, 4)
+        )
+
+    dram = config.stacked_dram
+    return dataclasses.replace(
+        config,
+        l1d=cut(config.l1d, 1 * KB),
+        l1i=cut(config.l1i, 1 * KB),
+        l2=cut(config.l2, 4 * KB),
+        stacked_sram=cut(config.stacked_sram, 8 * KB),
+        stacked_dram=None if dram is None else dataclasses.replace(
+            dram, size_bytes=dram.size_bytes >> 11
+        ),
+    )
+
+
+#: The four Figure 7 hierarchies, plus main memory in the stack (the one
+#: configuration with no off-die bus), all at the tiny capacities.
+WALK_CONFIGS = {
+    "2D-4MB": _tiny(baseline_config()),
+    "3D-12MB": _tiny(stacked_sram_config()),
+    "3D-32MB": _tiny(stacked_dram_config(32)),
+    "3D-64MB": _tiny(stacked_dram_config(64)),
+    "on-stack-memory": _tiny(stacked_memory_config()),
+}
+
+#: Lines the random streams touch (a 64 KB range).
+WALK_LINES = 1024
+
+
+def _cache_state(cache):
+    if cache is None:
+        return None
+    return (
+        cache.hits, cache.misses, cache.evictions, cache.writebacks,
+        [list(entries.items()) for entries in cache._sets],
+    )
+
+
+def _banks_state(banks):
+    return (
+        list(banks._open_page), list(banks._bank_free),
+        banks.page_hits, banks.page_empties, banks.page_conflicts,
+    )
+
+
+def _hierarchy_state(h):
+    """Every piece of hierarchy state, in order (dict order is LRU order)."""
+    dc = h.stacked_dram
+    return {
+        "l1d": [_cache_state(c) for c in h.l1s],
+        "l1i": [_cache_state(c) for c in h.l1is],
+        "l2": _cache_state(h.l2),
+        "stacked_sram": _cache_state(h.stacked_sram),
+        "stacked_dram": None if dc is None else (
+            dc.sector_hits, dc.sector_misses, dc.page_misses,
+            dc.page_evictions, dc.lifetime_page_evictions,
+            dc.dirty_sector_writebacks,
+            [list(entries.items()) for entries in dc._sets],
+            [list(entries.items()) for entries in dc._dirty],
+            _banks_state(dc.banks),
+        ),
+        "directory": list(h._directory.items()),
+        "miss_history": [list(d) for d in h._miss_history],
+        "level_counts": list(h.level_counts.items()),
+        "offchip_accesses": h.offchip_accesses,
+        "invalidations": h.invalidations,
+        "prefetches": h.prefetches,
+        "ddr": _banks_state(h.ddr),
+        "bus": (
+            h.bus._free_at, h.bus.total_bytes, h.bus.transfers,
+            h.bus.total_wait_cycles,
+        ),
+    }
+
+
+def _walk(h, cpu, kind, address, t):
+    if kind == AccessType.IFETCH:
+        return h.ifetch(cpu, address, t)
+    return h.access(cpu, kind == AccessType.STORE, address, t)
+
+
+def _expand(ops):
+    """(cpu, kind, line, run, gap) ops -> (cpu, kind, address, t) accesses:
+    each op touches *run* consecutive lines (so sequential misses fire
+    the prefetcher), *gap* cycles after the previous op."""
+    t = 0.0
+    for cpu, kind, line, run, gap in ops:
+        t += gap
+        for k in range(run):
+            yield cpu, kind, ((line + k) % WALK_LINES) * 64, t
+
+
+WALK_OPS = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.sampled_from(
+            [AccessType.LOAD, AccessType.LOAD, AccessType.STORE,
+             AccessType.IFETCH]
+        ),
+        st.integers(0, WALK_LINES - 1),
+        st.integers(1, 4),
+        st.integers(0, 300),
+    ),
+    min_size=10,
+    max_size=150,
+)
+
+
+class TestCompiledWalk:
+    """The compiled walk against the per-method reference it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+    def test_tiny_configs_exercise_every_path(self, name):
+        # The domain the differential below draws from reaches every
+        # branch: evictions and dirty writebacks at each level,
+        # prefetches and coherence invalidations.
+        config = WALK_CONFIGS[name]
+        rng = random.Random(name)
+        h = ReferenceHierarchy(config)
+        ops = [
+            (rng.randrange(2), rng.choice(list(AccessType)),
+             rng.randrange(WALK_LINES), rng.randint(1, 4), rng.randrange(300))
+            for _ in range(1500)
+        ]
+        for cpu, kind, address, t in _expand(ops):
+            _walk(h, cpu, kind, address, t)
+        assert h.prefetches and h.invalidations
+        assert h.l1s[0].writebacks and h.l1s[1].writebacks
+        if h.l2 is not None:
+            assert h.l2.writebacks
+        if h.stacked_sram is not None:
+            assert h.stacked_sram.evictions
+        if h.stacked_dram is not None:
+            assert h.stacked_dram.page_evictions
+            assert h.stacked_dram.dirty_sector_writebacks
+            assert h.level_counts[STACKED]
+        assert h.level_counts[MEMORY]
+        assert h.bus.transfers == 0 if config.ddr.on_stack else h.bus.transfers
+
+    @pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+    @given(ops=WALK_OPS, cut=st.integers(0, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference_after_every_access(self, name, ops, cut):
+        config = WALK_CONFIGS[name]
+        mine, reference = MemoryHierarchy(config), ReferenceHierarchy(config)
+        for step, (cpu, kind, address, t) in enumerate(_expand(ops)):
+            if step == cut:
+                # Mid-stream, both as the replayer's warm-up boundary and
+                # the differential oracle's clone do: the rebuilt walk must
+                # act on the unpickled state, and reset_stats must leave
+                # the walk's bound counters live.
+                mine = pickle.loads(pickle.dumps(mine))
+                mine.reset_stats()
+                reference.reset_stats()
+            result = _walk(mine, cpu, kind, address, t)
+            expected = _walk(reference, cpu, kind, address, t)
+            assert tuple(result) == (
+                expected.completion, expected.level, expected.offchip
+            )
+            got, want = _hierarchy_state(mine), _hierarchy_state(reference)
+            # Name the diverged fields rather than diffing whole states.
+            diverged = [key for key in want if got[key] != want[key]]
+            assert not diverged, f"access {step}: {diverged} diverged"
 
 
 class TestReplay:
