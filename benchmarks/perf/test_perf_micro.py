@@ -14,8 +14,9 @@ the rest on the ratio of the two medians):
 * ``trace-gen/svd`` — the per-record reference generator
   (``tests/trace_reference.py``) vs the block-built
   ``TraceGenerator.arrays()``; the arrays must be byte-identical.
-* ``replay/<kernel>`` — per-record replay vs the chunked array fast
-  path; the full ``ReplayStats`` (hit/miss counters included) must match.
+* ``replay/<kernel>`` — the per-record reference replay
+  (``tests/replay_reference.py``) vs the replay loop's ``feed_array``;
+  the full ``ReplayStats`` (hit/miss counters included) must match.
 * ``thermal-steady`` — a cold direct SuperLU solve vs the cold
   Jacobi-preconditioned CG solve the steady path uses; fields must agree
   within 1e-9 C (CG stops at a 1e-12 relative residual).
@@ -64,6 +65,7 @@ from repro.thermal.solver import (
 from repro.thermal.stack import DieSpec, build_stack
 from repro.thermal.transient import solve_transient
 from repro.traces.generator import TraceGenerator, WorkloadSpec
+from tests.replay_reference import reference_replay
 from tests.trace_reference import reference_arrays
 
 SEED = 1234
@@ -191,7 +193,9 @@ def _replay_pair(kernel: str, n_records: int, warmup_fraction: float):
     config = baseline_config(SCALE)
 
     def run_reference() -> ReplayStats:
-        return replay_trace(records, config, warmup_fraction=warmup_fraction)
+        return reference_replay(
+            records, config, warmup_fraction=warmup_fraction
+        )
 
     def run_optimized() -> ReplayStats:
         return replay_trace(array, config, warmup_fraction=warmup_fraction)

@@ -81,7 +81,7 @@ class SetAssociativeCache:
     # -- integer-keyed fast path --------------------------------------------
 
     def fast_state(self) -> Tuple[List[Dict[int, bool]], int]:
-        """The ``(sets, mask)`` pair backing the chunked replay fast path.
+        """The ``(sets, mask)`` pair backing the replay loop's inlined hit.
 
         Contract (mirrors :meth:`lookup` exactly): the caller indexes
         ``sets[line & mask]``, tests a hit with ``entries.pop(line,

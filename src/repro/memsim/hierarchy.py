@@ -30,7 +30,7 @@ MEMORY = "memory"
 
 
 class FastPathState(NamedTuple):
-    """Hot state handed to the chunked replay loop (see
+    """Hot state handed to the replay loop (see
     :meth:`MemoryHierarchy.fastpath_state`).
 
     Attributes:
@@ -381,18 +381,19 @@ class MemoryHierarchy:
         self.ifetch = ifetch
         self._invalidate_other_copies = invalidate_other_copies
 
-    # -- chunked-replay fast path -------------------------------------------
+    # -- the replay loop's inlined L1 hit ------------------------------------
 
     def fastpath_state(self) -> FastPathState:
-        """Bundle the hot L1/coherence state for chunked replay.
+        """Bundle the hot L1/coherence state for the replay loop.
 
-        The chunked replayer (:meth:`repro.memsim.replay.TraceReplayer.
+        The replay loop (:meth:`repro.memsim.replay.TraceReplayer.
         feed_array`) inlines the L1 hit — the one walked by ~90% of
         references — directly against these dicts, following the
         :meth:`SetAssociativeCache.fast_state` contract.  Every L1 miss
         must go through :attr:`access`/:attr:`ifetch`, and bypassed hit
         counts must be flushed back with :meth:`flush_fast_counts` so
-        every counter stays bit-identical to the per-record path.
+        every counter matches the loop's reference mode, where every
+        reference takes that walk.
         """
         return FastPathState(
             d_sets=[cache.fast_state()[0] for cache in self.l1s],

@@ -13,14 +13,16 @@ MSHR if it misses the L1 while the cpu already has its maximum number of
 misses outstanding.  CPMA — cycles per memory access — is the paper's
 metric: total elapsed cycles divided by references retired per cpu.
 
-The engine is the stateful :class:`TraceReplayer`: records are fed one
-at a time (or as a :data:`~repro.traces.generator.TRACE_DTYPE` batch
-through the chunked fast path), and its whole state (hierarchy, queues,
-completion table, statistics) is plain picklable data, which the
-differential oracle clones.  An optional
-:class:`~repro.traces.record.TraceGuard` validates the stream as it
-flows: strict mode raises
-:class:`~repro.resilience.errors.TraceCorruptionError` on the first bad
+The engine is the stateful :class:`TraceReplayer`, fed
+:data:`~repro.traces.generator.TRACE_DTYPE` batches.  It spells the
+rule above out once, in one loop that inlines the L1 hit and calls the
+hierarchy's compiled walk for everything else; the loop's reference
+mode sends every reference through the walk.  Its whole state
+(hierarchy, queues, completion table, statistics) is plain picklable
+data, which the differential oracle clones and replays in reference
+mode.  An optional :class:`~repro.traces.record.TraceGuard` screens
+each batch's columns before replay: strict mode raises
+:class:`~repro.resilience.errors.TraceCorruptionError` at the first bad
 record, lenient mode quarantines bad records and reports counts.
 :func:`replay_trace` remains the one-shot convenience wrapper.
 """
@@ -31,7 +33,7 @@ import pickle
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,8 +51,12 @@ from repro.oracles.invariants import (
     check_rob_occupancy,
 )
 from repro.oracles.report import record_check, record_violation
-from repro.traces.generator import TRACE_DTYPE, array_to_records
-from repro.traces.record import AccessType, TraceGuard, TraceRecord
+from repro.traces.generator import (
+    TRACE_DTYPE,
+    first_rejected_row,
+    records_to_array,
+)
+from repro.traces.record import TraceGuard, TraceRecord
 
 #: Completion-table pruning: drop entries this many uids behind the head.
 _PRUNE_WINDOW = 65536
@@ -86,9 +92,10 @@ class ReplayStats:
         quarantined: Records rejected by a lenient trace guard (0 when
             no guard was active or the stream was clean).
         quarantined_by_reason: Rejection counts keyed by violation tag.
-        degraded: True when a replay oracle detected a fast-path
-            divergence and the run fell back to the reference path (the
-            numbers are correct, the fast path was not trusted).
+        degraded: True when a replay oracle detected a divergence of
+            the inlined L1 hit and the run fell back to the loop's
+            reference mode (the numbers are correct, the inlined hit was
+            not trusted).
     """
 
     n_accesses: int
@@ -109,9 +116,9 @@ class ReplayStats:
 class TraceReplayer:
     """Incremental replay of one trace.
 
-    Feed records with :meth:`feed` (or :meth:`feed_many` /
-    :meth:`feed_array`), then call :meth:`stats` to finalize.  Feeding
-    a trace in consecutive slices is the same as feeding it whole.
+    Feed :data:`~repro.traces.generator.TRACE_DTYPE` batches with
+    :meth:`feed_array`, then call :meth:`stats` to finalize.  Feeding a
+    trace in consecutive slices is the same as feeding it whole.
 
     Args:
         config: Hierarchy configuration (Table 3 baseline by default).
@@ -119,7 +126,8 @@ class TraceReplayer:
         warmup_until: Number of leading records whose statistics are
             discarded (cache warmup); 0 disables warmup.
         guard: Optional trace-stream validator; in lenient mode rejected
-            records are skipped and tallied.
+            records are skipped (they still count toward *warmup_until*)
+            and tallied.
     """
 
     def __init__(
@@ -148,106 +156,10 @@ class TraceReplayer:
         self._end_time = 0.0
         # Oracle bookkeeping (see feed_array): chunks replayed so far,
         # whether a differential check ever diverged, and whether the
-        # rest of the run is pinned to the reference per-record path.
+        # rest of the run is pinned to the loop's reference mode.
         self._chunk_counter = 0
         self._oracle_fallback = False
         self._oracle_degraded = False
-
-    # -- the per-record hot path ---------------------------------------------
-
-    def feed(self, record: TraceRecord) -> None:
-        """Replay one record (skips it if the guard quarantines it)."""
-        self.index += 1
-        if self.guard is not None and not self.guard.admit(record):
-            self._maybe_end_warmup()
-            return
-        hierarchy = self.hierarchy
-        mshrs = hierarchy.config.mshrs_per_cpu
-        window = hierarchy.config.reorder_window
-        cpu = record.cpu
-        # Issue slots advance at one reference per cpu per cycle; a
-        # reference may *start* later than its slot if its producer has
-        # not completed, but it does not hold later independent
-        # references back (the paper's replay honors dependencies, not
-        # program order).
-        slot = self._next_free[cpu]
-        self._next_free[cpu] = slot + 1.0
-        t = slot
-        # Finite reorder window: a reference needs a free window slot, so
-        # it cannot start until the oldest in-flight reference retires.
-        rob = self._robs[cpu]
-        if len(rob) >= window:
-            oldest = rob.popleft()
-            if oldest > t:
-                t = oldest
-        dep = record.dep_uid
-        # Dependent *loads* wait for their producer (the paper's Ld1/Ld2
-        # rule).  Dependent stores drain through the store buffer instead
-        # of stalling.
-        if dep >= 0 and record.kind == AccessType.LOAD:
-            dep_done = self._completion.get(dep)
-            if dep_done is not None and dep_done > t:
-                t = dep_done
-
-        misses = self._outstanding[cpu]
-        line_present = hierarchy.l1s[cpu].contains(
-            record.address >> hierarchy._line_shift
-        )
-        if not line_present and misses:
-            if len(misses) >= mshrs and misses[0] > t:
-                t = misses[0]
-            # Retire completed misses from the MSHR window.
-            done = 0
-            for value in misses:
-                if value <= t:
-                    done += 1
-                else:
-                    break
-            if done:
-                del misses[:done]
-
-        if record.kind == AccessType.IFETCH:
-            result = hierarchy.ifetch(cpu, record.address, t)
-        else:
-            result = hierarchy.access(
-                cpu, record.kind == AccessType.STORE, record.address, t
-            )
-        if result.level != L1:
-            insort(misses, result.completion)
-        if record.kind == AccessType.LOAD:
-            self._completion[record.uid] = result.completion
-            if len(self._completion) > _PRUNE_EVERY:
-                _prune_completions(self._completion, record.uid)
-
-        # In-order retirement: a reference retires no earlier than its
-        # predecessors.
-        retire = result.completion
-        if rob and rob[-1] > retire:
-            retire = rob[-1]
-        rob.append(retire)
-        if retire > self._end_time:
-            self._end_time = retire
-
-        if not self._maybe_end_warmup():
-            self._measured += 1
-            latency = result.completion - t
-            self._latency_sum += latency
-            level = result.level
-            self._level_latency_sum[level] = (
-                self._level_latency_sum.get(level, 0.0) + latency
-            )
-            self._level_latency_n[level] = (
-                self._level_latency_n.get(level, 0) + 1
-            )
-
-    def _maybe_end_warmup(self) -> bool:
-        """Handle the warmup boundary; True while still inside warmup."""
-        if not self.warmup_until:
-            return False
-        if self.index == self.warmup_until:
-            self._end_warmup()
-            return True
-        return self.index < self.warmup_until
 
     def _end_warmup(self) -> None:
         """The warmup boundary: discard warmup statistics, then measure
@@ -262,38 +174,28 @@ class TraceReplayer:
         self._level_latency_sum.clear()
         self._level_latency_n.clear()
 
-    def feed_many(self, records: Iterable[TraceRecord]) -> int:
-        """Feed a stream of records; returns how many were consumed."""
-        consumed = 0
-        for record in records:
-            self.feed(record)
-            consumed += 1
-        return consumed
-
-    # -- the chunked (batched) hot path --------------------------------------
+    # -- the replay loop -----------------------------------------------------
 
     def feed_array(self, array: np.ndarray) -> int:
         """Replay a :data:`~repro.traces.generator.TRACE_DTYPE` batch.
 
-        Bit-identical to calling :meth:`feed` on each row in order — the
-        L1 hit (the vast majority of references) is inlined against the
-        raw cache dicts (:meth:`MemoryHierarchy.fastpath_state`), every
-        L1 miss calls the hierarchy's compiled walk, and bypassed hit
-        tallies are flushed back at span boundaries.  The
-        batch path trusts the array's producer: rows skip the
-        construction-time :class:`TraceRecord` validation (a malformed
-        row fails with an ordinary IndexError/KeyError, not
-        ``TraceCorruptionError``) unless a guard is installed, in which
-        case rows are validated and replayed one record at a time.
+        Without a guard the rows are trusted (a malformed row fails with
+        an ordinary IndexError/KeyError).  With one, a row that
+        :class:`TraceRecord` rejects at construction raises its
+        :class:`~repro.resilience.errors.TraceCorruptionError`, and the
+        guard screens the rest: strict mode raises at the first rejected
+        row, lenient mode skips and tallies rejected rows (they still
+        count toward :attr:`warmup_until`).  The rows before an error
+        are replayed first.
 
         With oracles enabled (:mod:`repro.oracles`), the batch is split
         into fixed-size chunks; every chunk runs cheap conservation
-        invariants, and sampled chunks are re-executed on the reference
-        :meth:`feed` path against a cloned replayer and compared state
+        invariants, and sampled chunks are replayed a second time in the
+        loop's reference mode on a cloned replayer and compared state
         field for state field.  A divergence records a violation, adopts
         the reference state, and pins the rest of the run to the
-        reference path — the run completes ``degraded`` rather than
-        crashing or silently trusting the fast path.
+        reference mode — the run completes ``degraded`` rather than
+        crashing or silently trusting the inlined L1 hit.
 
         Returns the number of rows consumed.
         """
@@ -301,20 +203,24 @@ class TraceReplayer:
             raise ValueError(
                 f"feed_array needs a TRACE_DTYPE array, got {array.dtype}"
             )
-        if self.guard is not None:
-            # Guard admission needs validated records; take the exact
-            # per-record path so quarantine accounting stays identical.
-            return self.feed_many(array_to_records(array))
+        return self._feed(array, rows_checked=False)
+
+    def _feed(self, array: np.ndarray, rows_checked: bool) -> int:
+        """:meth:`feed_array` past its dtype check; *rows_checked* says
+        the rows come from constructed :class:`TraceRecord` objects, so
+        only the guard screens them."""
         n = len(array)
+        admitted = guard_error = row_error = None
+        if self.guard is not None:
+            if not rows_checked:
+                n, row_error = first_rejected_row(array)
+            admitted, guard_error = self.guard.screen(array[:n])
+            n = len(admitted)
         cfg = get_oracle_config()
         consumed = 0
         while consumed < n:
             stop = min(n, consumed + REPLAY_CHUNK) if cfg.enabled else n
-            if self._oracle_fallback:
-                # A prior differential diverged: the fast path is not
-                # trusted for the rest of this run.
-                self.feed_many(array_to_records(array[consumed:stop]))
-            elif cfg.enabled:
+            if cfg.enabled and not self._oracle_fallback:
                 counter = self._chunk_counter
                 self._chunk_counter = counter + 1
                 crosses_warmup = bool(
@@ -326,53 +232,75 @@ class TraceReplayer:
                 if cfg.strict or (
                     counter > 0 and counter % SAMPLE_STRIDE == 0
                 ):
-                    self._differential_chunk(array, consumed, stop)
+                    self._differential_chunk(array, consumed, stop, admitted)
                     self._structure_invariants()
                 else:
-                    self._feed_rows(array, consumed, stop)
+                    self._feed_rows(array, consumed, stop, admitted)
                 self._chunk_invariants(before, stop - consumed, crosses_warmup)
             else:
-                self._feed_rows(array, consumed, stop)
+                # Oracles off, or a differential diverged and the rest of
+                # the run is pinned to the loop's reference mode.
+                self._feed_rows(array, consumed, stop, admitted)
             consumed = stop
-        return consumed
+        if guard_error is not None:
+            self.index += 1  # the rejected record was consumed
+            raise guard_error
+        if row_error is not None:
+            raise row_error
+        return len(array)
 
-    def _feed_rows(self, array: np.ndarray, start: int, stop: int) -> None:
-        """Feed ``array[start:stop]``, splitting at the warmup boundary."""
+    def _feed_rows(
+        self,
+        array: np.ndarray,
+        start: int,
+        stop: int,
+        admitted: Optional[np.ndarray] = None,
+    ) -> None:
+        """Feed ``array[start:stop]`` (only its *admitted* rows, when
+        given), splitting at the warmup boundary."""
         warmup_until = self.warmup_until
         if warmup_until and self.index < warmup_until:
-            boundary = start + (warmup_until - self.index)
-            if boundary > stop:
-                self._feed_span(array, start, stop, measure=False)
-                return
-            self._feed_span(array, start, boundary, measure=False)
-            self._end_warmup()
+            boundary = min(stop, start + (warmup_until - self.index))
+            self._feed_span(array, start, boundary, False, admitted)
+            if self.index == warmup_until:
+                self._end_warmup()
             start = boundary
         if start < stop:
-            self._feed_span(array, start, stop, measure=True)
+            self._feed_span(array, start, stop, True, admitted)
 
     def _feed_span(
-        self, array: np.ndarray, start: int, stop: int, measure: bool
+        self,
+        array: np.ndarray,
+        start: int,
+        stop: int,
+        measure: bool,
+        admitted: Optional[np.ndarray],
     ) -> None:
-        """The chunk inner loop: replay ``array[start:stop]`` inlined.
+        """The replay loop: replay ``array[start:stop]``.
 
         Only the L1 hit (the vast majority of references) is inlined
         against the raw cache dicts; every L1 miss calls the hierarchy's
         compiled :attr:`~MemoryHierarchy.access`/:attr:`~MemoryHierarchy.
-        ifetch` walk, the same one :meth:`feed` calls.  Per-record issue
-        slots and the dependent-load predicate are precomputed with numpy
-        (both are exact: slots are integral doubles, the predicate is
-        pure integer logic).  Every state mutation lands in the same
-        order as :meth:`feed`, so counters, timing, and float
-        accumulation match the per-record path bit for bit.
+        ifetch` walk.  In reference mode (:attr:`_oracle_fallback`) the
+        inlined probe sees empty sets, so every reference, L1 hits
+        included, takes that walk; the issue slots, window, dependency
+        and MSHR waits, retirement and latency sums are the same code
+        either way.  Rows outside *admitted* are skipped but still
+        advance :attr:`index`.
         """
-        if start >= stop:
-            return
         hierarchy = self.hierarchy
         fp = hierarchy.fastpath_state()
         d_sets = fp.d_sets
         d_mask = fp.d_mask
-        i_sets = fp.i_sets
         i_mask = fp.i_mask
+        d_probe = d_sets
+        i_probe = fp.i_sets
+        if self._oracle_fallback:
+            # Probe sets that never hit (nothing is ever inserted into
+            # them), so the walk owns every L1 hit.
+            never = {}
+            d_probe = [[never] * len(sets) for sets in d_probe]
+            i_probe = [[never] * len(sets) for sets in i_probe]
         line_shift = fp.line_shift
         lat_l1d = fp.lat_l1d
         lat_l1i = fp.lat_l1i
@@ -402,13 +330,19 @@ class TraceReplayer:
         l1_lat_n = l1_lat_n0
 
         span = array[start:stop]
+        if admitted is not None:
+            span = span[admitted[start:stop]]
         cpu_col = span["cpu"]
         kind_col = span["kind"]
         dep_col = span["dep_uid"]
         # Issue slots advance at one reference per cpu per cycle; the
         # whole slot sequence for the span is known up front.  The
         # values are integral doubles, so base + arange reproduces the
-        # sequential base + 1.0 + 1.0 + ... additions exactly.
+        # sequential base + 1.0 + 1.0 + ... additions exactly.  A
+        # reference may *start* later than its slot if its producer has
+        # not completed, but it does not hold later independent
+        # references back (the paper's replay honors dependencies, not
+        # program order).
         slot_col = np.empty(len(span), dtype=np.float64)
         for c in range(n_cpus):
             taken = cpu_col == c
@@ -417,8 +351,10 @@ class TraceReplayer:
                 base = next_free[c]
                 slot_col[taken] = base + np.arange(count, dtype=np.float64)
                 next_free[c] = base + float(count)
-        # Fold the dependent-LOAD predicate into the dep column: -1
-        # means "no wait", matching feed()'s dep>=0-and-LOAD test.
+        # Dependent *loads* wait for their producer (the paper's Ld1/Ld2
+        # rule); dependent stores drain through the store buffer instead
+        # of stalling.  Fold that predicate into the dep column: -1
+        # means "no wait".
         dep_col = np.where((dep_col >= 0) & (kind_col == 0), dep_col, -1)
 
         for uid, cpu, kind, address, dep, t in zip(
@@ -429,13 +365,19 @@ class TraceReplayer:
             dep_col.tolist(),
             slot_col.tolist(),
         ):
+            # Finite reorder window: a reference needs a free window
+            # slot, so it cannot start until the oldest in-flight
+            # reference retires.
             rob = robs[cpu]
             if len(rob) >= window:
                 oldest = rob.popleft()
                 if oldest > t:
                     t = oldest
 
-            if kind == 2:  # IFETCH (MSHR presence checks the L1D, as feed does)
+            # A reference that misses the L1D waits for a free MSHR and
+            # retires the misses completed by then (an IFETCH checks the
+            # L1D too).
+            if kind == 2:  # IFETCH
                 line = address >> line_shift
                 if line not in d_sets[cpu][line & d_mask]:
                     misses = outstanding[cpu]
@@ -450,7 +392,7 @@ class TraceReplayer:
                                 break
                         if done:
                             del misses[:done]
-                i_entries = i_sets[cpu][line & i_mask]
+                i_entries = i_probe[cpu][line & i_mask]
                 previous = i_entries.pop(line, None)
                 if previous is not None:
                     i_entries[line] = previous
@@ -459,14 +401,15 @@ class TraceReplayer:
                     level = L1
                 else:
                     comp, level, _ = ifetch(cpu, address, t)
-                    insort(outstanding[cpu], comp)
+                    if level != L1:
+                        insort(outstanding[cpu], comp)
             else:
                 if dep >= 0:  # dependent LOAD (predicate folded above)
                     dep_done = completion_get(dep)
                     if dep_done is not None and dep_done > t:
                         t = dep_done
                 line = address >> line_shift
-                d_entries = d_sets[cpu][line & d_mask]
+                d_entries = d_probe[cpu][line & d_mask]
                 previous = d_entries.pop(line, None)
                 if previous is not None:  # L1D hit
                     if kind == 1:  # STORE write hit
@@ -479,7 +422,7 @@ class TraceReplayer:
                     level = L1
                 else:
                     misses = outstanding[cpu]
-                    if misses:
+                    if misses and line not in d_sets[cpu][line & d_mask]:
                         if len(misses) >= mshrs and misses[0] > t:
                             t = misses[0]
                         done = 0
@@ -491,13 +434,16 @@ class TraceReplayer:
                         if done:
                             del misses[:done]
                     comp, level, _ = access(cpu, kind == 1, address, t)
-                    insort(misses, comp)
+                    if level != L1:
+                        insort(misses, comp)
 
             if kind == 0:  # LOAD
                 completion_table[uid] = comp
                 if len(completion_table) > _PRUNE_EVERY:
                     _prune_completions(completion_table, uid)
 
+            # In-order retirement: a reference retires no earlier than
+            # its predecessors.
             retire = comp
             if rob and rob[-1] > retire:
                 retire = rob[-1]
@@ -521,7 +467,7 @@ class TraceReplayer:
         self._end_time = end_time
         self._latency_sum = latency_sum
         if measure:
-            measured += stop - start
+            measured += len(span)
         self._measured = measured
         if l1_lat_n != l1_lat_n0:
             level_latency_sum[L1] = l1_lat_sum
@@ -566,7 +512,7 @@ class TraceReplayer:
         Covers cache contents *and* LRU order (dict order), the
         coherence directory, prefetch history, DRAM bank/page state, bus
         accounting, ROBs, completion tables, and every timing
-        accumulator — the same surface the fast-path equivalence tests
+        accumulator — the same surface the replay equivalence tests
         compare, so a differential mismatch pinpoints the diverged
         field.
         """
@@ -679,22 +625,26 @@ class TraceReplayer:
             self._record_replay_violation(problem, "degraded")
 
     def _differential_chunk(
-        self, array: np.ndarray, start: int, stop: int
+        self,
+        array: np.ndarray,
+        start: int,
+        stop: int,
+        admitted: Optional[np.ndarray],
     ) -> None:
-        """Replay one chunk on both paths and compare state exactly.
+        """Replay one chunk in both modes of the loop and compare state
+        exactly.
 
-        The reference replayer is a pickle clone taken *before* the fast
-        path touches anything, fed the same rows through the per-record
-        :meth:`feed` path.  On mismatch the reference state is adopted
-        (it is the trusted semantics) and the rest of the run is pinned
-        to the reference path.
+        The reference replayer is a pickle clone taken *before* the
+        inlined replay touches anything, pinned to reference mode (every
+        reference through the compiled walk) and fed the same rows.  On
+        mismatch its state is adopted (it is the trusted semantics), so
+        the rest of the run stays in reference mode.
         """
         record_check("memsim.replay-differential")
         reference = pickle.loads(pickle.dumps(self))
-        reference.guard = None
-        self._feed_rows(array, start, stop)
-        for record in array_to_records(array[start:stop]):
-            reference.feed(record)
+        reference._oracle_fallback = True
+        self._feed_rows(array, start, stop, admitted)
+        reference._feed_rows(array, start, stop, admitted)
         mine = self.state_fingerprint()
         theirs = reference.state_fingerprint()
         if mine == theirs:
@@ -703,16 +653,15 @@ class TraceReplayer:
             key for key in mine if mine[key] != theirs.get(key)
         )
         self._record_replay_violation(
-            "fast path diverged from reference replay at record "
+            "inlined replay diverged from reference replay at record "
             f"{self.index} (fields: {', '.join(diverged[:6])})",
             "fallback-reference",
         )
-        # Adopt the reference state wholesale and stop trusting the
-        # fast path: correctness beats speed once an oracle fires.
+        # Adopt the reference state wholesale, reference mode included:
+        # correctness beats speed once an oracle fires.
         degraded = self._oracle_degraded
         self.__dict__.update(reference.__dict__)
         self._oracle_degraded = degraded
-        self._oracle_fallback = True
 
     # -- finalization --------------------------------------------------------
 
@@ -721,9 +670,8 @@ class TraceReplayer:
         if self._measured == 0:
             raise ValueError("trace produced no measured references")
         if get_oracle_config().enabled:
-            # Final well-formedness sweep: per-record (feed_many) runs
-            # get at least this one structural check even though they
-            # never pass through the chunk loop.
+            # Final well-formedness sweep: a run too short to reach a
+            # sampled chunk gets at least this one structural check.
             self._structure_invariants()
         hierarchy = self.hierarchy
         start = self._measure_start or 0.0
@@ -762,21 +710,21 @@ def replay_trace(
     """Replay a trace and measure CPMA, bandwidth, and bus power.
 
     Args:
-        records: The trace — a sequence of :class:`TraceRecord`, or a
-            :data:`~repro.traces.generator.TRACE_DTYPE` structured array
-            (the batched form; replayed through the chunked fast path
-            with identical results).
+        records: The trace — a :data:`~repro.traces.generator.TRACE_DTYPE`
+            structured array, or a sequence of :class:`TraceRecord`
+            (packed into one with identical results).
         config: Hierarchy configuration (Table 3 baseline by default).
         hierarchy: A pre-built hierarchy to use instead of *config*
             (useful for warmed or instrumented instances).
         warmup_fraction: Leading fraction of the trace used to warm the
             caches; its statistics are discarded, mirroring the paper's
             skipping of each benchmark's initialization phase.
-        mode: ``"strict"`` validates every record and raises
+        mode: ``"strict"`` screens every record and raises
             :class:`~repro.resilience.errors.TraceCorruptionError` on
-            the first violation; ``"lenient"`` quarantines bad records
-            and reports counts in the stats; ``None`` (default) replays
-            unvalidated, trusting construction-time checks.
+            the first violation, after replaying the records before it;
+            ``"lenient"`` quarantines bad records and reports counts in
+            the stats; ``None`` (default) replays unvalidated, trusting
+            construction-time checks.
 
     Returns:
         A :class:`ReplayStats`.
@@ -801,5 +749,5 @@ def replay_trace(
     if isinstance(records, np.ndarray):
         replayer.feed_array(records)
     else:
-        replayer.feed_many(records)
+        replayer._feed(records_to_array(records), rows_checked=True)
     return replayer.stats()

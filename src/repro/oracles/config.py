@@ -31,8 +31,8 @@ from typing import Iterator, Union
 #: Recognised oracle modes, in increasing order of paranoia.
 MODES = ("off", "sample", "strict")
 
-#: Row-span size the chunked replay fast path is broken into when
-#: oracles are enabled (so per-chunk invariants see bounded deltas).
+#: Row-span size the replay loop is broken into when oracles are
+#: enabled (so per-chunk invariants see bounded deltas).
 REPLAY_CHUNK = 4096
 
 #: In ``sample`` mode, differentially replay every N-th chunk (and

@@ -19,7 +19,7 @@ return blocks of accesses (:mod:`repro.traces.kernels.base`), and
 :meth:`TraceGenerator.arrays` fills a :data:`TRACE_DTYPE` array
 :data:`_BLOCK_ROWS` rows at a time with array ops: the cpu interleave,
 the instruction fetches, the uid, ``ip`` and dependency columns.  The
-array is the batch form consumed by the chunked replay fast path
+array is the batch form the replay loop consumes
 (:meth:`repro.memsim.replay.TraceReplayer.feed_array`);
 :meth:`TraceGenerator.records` unpacks it into :class:`TraceRecord`
 objects.
@@ -78,6 +78,26 @@ def array_to_records(array: np.ndarray) -> Iterator[TraceRecord]:
             ip=ip,
             dep_uid=dep_uid,
         )
+
+
+def first_rejected_row(array: np.ndarray) -> Tuple[int, Optional[ValueError]]:
+    """Where :func:`array_to_records` would stop on *array*: the index of
+    the first row :class:`TraceRecord` rejects (``len(array)`` when it
+    accepts every row) and the error constructing that row raises."""
+    uid, dep = array["uid"], array["dep_uid"]
+    rejected = np.flatnonzero(
+        (uid < 0)
+        | (array["cpu"] < 0)
+        | ~np.isin(array["kind"], list(AccessType))
+        | (array["address"] < 0)
+        | ((dep != NO_DEP) & ((dep < 0) | (dep >= uid)))
+    )
+    for row in rejected[:1].tolist():
+        try:
+            next(array_to_records(array[row : row + 1]))
+        except ValueError as exc:  # TraceCorruptionError, or AccessType's
+            return row, exc
+    return len(array), None
 
 
 @dataclass(frozen=True)

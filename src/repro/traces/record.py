@@ -7,9 +7,9 @@ The memory hierarchy simulator honors these dependencies: a dependent
 access may not issue until the record it names has completed.
 
 This module owns what makes a trace valid: per-record checks at
-construction (:meth:`TraceRecord.__post_init__`), per-stream checks
-during replay (:class:`TraceGuard`), and whole-trace checks
-(:func:`validate_trace`).
+construction (:meth:`TraceRecord.__post_init__`), per-stream checks on
+the columns of each replayed batch (:class:`TraceGuard`), and
+whole-trace checks (:func:`validate_trace`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.resilience.errors import TraceCorruptionError
 
@@ -147,13 +149,16 @@ def read_trace(
                         f"malformed trace line {line!r}", reason="bad-line"
                     )
                 uid, cpu, kind, address, ip, dep = parts
+                fields = (int(uid), int(cpu), int(kind), int(address, 16),
+                          int(ip, 16), int(dep))
+                # Replay packs records into int64 columns.
+                if not all(-(2**63) <= value < 2**63 for value in fields):
+                    raise TraceCorruptionError(
+                        f"value outside int64 in trace line {line!r}",
+                        reason="bad-line",
+                    )
                 record = TraceRecord(
-                    uid=int(uid),
-                    cpu=int(cpu),
-                    kind=AccessType(int(kind)),
-                    address=int(address, 16),
-                    ip=int(ip, 16),
-                    dep_uid=int(dep),
+                    fields[0], fields[1], AccessType(fields[2]), *fields[3:]
                 )
             except (TraceCorruptionError, ValueError) as exc:
                 if strict:
@@ -201,27 +206,38 @@ def validate_trace(
         last_uid = record.uid
 
 
-_VALID_KINDS = frozenset(int(k) for k in AccessType)
+#: The violations :class:`TraceGuard` checks, in the order it checks
+#: them: the uid order first, then the row-local ones.
+_REASONS = (
+    "non-monotonic-uid",
+    "bad-cpu",
+    "bad-kind",
+    "bad-address",
+    "self-dep",
+    "forward-dep",
+    "bad-dep",
+)
 
 
 @dataclass
 class TraceGuard:
     """Stateful validator for one replayed trace stream.
 
-    Checks per record: uid strictly increases over the stream, the
-    dependency (if any) names a strictly earlier record, the cpu id is
-    within the simulated machine, the access kind is known, and the
-    address is non-negative.
+    Checks per record, in this order: uid strictly increases over the
+    stream, the cpu id is within the simulated machine, the access kind
+    is known, the address is non-negative, and the dependency (if any)
+    names a strictly earlier record.
 
     Attributes:
         n_cpus: Number of cpus in the target hierarchy; records naming
             other cpus are invalid.
         strict: If True, the first violation raises
             :class:`TraceCorruptionError`.  If False (lenient), bad
-            records are quarantined: :meth:`admit` returns False and the
-            violation is tallied in :attr:`quarantined_by_reason`.
+            records are quarantined: :meth:`screen` leaves them out of
+            its mask and tallies them in :attr:`quarantined_by_reason`.
         checked: Records inspected so far.
         quarantined: Records rejected so far (lenient mode only).
+        last_uid: Uid of the last admitted record.
     """
 
     n_cpus: int
@@ -231,48 +247,62 @@ class TraceGuard:
     last_uid: int = -1
     quarantined_by_reason: Dict[str, int] = field(default_factory=dict)
 
-    def admit(self, record: TraceRecord) -> bool:
-        """Validate one record; True to replay it, False to quarantine."""
-        self.checked += 1
-        reason = self._violation(record)
-        if reason is None:
-            self.last_uid = record.uid
-            return True
-        if self.strict:
-            raise TraceCorruptionError(
-                f"record uid={record.uid}: {reason} "
-                f"(cpu={record.cpu}, dep_uid={record.dep_uid})",
-                uid=record.uid,
-                reason=reason,
-            )
-        self.quarantined += 1
-        self.quarantined_by_reason[reason] = (
-            self.quarantined_by_reason.get(reason, 0) + 1
+    def screen(
+        self, array: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[TraceCorruptionError]]:
+        """Check a :data:`~repro.traces.generator.TRACE_DTYPE` batch in one
+        vectorised pass, continuing the stream of earlier batches.
+
+        Returns the admit mask and, in strict mode, the error for the
+        first rejected row (the mask then covers only the rows before
+        it).  A row is admitted when its row-local checks pass and its
+        uid exceeds the running maximum of earlier row-locally valid
+        uids, which is :attr:`last_uid` as it stands before that row: a
+        valid row that is not admitted never raises the maximum.
+        """
+        uid, cpu, dep = array["uid"], array["cpu"], array["dep_uid"]
+        has_dep = dep != NO_DEP
+        row_bad = (
+            (cpu < 0) | (cpu >= self.n_cpus),
+            ~np.isin(array["kind"], list(AccessType)),
+            array["address"] < 0,
+            has_dep & (dep == uid),
+            has_dep & (dep > uid),
+            has_dep & (dep < 0),
         )
-        return False
-
-    def _violation(self, record: TraceRecord) -> Optional[str]:
-        if record.uid < 0 or record.uid <= self.last_uid:
-            return "non-monotonic-uid"
-        if not 0 <= record.cpu < self.n_cpus:
-            return "bad-cpu"
-        if int(record.kind) not in _VALID_KINDS:
-            return "bad-kind"
-        if record.address < 0:
-            return "bad-address"
-        if record.dep_uid != NO_DEP:
-            if record.dep_uid == record.uid:
-                return "self-dep"
-            if record.dep_uid > record.uid:
-                return "forward-dep"
-            if record.dep_uid < 0:
-                return "bad-dep"
-        return None
-
-    def report(self) -> Dict[str, int]:
-        """Summary counts, suitable for logging or ReplayStats."""
-        return {
-            "checked": self.checked,
-            "quarantined": self.quarantined,
-            **{f"quarantined:{r}": n for r, n in self.quarantined_by_reason.items()},
-        }
+        row_ok = uid >= 0
+        for bad in row_bad:
+            row_ok &= ~bad
+        prior = np.maximum.accumulate(
+            np.concatenate(([self.last_uid], np.where(row_ok, uid, -1)))
+        )[:-1]
+        out_of_order = (uid < 0) | (uid <= prior)
+        admitted = row_ok & ~out_of_order
+        # Each row's first violation, as an index into _REASONS.
+        reason = np.select(
+            (out_of_order,) + row_bad, range(len(_REASONS)), -1
+        )
+        rejected = np.flatnonzero(~admitted)
+        if self.strict and len(rejected):
+            row = int(rejected[0])
+            self.checked += row + 1
+            if row:
+                self.last_uid = int(uid[row - 1])
+            name = _REASONS[reason[row]]
+            error = TraceCorruptionError(
+                f"record uid={int(uid[row])}: {name} "
+                f"(cpu={int(cpu[row])}, dep_uid={int(dep[row])})",
+                uid=int(uid[row]),
+                reason=name,
+            )
+            return admitted[:row], error
+        self.checked += len(array)
+        if admitted.any():
+            self.last_uid = int(uid[admitted].max())
+        self.quarantined += len(rejected)
+        for code in reason[rejected].tolist():
+            name = _REASONS[code]
+            self.quarantined_by_reason[name] = (
+                self.quarantined_by_reason.get(name, 0) + 1
+            )
+        return admitted, None

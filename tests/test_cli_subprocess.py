@@ -113,6 +113,40 @@ class TestReplay:
         assert proc.returncode == 1
         assert "replay failed" in proc.stderr
 
+    @pytest.fixture(scope="class")
+    def corrupt_trace_path(self, trace_path, tmp_path_factory):
+        # One record repeats its predecessor's uid and one names cpu 5 of
+        # a two-cpu machine; both still parse, so only the guard sees them.
+        lines = Path(trace_path).read_text().splitlines()
+        row = next(i for i in range(1000, len(lines))
+                   if lines[i].split()[5] == "-1")
+        fields = lines[row].split()
+        fields[0] = lines[row - 1].split()[0]
+        lines[row] = " ".join(fields)
+        fields = lines[2000].split()
+        fields[1] = "5"
+        lines[2000] = " ".join(fields)
+        path = tmp_path_factory.mktemp("traces") / "corrupt.trace"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_replay_lenient_quarantines_corrupt_records(
+        self, corrupt_trace_path
+    ):
+        proc = run_cli("replay", corrupt_trace_path, "--lenient")
+        assert proc.returncode == 0, proc.stderr
+        assert "quarantined   2 corrupt record(s)" in proc.stdout
+        assert "non-monotonic-uid" in proc.stdout
+        assert "bad-cpu" in proc.stdout
+
+    def test_replay_strict_fails_on_the_first_corrupt_record(
+        self, corrupt_trace_path
+    ):
+        proc = run_cli("replay", corrupt_trace_path, "--strict")
+        assert proc.returncode == 1
+        assert "replay failed (TraceCorruptionError)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestLint:
     def test_shipped_tree_is_clean(self):

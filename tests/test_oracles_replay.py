@@ -1,9 +1,10 @@
 """Replay oracle integration: differentials, invariants, fuzz equivalence.
 
-The memsim oracle contract: in any enabled mode the chunked fast path
-stays bit-identical to the per-record reference path, corruption is
-*detected* (never raised), and a detected divergence pins the run to
-the reference path with ``ReplayStats.degraded`` set.
+The memsim oracle contract: in any enabled mode the replay loop stays
+bit-identical to a run with oracles off, corruption is *detected* (never
+raised), and a divergence of the inlined L1 hit from the loop's
+reference mode pins the run to that mode with ``ReplayStats.degraded``
+set.
 """
 
 import pickle
@@ -55,7 +56,8 @@ def _configs(scale=8):
 
 
 def _fed_pair(hierarchy_config, array, warmup_until, mode):
-    """(fast-path replayer, per-record replayer) fed the same rows."""
+    """(replayer under *mode*, replayer with oracles off) fed the same
+    rows."""
     fast = TraceReplayer(
         hierarchy=MemoryHierarchy(hierarchy_config), warmup_until=warmup_until
     )
@@ -101,7 +103,7 @@ class TestModesAreBitIdentical:
 
 
 class TestTraceFuzz:
-    """Seeded property fuzz (no Hypothesis): feed == feed_array, clean."""
+    """Seeded property fuzz (no Hypothesis): sample mode == off, clean."""
 
     KERNELS = ("smvm", "gauss", "svd", "pcg")
 
@@ -136,7 +138,7 @@ class TestDetection:
                 hierarchy=MemoryHierarchy(baseline_config()),
                 warmup_until=len(trace) // 3,
             )
-            replayer.feed_many(trace)
+            replayer.feed_array(records_to_array(trace))
             # Overfill an L1D set past its associativity, the way a
             # corrupted snapshot or a buggy refactor would.
             target = replayer.hierarchy.l1s[0]._sets[0]
@@ -155,13 +157,15 @@ class TestDetection:
         warmup = len(array) // 3
         corrupted = []
 
-        def rewinding_feed_rows(self, rows, start, stop):
+        def rewinding_feed_rows(self, rows, start, stop, admitted=None):
             bus = self.hierarchy.bus
             entry_bytes = bus.total_bytes
-            real_feed_rows(self, rows, start, stop)
-            if start > warmup and not corrupted:
-                # A silent fast-path fault on a chunk past warm-up: the
-                # bus byte counter ends the chunk below where it began.
+            real_feed_rows(self, rows, start, stop, admitted)
+            inlined = not self._oracle_fallback
+            if start > warmup and inlined and not corrupted:
+                # A silent fault of the inlined side on a chunk past
+                # warm-up: the bus byte counter ends the chunk below where
+                # it began.
                 corrupted.append(start)
                 bus.total_bytes = entry_bytes - 64
 
@@ -185,9 +189,10 @@ class TestDetection:
         real_feed_rows = TraceReplayer._feed_rows
         corrupted = []
 
-        def corrupting_feed_rows(self, rows, start, stop):
-            real_feed_rows(self, rows, start, stop)
-            if not corrupted:  # one silent fast-path fault, chunk 0
+        def corrupting_feed_rows(self, rows, start, stop, admitted=None):
+            real_feed_rows(self, rows, start, stop, admitted)
+            if not self._oracle_fallback and not corrupted:
+                # One silent fault of the inlined side, chunk 0.
                 corrupted.append(True)
                 self.hierarchy.bus.total_bytes += 64
 
@@ -205,12 +210,51 @@ class TestDetection:
         assert "bus_total_bytes" in violation.detail
 
         # The adopted reference state must carry the run to the same
-        # numbers as a never-corrupted per-record replay.
+        # numbers as a never-corrupted replay.
         with oracle_mode("off"):
             reference = TraceReplayer(hierarchy=MemoryHierarchy(baseline_config()))
             reference.feed_array(array)
         fingerprint = replayer.state_fingerprint()
         assert fingerprint == reference.state_fingerprint()
+
+    def test_inlined_l1_hit_divergence_falls_back_in_strict(
+        self, array, monkeypatch
+    ):
+        # A fault planted in the inlined L1 hit itself: it charges one
+        # cycle too many.  The reference mode never takes that branch, so
+        # the differential of the first chunk catches it.
+        real_state = MemoryHierarchy.fastpath_state
+
+        def slow_hit_state(self):
+            state = real_state(self)
+            return state._replace(lat_l1d=state.lat_l1d + 1)
+
+        monkeypatch.setattr(MemoryHierarchy, "fastpath_state", slow_hit_state)
+        warmup = len(array) // 3
+        with oracle_mode("strict"):
+            replayer = TraceReplayer(
+                hierarchy=MemoryHierarchy(baseline_config()),
+                warmup_until=warmup,
+            )
+            replayer.feed_array(array)
+            stats = replayer.stats()
+        assert replayer._oracle_fallback
+        assert stats.degraded
+        [violation] = [
+            v for v in oracle_report().violations
+            if v.oracle == "memsim.replay"
+        ]
+        assert violation.action == "fallback-reference"
+        assert "at record 4096" in violation.detail
+
+        monkeypatch.setattr(MemoryHierarchy, "fastpath_state", real_state)
+        with oracle_mode("off"):
+            clean = TraceReplayer(
+                hierarchy=MemoryHierarchy(baseline_config()),
+                warmup_until=warmup,
+            )
+            clean.feed_array(array)
+        assert replayer.state_fingerprint() == clean.state_fingerprint()
 
     def test_pickle_round_trip_preserves_oracle_flags(self, array):
         """The differential oracle's reference is a pickle clone; it must

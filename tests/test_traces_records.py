@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.resilience.errors import TraceCorruptionError
 from repro.traces.record import (
     AccessType,
     NO_DEP,
@@ -71,6 +72,16 @@ class TestTraceIO:
         path.write_text("1 2 3\n")
         with pytest.raises(ValueError, match="malformed"):
             list(read_trace(path))
+
+    def test_value_outside_int64_is_a_malformed_line(self, tmp_path):
+        # Replay packs records into int64 columns, so such a line cannot
+        # be replayed: strict reading names it, lenient reading skips it.
+        path = tmp_path / "huge.txt"
+        path.write_text("0 0 0 1000 400000 -1\n1 1 0 1" + "0" * 16
+                        + " 400000 -1\n2 0 0 2000 400000 -1\n")
+        with pytest.raises(TraceCorruptionError, match=r"huge.txt:2: .*int64"):
+            list(read_trace(path))
+        assert [r.uid for r in read_trace(path, strict=False)] == [0, 2]
 
     def test_validate_trace_accepts_good(self):
         records = [record(uid=0), record(uid=1, dep=0), record(uid=5, dep=1)]
